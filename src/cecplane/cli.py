@@ -128,11 +128,10 @@ def _cmd_analyze(args) -> int:
     bundle = run_pipeline(config, dataset)
     for warning in bundle.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    written = write_bundle(bundle, args.out)
     kinds = PLOT_KINDS if args.plots == ["all"] else (args.plots or [])
-    for kind in kinds:
-        written.append(emit_plot_data(bundle, kind, args.out))
-    for path in written:
+    plots = [emit_plot_data(bundle, kind, args.out) for kind in kinds]
+    # The manifest goes last, so that it hashes the plot files too.
+    for path in write_bundle(bundle, args.out) + plots:
         print(path)
     return 0
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bounds import BoundCurve, lower_bound_curve, upper_bound_curve
 from .fbm import BaselineCloud, baseline_cloud
-from .patterns import OrdinalConfig, TimeSeries
+from .patterns import OrdinalConfig, TimeSeries, _grid_violation
 from .rolling import RollingResult, WindowParams, rolling_quantifiers
 from .stats import (
     AnovaResult,
@@ -126,12 +126,38 @@ def _parse_timestamp(cell: str, line: int) -> float:
     return value
 
 
+def _data_rows(reader):
+    """``(line, row)`` for every data row after the header; blank rows are
+    skipped but still counted."""
+    for line_no, row in enumerate(reader, start=2):
+        if row and any(c.strip() for c in row):
+            yield line_no, row
+
+
+def _grid_error(path: Path, ts: np.ndarray, index: int, rule: str) -> ValueError:
+    """Name the line of data row ``index``, found by reading the file again
+    so that loading keeps no per-row line numbers."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for k, (line_no, row) in enumerate(_data_rows(reader)):
+            if k == index:
+                break
+    return ValueError(
+        f"{path}: line {line_no}: timestamps must be {rule}; {row[0].strip()!r} comes "
+        f"{_fmt(ts[index] - ts[index - 1])} after the previous row, but the first "
+        f"two rows are {_fmt(ts[1] - ts[0])} apart"
+    )
+
+
 def load_dataset(path, assets: Sequence[str] | None = None,
                  forward_fill: bool = False) -> Dataset:
     """Read a headed CSV into per-asset TimeSeries on a shared time grid.
 
-    A missing or non-numeric cell in a requested column is an error naming
-    its line and column unless ``forward_fill`` is set, in which case the
+    Timestamps must be strictly increasing and evenly spaced; the first row
+    that breaks the grid is an error naming its line.  A missing or
+    non-numeric cell in a requested column is an error naming its line and
+    column unless ``forward_fill`` is set, in which case the
     previous valid value is carried forward and counted.  A defective cell in
     the first data row cannot be filled and always errors.
     """
@@ -158,9 +184,7 @@ def load_dataset(path, assets: Sequence[str] | None = None,
         timestamps: list[float] = []
         values: dict[str, list[float]] = {a: [] for a in selected}
         fill_counts = {a: 0 for a in selected}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue  # ignore trailing blank lines
+        for line_no, row in _data_rows(reader):
             if len(row) != len(header):
                 raise ValueError(
                     f"{path}: line {line_no} has {len(row)} cells, header has {len(header)}"
@@ -192,6 +216,9 @@ def load_dataset(path, assets: Sequence[str] | None = None,
     if not timestamps:
         raise ValueError(f"{path}: no data rows")
     ts = np.asarray(timestamps)
+    violation = _grid_violation(ts)
+    if violation is not None:
+        raise _grid_error(path, ts, *violation)
     series = {a: TimeSeries(np.asarray(values[a]), ts) for a in selected}
     return Dataset(series=series, fill_counts=fill_counts,
                    timestamp_label=ts_label, digest=_sha256_file(path))
@@ -414,9 +441,10 @@ def _anova_rows(bundle: AnalysisBundle):
 def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
     """Write every result table plus a manifest; returns the written paths.
 
-    The manifest records the config, seed, input digest, tool version, and
-    the sha256 of every other emitted file; it contains no wall-clock data,
-    so identical runs produce identical trees.
+    The manifest is written last.  It records the config, seed, input
+    digest, tool version, and the sha256 of every other file in the output
+    directory, so plot data emitted beforehand is covered too.  It contains
+    no wall-clock data, so identical runs produce identical trees.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -477,7 +505,8 @@ def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
         "fill_counts": bundle.fill_counts,
         "caveats": list(bundle.caveats),
         "warnings": list(bundle.warnings),
-        "files": {p.name: _sha256_file(p) for p in sorted(written)},
+        "files": {p.name: _sha256_file(p) for p in sorted(out.iterdir())
+                  if p.is_file() and p.name != "manifest.json"},
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -57,6 +57,24 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _grid_violation(ts: np.ndarray) -> tuple[int, str] | None:
+    """First sample that breaks a strictly increasing, evenly spaced grid,
+    with the rule it breaks; ``None`` when there is none.
+
+    The spacing is set by the first two samples.
+    """
+    gaps = np.diff(ts)
+    if gaps.size == 0:
+        return None
+    ref = gaps[0]
+    broken = (gaps <= 0) | (np.abs(gaps - ref) > _GRID_RTOL * max(abs(ref), 1.0))
+    if not broken.any():
+        return None
+    first = int(np.argmax(broken))
+    rule = "strictly increasing" if gaps[first] <= 0 else "evenly spaced"
+    return first + 1, rule
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """An evenly spaced sequence of finite real observations.
@@ -79,13 +97,10 @@ class TimeSeries:
             ts = _as_float_array(self.timestamps, "timestamps")
             if ts.size != values.size:
                 raise ValueError("timestamps and values must have equal length")
-            if ts.size > 1:
-                gaps = np.diff(ts)
-                if not (gaps > 0).all():
-                    raise ValueError("timestamps must be strictly increasing")
-                ref = gaps[0]
-                if np.abs(gaps - ref).max() > _GRID_RTOL * max(abs(ref), 1.0):
-                    raise ValueError("timestamps must be evenly spaced")
+            violation = _grid_violation(ts)
+            if violation is not None:
+                raise ValueError(f"timestamps must be {violation[1]} "
+                                 f"(first break at position {violation[0]})")
             ts.flags.writeable = False
             object.__setattr__(self, "timestamps", ts)
 
@@ -208,28 +223,35 @@ class PatternDistribution:
 
 
 def _encode_starts(values: np.ndarray, config: OrdinalConfig) -> np.ndarray:
-    """Pattern index for every admissible window start of ``values``.
+    """Pattern index for every admissible window start along the last axis.
 
-    Entry ``t`` encodes the window whose final sample sits at
-    ``t + (dim-1)*delay``.  Vectorized: a strided embedding matrix is rank
-    coded per row with a stable sort, which realizes the deterministic tie
-    rule (equal values ordered by ascending lag offset).
+    ``values`` is one series of shape ``(n,)`` or a batch of shape
+    ``(rows, n)``; entry ``t`` of a row encodes the window whose final sample
+    sits at ``t + (dim-1)*delay``.  Vectorized: a strided embedding array is
+    rank coded along its last axis with a stable sort, which realizes the
+    deterministic tie rule (equal values ordered by ascending lag offset).
     """
     d, tau = config.dim, config.delay
-    n_windows = config.windows_in(values.size)
+    n_windows = config.windows_in(values.shape[-1])
     # Column j holds the value at lag offset j behind each window's last sample.
-    emb = np.empty((n_windows, d))
+    emb = np.empty(values.shape[:-1] + (n_windows, d))
     for j in range(d):
         start = (d - 1 - j) * tau
-        emb[:, j] = values[start:start + n_windows]
-    chain = np.argsort(emb, axis=1, kind="stable")  # offsets by ascending value
-    perm = chain[:, ::-1]  # (r0, ..., r_{D-1}): largest value first
+        emb[..., j] = values[..., start:start + n_windows]
+    chain = np.argsort(emb, axis=-1, kind="stable")  # offsets by ascending value
+    perm = chain[..., ::-1]  # (r0, ..., r_{D-1}): largest value first
     # Lexicographic rank via the Lehmer code, vectorized over windows.
-    codes = np.zeros(n_windows, dtype=np.int64)
+    codes = np.zeros(emb.shape[:-1], dtype=np.int64)
     for i in range(d - 1):
-        smaller_after = (perm[:, i + 1:] < perm[:, i:i + 1]).sum(axis=1)
+        smaller_after = (perm[..., i + 1:] < perm[..., i:i + 1]).sum(axis=-1)
         codes += smaller_after.astype(np.int64) * math.factorial(d - 1 - i)
     return codes
+
+
+def _pattern_counts(rows: np.ndarray, codes: np.ndarray, n_rows: int, m: int) -> np.ndarray:
+    """``(n_rows, m)`` counts of ``codes``, each counted in the row that
+    ``rows`` (broadcast against ``codes``) gives for it."""
+    return np.bincount((rows * m + codes).ravel(), minlength=n_rows * m).reshape(n_rows, m)
 
 
 def encode_window(window, config: OrdinalConfig) -> PatternId:

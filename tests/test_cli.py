@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -96,6 +97,11 @@ class TestAnalyze:
                 "plot_cecp_means.csv", "plot_anova_intervals.csv"} <= names
         listed = {line.rsplit("/", 1)[-1] for line in stdout.splitlines()}
         assert names == listed
+        # the manifest is written last and hashes every other file
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["files"]) == names - {"manifest.json"}
+        for name, digest in manifest["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_undersample_warning_on_stderr(self, workspace, capsys, tmp_path):
         root, data, _ = workspace

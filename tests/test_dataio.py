@@ -134,6 +134,24 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match="not finite"):
             load_dataset(p2)
 
+    @pytest.mark.parametrize("stamps,line,rule", [
+        (["0", "300", "900", "1200"], 4, "evenly spaced"),  # a 600 s gap
+        (["0", "300", "300", "600"], 4, "strictly increasing"),  # duplicate
+        (["0", "300", "600", "450"], 5, "strictly increasing"),  # decreasing
+    ])
+    def test_timestamp_grid_error_names_line(self, tmp_path, stamps, line, rule):
+        p = write_lines(tmp_path / "d.csv",
+                        ["timestamp,btc"] + [f"{t},1.0" for t in stamps])
+        with pytest.raises(ValueError, match=f"line {line}: timestamps must be {rule}; "
+                                             f"'{stamps[line - 2]}'"):
+            load_dataset(p)
+
+    def test_timestamp_line_counts_blank_rows(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("timestamp,btc\n0,1.0\n\n300,2.0\n900,3.0\n")
+        with pytest.raises(ValueError, match="line 5: .*comes 600 after .* 300 apart"):
+            load_dataset(p)
+
     def test_trailing_blank_line_ignored(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("timestamp,btc\n0,1.0\n300,2.0\n\n")

@@ -9,11 +9,18 @@ from cecplane import (
     FbmSpec,
     OrdinalConfig,
     baseline_cloud,
+    cecp_point,
+    extract_pattern_distribution,
     fgn_autocovariance,
     generate_fbm,
     generate_fgn,
 )
-from cecplane.fbm import _fgn_circulant, _fgn_conditional
+from cecplane.fbm import (
+    _circulant_eigenvalues,
+    _fgn_circulant,
+    _fgn_conditional,
+    _standard_normals,
+)
 
 
 class TestAutocovariance:
@@ -104,10 +111,11 @@ class TestExactness:
 
     @pytest.mark.parametrize("hurst", [0.3, 0.7])
     def test_circulant_covariance(self, hurst):
-        gamma = fgn_autocovariance(hurst, np.arange(65))
+        lam = _circulant_eigenvalues(hurst, 64)
         target = fgn_autocovariance(hurst, np.subtract.outer(np.arange(self.N), np.arange(self.N)))
         rng = np.random.default_rng(1234)
-        emp = sample_cov_matrix(lambda i: _fgn_circulant(gamma, rng), self.PATHS, self.N)
+        emp = sample_cov_matrix(lambda i: _fgn_circulant(lam, rng.standard_normal((1, 128)))[0],
+                                self.PATHS, self.N)
         assert np.abs(emp - target).max() < 0.1
 
     @pytest.mark.parametrize("hurst", [0.3, 0.7])
@@ -163,10 +171,44 @@ class TestBaselineCloud:
         h, c = cloud.mean_point.entropy, cloud.mean_point.complexity
         assert lower.complexity_at(h) - 1e-9 <= c <= upper.complexity_at(h) + 1e-9
 
+    def test_batched_paths_follow_the_seeding_contract(self):
+        # a batch of paths equals generate_fbm for each index-derived seed
+        seeds = np.random.SeedSequence(5).generate_state(11, dtype=np.uint64)
+        lam = _circulant_eigenvalues(0.7, 360)
+        paths = np.cumsum(_fgn_circulant(lam, _standard_normals(seeds, lam.size)), axis=1)
+        for path, seed in zip(paths, seeds):
+            assert np.array_equal(path, generate_fbm(FbmSpec(0.7, 360, int(seed))).values)
+
+    @pytest.mark.parametrize("hurst,sims", [(0.3, 1), (0.6, 37), (0.9, 64)])
+    def test_cloud_matches_per_path_loop(self, hurst, sims):
+        seeds = np.random.SeedSequence(21).generate_state(sims, dtype=np.uint64)
+        points = [cecp_point(extract_pattern_distribution(
+            generate_fbm(FbmSpec(hurst, 300, int(s))), self.CONFIG)) for s in seeds]
+        h = np.array([p.entropy for p in points])
+        c = np.array([p.complexity for p in points])
+        cloud = baseline_cloud(hurst, sims, 300, self.CONFIG, seed=21)
+        assert abs(cloud.mean_point.entropy - h.mean()) <= 1e-14
+        assert abs(cloud.mean_point.complexity - c.mean()) <= 1e-14
+        assert abs(cloud.std_entropy - h.std()) <= 1e-14
+        assert abs(cloud.std_complexity - c.std()) <= 1e-14
+
     def test_validation(self):
         with pytest.raises(ValueError):
             baseline_cloud(0.5, 0, 256, self.CONFIG, seed=1)
         with pytest.raises(ValueError):
+            baseline_cloud(1.0, 4, 256, self.CONFIG, seed=1)
+        with pytest.raises(ValueError):
             baseline_cloud(0.5, 4, 3, self.CONFIG, seed=1)  # no full window
         with pytest.raises(ValueError):
             BaselineCloud(0.5, CecpPoint(0.5, 0.1), -0.1, 0.0, 4)
+
+
+def test_circulant_embedding_admissible_everywhere():
+    """The Davies-Harte embedding of fGn is nonnegative definite, so the
+    synthesis raises instead of falling back to another method.  Scan Hurst
+    0.01-0.99 over lengths 2-4096, odd, even and powers of two: an eigenvalue
+    below rounding noise would raise here."""
+    lengths = (2, 3, 4, 5, 7, 16, 99, 100, 360, 1000, 1024, 2047, 3600, 4096)
+    for hurst in np.arange(1, 100) / 100:
+        for n in lengths:
+            assert _circulant_eigenvalues(float(hurst), n).shape == (2 * n,)

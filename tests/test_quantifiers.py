@@ -20,6 +20,7 @@ from cecplane import (
     shannon_entropy,
     statistical_complexity,
 )
+from cecplane.quantifiers import _plane_points
 
 
 def delta(m, at=0):
@@ -237,3 +238,46 @@ def test_random_points_inside_envelope(bounds24, rng):
     lower, upper = bounds24
     for p in rng.dirichlet(np.ones(24), size=2000):
         assert within_bounds(cecp_point(p), lower, upper, 1e-9)
+
+
+# The kernel sums in another order than the fsum reference; both stay within
+# a few units of double rounding of ln M, far inside this bound.
+KERNEL_ATOL = 1e-14
+
+
+@pytest.mark.parametrize("m", [6, 24, 120, 720])
+def test_kernel_matches_fsum_reference(m):
+    """Dense, sparse and undersampled count rows, against the scalar
+    ``math.fsum`` quantifiers, row by row."""
+    rng = np.random.default_rng(m)
+    rows = []
+    for n in (3, m // 2, m, 5 * m, 100 * m):  # undersampled to well sampled
+        for alpha in (0.02, 0.3, 1.0, 30.0):  # sparse to near uniform
+            rows.extend(rng.multinomial(n, rng.dirichlet(np.full(m, alpha)), size=6) / n)
+    rows.append(np.full(m, 1.0 / m))
+    rows.append(delta(m, m - 1))
+    probs = np.array(rows)
+    h, c = _plane_points(probs)
+    assert h.shape == c.shape == (len(rows),)
+    for i, p in enumerate(probs):
+        assert abs(h[i] - normalized_entropy(p)) <= KERNEL_ATOL
+        assert abs(c[i] - statistical_complexity(p)) <= KERNEL_ATOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.one_of(st.integers(2, 6000),
+                   st.sampled_from([math.factorial(d) for d in range(2, 10)])),
+       per_state=st.integers(1, 1000),
+       bumps=st.lists(st.tuples(st.integers(0, 2 ** 31), st.integers(-1, 1)), max_size=4))
+def test_numeric_contract_near_uniform(m, per_state, bumps):
+    """H <= 1 exactly and C >= 0 at any M; uniform counts give H == 1.0."""
+    counts = np.full(m, per_state, dtype=np.int64)
+    uniform_point = cecp_point(counts / counts.sum())
+    assert uniform_point.entropy == 1.0
+    assert uniform_point.complexity >= 0.0
+    counts += len(bumps)  # no bump can take a count below zero
+    for where, step in bumps:
+        counts[where % m] += step
+    point = cecp_point(counts / counts.sum())
+    assert 0.0 <= point.entropy <= 1.0
+    assert point.complexity >= 0.0

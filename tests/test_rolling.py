@@ -45,7 +45,8 @@ class TestWindowCount:
 class TestAgainstStandalone:
     """Sliced-stream counting must equal per-window extraction exactly."""
 
-    @pytest.mark.parametrize("dim,delay,step", [(3, 1, 50), (4, 1, 60), (5, 2, 37)])
+    @pytest.mark.parametrize("dim,delay,step",
+                             [(3, 1, 50), (4, 1, 60), (5, 2, 37), (3, 1, 400), (4, 2, 450)])
     def test_matches_window_by_window(self, rng, dim, delay, step):
         values = rng.standard_normal(1200)
         values[::7] = np.round(values[::7], 1)  # sprinkle ties
