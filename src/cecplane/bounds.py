@@ -77,11 +77,12 @@ class BoundCurve:
         return np.interp(h, self.entropy, self.complexity)
 
 
-def _family_entropy(q: np.ndarray, m: int, n_zeros: int) -> np.ndarray:
+def _family_entropy(q: np.ndarray, m: int, n_zeros: int | np.ndarray) -> np.ndarray:
     """Shannon entropy (nats) of the family member with free weight ``q``.
 
     The distribution has one entry ``q``, ``m - n_zeros - 1`` entries sharing
-    ``1 - q`` equally, and ``n_zeros`` zeros.
+    ``1 - q`` equally, and ``n_zeros`` zeros.  ``n_zeros`` is a scalar or an
+    array broadcasting against ``q``, one family per element.
     """
     k = m - n_zeros - 1
     q = np.asarray(q, dtype=np.float64)
@@ -92,11 +93,13 @@ def _family_entropy(q: np.ndarray, m: int, n_zeros: int) -> np.ndarray:
     return term_q + term_rest
 
 
-def _family_complexity(q: np.ndarray, m: int, n_zeros: int) -> np.ndarray:
+def _family_complexity(q: np.ndarray, m: int,
+                       n_zeros: int | np.ndarray) -> np.ndarray:
     """Statistical complexity of the same family member, in closed form.
 
     The mixture (P + uniform)/2 has only three distinct entry values, so its
-    entropy collapses to three terms.
+    entropy collapses to three terms.  ``n_zeros`` broadcasts as in
+    :func:`_family_entropy`.
     """
     k = m - n_zeros - 1
     q = np.asarray(q, dtype=np.float64)
@@ -104,21 +107,22 @@ def _family_complexity(q: np.ndarray, m: int, n_zeros: int) -> np.ndarray:
     a = 0.5 * (q + 1.0 / m)                 # mixed weight of the free entry
     b = 0.5 * ((1.0 - q) / k + 1.0 / m)     # mixed weight of the k equal entries
     c = 0.5 / m                             # mixed weight of the zero entries
-    s_mid = -a * np.log(a) - k * b * np.log(b)
-    if n_zeros:
-        s_mid = s_mid - n_zeros * c * math.log(c)
+    # a > 0, so s_mid > 0 and subtracting the zero-entry term when
+    # n_zeros == 0 (it is -0.0) leaves s_mid bit-for-bit unchanged.
+    s_mid = -a * np.log(a) - k * b * np.log(b) - n_zeros * c * math.log(c)
     js = s_mid - 0.5 * s - 0.5 * math.log(m)
     h = s / math.log(m)
     return h * q0_constant(m) * js
 
 
-def _bisect_q(target_s: np.ndarray, m: int, n_zeros: int,
+def _bisect_q(target_s: np.ndarray, m: int, n_zeros: int | np.ndarray,
               q_lo: np.ndarray, q_hi: np.ndarray, increasing: bool) -> np.ndarray:
     """Solve ``_family_entropy(q) = target_s`` per element by bisection.
 
     Entropy is strictly monotone in ``q`` over each family's bracket, so the
     iteration converges unconditionally; targets at bracket endpoints resolve
-    to the endpoints themselves.
+    to the endpoints themselves.  Elements never interact, so each may sit in
+    its own family (``n_zeros`` per element).
     """
     lo = q_lo.copy()
     hi = q_hi.copy()
@@ -158,24 +162,19 @@ def upper_bound_curve(m: int, resolution: int) -> BoundCurve:
     """Maximum-complexity frontier on a uniform grid of ``resolution`` H values.
 
     Each grid entropy falls in exactly one family's span
-    ``[ln k / ln M, ln(k+1) / ln M]`` with ``k = M - n - 1``, so the envelope
-    is assembled by solving within that family; adjacent families agree at
-    shared endpoints, which makes the assignment unambiguous up to rounding.
+    ``[ln k / ln M, ln(k+1) / ln M]`` with ``k = M - n - 1``; adjacent
+    families agree at shared endpoints, which makes the assignment
+    unambiguous up to rounding.  The family is chosen per grid point, and one
+    bisection solves every point within its own family at once.
     """
     _validate_args(m, resolution)
     h_grid = np.linspace(0.0, 1.0, resolution)
     # k = number of equal nonzero entries of the matching family.
     k_of = np.clip(np.floor(np.exp(h_grid * math.log(m))).astype(int), 1, m - 1)
-    c = np.empty(resolution)
-    for k in np.unique(k_of):
-        sel = k_of == k
-        n_zeros = m - 1 - int(k)
-        targets = h_grid[sel] * math.log(m)
-        q_hi = np.full(targets.size, 1.0 / (m - n_zeros))
-        q = _bisect_q(targets, m, n_zeros,
-                      np.zeros(targets.size), q_hi, increasing=True)
-        c[sel] = _family_complexity(q, m, n_zeros)
-    c = np.clip(c, 0.0, None)
+    n_zeros = m - 1 - k_of
+    q = _bisect_q(h_grid * math.log(m), m, n_zeros,
+                  np.zeros(resolution), 1.0 / (m - n_zeros), increasing=True)
+    c = np.clip(_family_complexity(q, m, n_zeros), 0.0, None)
     return BoundCurve(states=m, kind="upper", entropy=h_grid, complexity=c)
 
 

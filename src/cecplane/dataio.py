@@ -1,8 +1,14 @@
 """CSV ingestion, synthetic fixtures, pipeline orchestration, and emission.
 
 The on-disk format is a headed CSV whose first column is a timestamp
-(ISO-8601 or plain integer) and whose remaining columns are one numeric
-series per asset.  Everything written back out — window tables, summaries,
+(ISO-8601 or plain number) and whose remaining columns are one numeric
+series per asset.  A file of plain numbers is read in one ``np.loadtxt``
+pass; the row reader handles everything else: ISO-8601 timestamps, gaps for
+``forward_fill``, cells only ``float`` accepts (``1_0``, non-ASCII digits),
+and every defect, which it reports with its line.  The input alone picks the
+path, and both give the same dataset bit for bit.
+
+Everything written back out — window tables, summaries,
 rankings, test results, plot data, manifest — is formatted through
 shortest-roundtrip ``repr`` so a rerun with the same inputs and seed is
 byte-identical.
@@ -14,6 +20,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -150,48 +157,51 @@ def _grid_error(path: Path, ts: np.ndarray, index: int, rule: str) -> ValueError
     )
 
 
-def load_dataset(path, assets: Sequence[str] | None = None,
-                 forward_fill: bool = False) -> Dataset:
-    """Read a headed CSV into per-asset TimeSeries on a shared time grid.
+def _read_numeric(fh, n_cols: int, used: list[int]) -> np.ndarray | None:
+    """The data rows after the header as one ``(rows, n_cols)`` float array,
+    parsed in a single ``np.loadtxt`` pass; ``None`` when that pass cannot
+    stand in for the row reader.
 
-    Timestamps must be strictly increasing and evenly spaced; the first row
-    that breaks the grid is an error naming its line.  A missing or
-    non-numeric cell in a requested column is an error naming its line and
-    column unless ``forward_fill`` is set, in which case the
-    previous valid value is carried forward and counted.  A defective cell in
-    the first data row cannot be filled and always errors.
+    It stands in only if loadtxt accepts every row, there is at least one,
+    the column count matches the header, and every cell in the ``used``
+    columns is finite.  loadtxt refuses some cells ``float`` takes (``1_0``,
+    non-ASCII digits), parses the cells it takes to the same doubles, and
+    skips only empty lines, so whenever it succeeds the row reader would read
+    the same numbers.  ``comments=None``: the default ``#`` would cut cells
+    short.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such dataset file: {path}")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                               dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[0] == 0 or table.shape[1] != n_cols:
+        return None
+    if not np.isfinite(table[:, used]).all():
+        return None
+    return table
+
+
+def _read_rows(path: Path, n_cols: int, col_idx: dict[str, int],
+               forward_fill: bool):
+    """Row-by-row reader: every located error, ISO-8601 timestamps and
+    forward filling.  Returns timestamps, per-asset values and fill counts."""
+    timestamps: list[float] = []
+    values: dict[str, list[float]] = {a: [] for a in col_idx}
+    fill_counts = {a: 0 for a in col_idx}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        if len(header) < 2:
-            raise ValueError(f"{path}: header must name a timestamp and at least one asset")
-        ts_label, *columns = [h.strip() for h in header]
-        if len(set(columns)) != len(columns):
-            raise ValueError(f"{path}: duplicate column names in header")
-        selected = list(columns) if assets is None else list(assets)
-        missing = [a for a in selected if a not in columns]
-        if missing:
-            raise ValueError(f"{path}: requested columns not in header: {missing}")
-        col_idx = {a: columns.index(a) + 1 for a in selected}
-
-        timestamps: list[float] = []
-        values: dict[str, list[float]] = {a: [] for a in selected}
-        fill_counts = {a: 0 for a in selected}
+        next(reader)
         for line_no, row in _data_rows(reader):
-            if len(row) != len(header):
+            if len(row) != n_cols:
                 raise ValueError(
-                    f"{path}: line {line_no} has {len(row)} cells, header has {len(header)}"
+                    f"{path}: line {line_no} has {len(row)} cells, header has {n_cols}"
                 )
             timestamps.append(_parse_timestamp(row[0], line_no))
-            for asset in selected:
-                cell = row[col_idx[asset]].strip()
+            for asset, idx in col_idx.items():
+                cell = row[idx].strip()
                 parsed: float | None
                 try:
                     parsed = float(cell)
@@ -215,11 +225,62 @@ def load_dataset(path, assets: Sequence[str] | None = None,
                 values[asset].append(parsed)
     if not timestamps:
         raise ValueError(f"{path}: no data rows")
-    ts = np.asarray(timestamps)
+    return (np.asarray(timestamps),
+            {a: np.asarray(v) for a, v in values.items()}, fill_counts)
+
+
+def load_dataset(path, assets: Sequence[str] | None = None,
+                 forward_fill: bool = False) -> Dataset:
+    """Read a headed CSV into per-asset TimeSeries on a shared time grid.
+
+    Timestamps must be strictly increasing and evenly spaced; the first row
+    that breaks the grid is an error naming its line.  A missing or
+    non-numeric cell in a requested column is an error naming its line and
+    column unless ``forward_fill`` is set, in which case the
+    previous valid value is carried forward and counted.  A defective cell in
+    the first data row cannot be filled and always errors.
+
+    The input alone decides how it is read.  A file whose data rows are all
+    plain numbers (numeric timestamps, finite values in the timestamp and
+    requested columns, no ragged rows) is parsed in one ``np.loadtxt`` pass.
+    Every other file (ISO-8601 timestamps, gaps to fill, cells such as
+    ``1_0`` that ``float`` accepts but loadtxt does not, any defect to
+    report) goes through the row reader.  Both give the same dataset, bit for
+    bit, and the same errors.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"no such dataset file: {path}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, expected a header row") from None
+        if len(header) < 2:
+            raise ValueError(f"{path}: header must name a timestamp and at least one asset")
+        ts_label, *columns = [h.strip() for h in header]
+        if len(set(columns)) != len(columns):
+            raise ValueError(f"{path}: duplicate column names in header")
+        selected = list(columns) if assets is None else list(assets)
+        if len(set(selected)) != len(selected):
+            raise ValueError(f"{path}: duplicate requested columns: {selected}")
+        missing = [a for a in selected if a not in columns]
+        if missing:
+            raise ValueError(f"{path}: requested columns not in header: {missing}")
+        col_idx = {a: columns.index(a) + 1 for a in selected}
+        table = _read_numeric(fh, len(header), [0, *col_idx.values()])
+
+    if table is None:
+        ts, values, fill_counts = _read_rows(path, len(header), col_idx, forward_fill)
+    else:
+        ts = np.ascontiguousarray(table[:, 0])
+        values = {a: np.ascontiguousarray(table[:, i]) for a, i in col_idx.items()}
+        fill_counts = {a: 0 for a in selected}
     violation = _grid_violation(ts)
     if violation is not None:
         raise _grid_error(path, ts, *violation)
-    series = {a: TimeSeries(np.asarray(values[a]), ts) for a in selected}
+    series = {a: TimeSeries(values[a], ts) for a in selected}
     return Dataset(series=series, fill_counts=fill_counts,
                    timestamp_label=ts_label, digest=_sha256_file(path))
 

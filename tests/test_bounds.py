@@ -14,7 +14,7 @@ from cecplane import (
     upper_bound_curve,
     within_bounds,
 )
-from cecplane.bounds import _family_complexity, _family_entropy
+from cecplane.bounds import _bisect_q, _family_complexity, _family_entropy
 
 M = 24
 
@@ -92,6 +92,33 @@ class TestFamilies:
                        0.0, top, xtol=1e-15)
             assert upper.complexity[i] == pytest.approx(
                 statistical_complexity(family_vector(q, M, n_zeros)), abs=1e-9)
+
+
+def per_family_upper_complexity(m, resolution):
+    """The upper envelope solved one family at a time: the reference for the
+    single bisection over all grid points in ``upper_bound_curve``."""
+    h_grid = np.linspace(0.0, 1.0, resolution)
+    k_of = np.clip(np.floor(np.exp(h_grid * math.log(m))).astype(int), 1, m - 1)
+    c = np.empty(resolution)
+    for k in np.unique(k_of):
+        sel = k_of == k
+        n_zeros = m - 1 - int(k)
+        targets = h_grid[sel] * math.log(m)
+        q_hi = np.full(targets.size, 1.0 / (m - n_zeros))
+        q = _bisect_q(targets, m, n_zeros,
+                      np.zeros(targets.size), q_hi, increasing=True)
+        c[sel] = _family_complexity(q, m, n_zeros)
+    return np.clip(c, 0.0, None)
+
+
+class TestEnvelopeOracle:
+    @pytest.mark.parametrize("m", [2, 6, 24, 120, 720, 5040])
+    @pytest.mark.parametrize("resolution", [2, 3, 2000])
+    def test_matches_per_family_reference_bytes(self, m, resolution):
+        # bytes, not array_equal: a -0.0/0.0 flip would change bounds.csv
+        curve = upper_bound_curve(m, resolution)
+        assert curve.complexity.tobytes() == \
+            per_family_upper_complexity(m, resolution).tobytes()
 
 
 class TestDominance:

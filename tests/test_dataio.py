@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cecplane import (
     Dataset,
@@ -17,6 +22,8 @@ from cecplane import (
     write_bundle,
     write_dataset,
 )
+from cecplane import dataio
+from cecplane.cli import main as cli_main
 from cecplane.dataio import PLOT_KINDS, _fmt, _sha256_file
 
 
@@ -156,6 +163,140 @@ class TestLoadErrors:
         p = tmp_path / "d.csv"
         p.write_text("timestamp,btc\n0,1.0\n300,2.0\n\n")
         assert load_dataset(p).length == 2
+
+
+    def test_duplicate_requested_columns(self, tmp_path):
+        p = write_lines(tmp_path / "d.csv", ["timestamp,btc", "0,1.0", "300,2.0"])
+        with pytest.raises(ValueError, match="duplicate requested"):
+            load_dataset(p, assets=["btc", "btc"])
+
+    def test_cli_reports_one_json_line(self, tmp_path, capsys):
+        p = write_lines(tmp_path / "d.csv",
+                        ["timestamp,btc,eth", "0,1.0,2.0", "300,1.5", "600,1.0,2.0"])
+        rc = cli_main(["analyze", "--input", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValueError"
+        assert "line 3 has 2 cells, header has 3" in record["message"]
+
+
+def _outcome(path, **kwargs):
+    """What ``load_dataset`` gives: the dataset as comparable bytes, or the
+    type and message of what it raised."""
+    try:
+        ds = load_dataset(path, **kwargs)
+    except Exception as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return ("loaded", ds.assets, ds.timestamp_label, ds.digest, ds.fill_counts,
+            [(s.values.tobytes(), s.timestamps.tobytes())
+             for s in ds.series.values()])
+
+
+def _row_reader_outcome(path, **kwargs):
+    with mock.patch.object(dataio, "_read_numeric", return_value=None):
+        return _outcome(path, **kwargs)
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["+4", ".5", "5.", "1e-400", "-0.0", " 2.5 ", "\t3", "1E3"]),
+)
+ODD_CELLS = st.sampled_from([
+    "", " ", "nan", "inf", "-inf", "NaN", "1e500", "1_0", "\uff11", "#1.5",
+    "n/a", "abc", "0x10", '"1,5"', '"1""5"', ' "1.5"', '"1"5', "1.5\"x\"", '"7',
+])
+
+
+def _cell(draw, number, noisy):
+    if noisy and draw(st.integers(0, 7)) == 0:
+        return draw(ODD_CELLS)
+    return '"%s"' % number if draw(st.integers(0, 5)) == 0 else number
+
+
+@st.composite
+def csv_inputs(draw):
+    """A small CSV text with the defects a real export can have, plus the
+    ``load_dataset`` keywords to read it with."""
+    columns = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    stamp = draw(st.sampled_from([
+        lambda i: str(300 * i),
+        lambda i: repr(300.0 * i + 0.5),
+        lambda i: f"2017-11-01T{i // 12:02d}:{i % 12 * 5:02d}:00",
+    ]))
+    noisy = draw(st.booleans())  # clean files still vary quotes and line ends
+    kinds = ["row"] * 6 + ["blank", "commas", "ragged"] if noisy else ["row"]
+    lines = [",".join(["timestamp", *columns])]
+    for i in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " "])))
+            continue
+        if kind == "commas":
+            lines.append("," * len(columns))
+            continue
+        cells = [_cell(draw, stamp(i), noisy)]
+        cells += [_cell(draw, draw(NUMBER_CELLS), noisy) for _ in columns]
+        if kind == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["7"]
+        lines.append(",".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    if draw(st.integers(0, 9)) == 0:
+        text = draw(st.sampled_from(["", lines[0] + eol]))  # empty, header only
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    assets = None
+    if draw(st.booleans()):
+        assets = draw(st.lists(st.sampled_from(columns), min_size=1,
+                               max_size=len(columns), unique=True))
+    return text, {"assets": assets, "forward_fill": draw(st.booleans())}
+
+
+class TestLoadPaths:
+    """The one-pass numeric read and the row reader give the same result."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(csv_inputs())
+    def test_fuzz_matches_row_reader(self, case):
+        text, kwargs = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert _outcome(path, **kwargs) == _row_reader_outcome(path, **kwargs)
+
+    @pytest.mark.parametrize("text", [
+        "timestamp,a,b\n0,1.5,2\n300,-1e-3,4\n",
+        "\ufefftimestamp,a,b\r\n0,1.5,2\r\n300,\"7\",4\r\n\r\n",
+        "timestamp,a,b\n0,1.5,inf\n300,2.5,nan\n",  # only "a" requested
+    ])
+    def test_numeric_file_takes_one_pass(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text, newline="")
+        with mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows:
+            loaded = _outcome(path, assets=["a"])
+        rows.assert_not_called()
+        assert loaded[0] == "loaded"
+        assert loaded == _row_reader_outcome(path, assets=["a"])
+
+    @pytest.mark.parametrize("text", [
+        "timestamp,a\n2017-11-01T00:00:00,1\n2017-11-01T00:05:00,2\n",
+        "timestamp,a\n0,1\n300,\n",
+        "timestamp,a\n0,1\n300,1_0\n",
+        "timestamp,a\n0,1\n300,inf\n",
+        "timestamp,a\n0,1\n,\n300,2\n",
+    ])
+    def test_other_files_take_row_reader(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text, newline="")
+        with mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows:
+            assert _outcome(path, forward_fill=True)[0] == "loaded"
+        rows.assert_called_once()
 
 
 class TestIsoTimestamps:
