@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .bounds import lower_bound_curve, upper_bound_curve
 from .dataio import (
     PLOT_KINDS,
     RunConfig,
+    _data_rows,
     _fmt,
     _write_csv,
     emit_plot_data,
@@ -80,35 +82,112 @@ def _write_or_print(path: str | None, header, rows) -> None:
         _write_csv(Path(path), header, rows)
 
 
+_WINDOW_COLUMNS = ("asset", "window_index", "start_offset", "entropy", "complexity")
+
+
 def _load_windows(path: str) -> dict[str, RollingResult]:
-    """Rebuild per-asset rolling results from the analyze output schema."""
-    per_asset: dict[str, list[tuple[int, int, float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"asset", "window_index", "start_offset", "entropy", "complexity"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(
-                f"{path}: expected columns {sorted(required)}, got {reader.fieldnames}"
-            )
-        for row in reader:
-            per_asset.setdefault(row["asset"], []).append((
-                int(row["window_index"]),
-                int(row["start_offset"]),
-                float(row["entropy"]),
-                float(row["complexity"]),
-            ))
+    """Rebuild per-asset rolling results from the analyze output schema.
+
+    The header must name every column of ``_WINDOW_COLUMNS``; other columns
+    are ignored and blank rows skipped.  Every defect is a ValueError that
+    names the path, the line and, for a cell, the column: a ragged row, a
+    window index or start offset that is not an integer in ``[0, 2**63)``,
+    a non-finite entropy or complexity or one off the plane, a window listed
+    twice, and window starts that do not advance by one constant stride.  A
+    UTF-8 byte-order mark is skipped.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].count(b"\n") + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
+
+    def located(line: int, column, message: str) -> ValueError:
+        return ValueError(f"{path}: line {line}, column {column!r}: {message}")
+
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = [h.strip() for h in next(reader, [])]
+    if not header:
+        raise ValueError(f"{path}: line 1: empty file, expected a header row")
+    missing = [c for c in _WINDOW_COLUMNS if c not in header]
+    if missing:
+        raise ValueError(
+            f"{path}: line 1: expected columns {sorted(_WINDOW_COLUMNS)}, got {header}"
+        )
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            raise located(1, name, "duplicate column name")
+    idx = {c: header.index(c) for c in _WINDOW_COLUMNS}
+
+    def cell(line: int, row: list[str], column: str, parse):
+        text = row[idx[column]].strip()
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value):
+            kind = "an integer" if parse is int else "a finite number"
+            raise located(line, column, f"{text!r} is not {kind}")
+        return value
+
+    # asset -> window_index -> (line, start_offset, point)
+    per_asset: dict[str, dict[int, tuple[int, int, CecpPoint]]] = {}
+    for line, row in _data_rows(reader):
+        if len(row) != len(header):
+            column = header[len(row)] if len(row) < len(header) else len(header) + 1
+            raise located(line, column,
+                          f"row has {len(row)} cells, header has {len(header)}")
+        asset = row[idx["asset"]]
+        if not asset.strip():
+            raise located(line, "asset", "empty asset label")
+        index = cell(line, row, "window_index", int)
+        start = cell(line, row, "start_offset", int)
+        for column, value in (("window_index", index), ("start_offset", start)):
+            if not 0 <= value < 2**63:
+                raise located(line, column, f"{value} is outside [0, 2**63)")
+        entropy = cell(line, row, "entropy", float)
+        complexity = cell(line, row, "complexity", float)
+        try:
+            point = CecpPoint(entropy, complexity)
+        except ValueError as exc:
+            column = "entropy" if not _on_plane(entropy) else "complexity"
+            raise located(line, column, str(exc)) from None
+        windows = per_asset.setdefault(asset, {})
+        if index in windows:
+            raise located(line, "window_index", f"window {index} of asset {asset!r} "
+                          f"already on line {windows[index][0]}")
+        windows[index] = (line, start, point)
     if not per_asset:
-        raise ValueError(f"{path}: no window rows")
+        raise ValueError(f"{path}: line 1: header but no window rows")
     results = {}
-    for asset, rows in per_asset.items():
-        rows.sort()
+    for asset, windows in per_asset.items():
+        rows = [windows[k] for k in sorted(windows)]
+        starts = np.array([r[1] for r in rows], dtype=np.int64)
+        strides = np.diff(starts)
+        bad = np.flatnonzero((strides <= 0) | (strides != strides[:1]))
+        if bad.size:
+            k = int(bad[0]) + 1
+            raise located(rows[k][0], "start_offset",
+                          f"asset {asset!r} window starts must advance by a constant "
+                          f"positive stride; {starts[k]} follows {starts[k - 1]}, "
+                          f"the first stride is {strides[0]}")
         results[asset] = RollingResult(
             asset=asset,
-            window_starts=np.array([r[1] for r in rows], dtype=np.int64),
-            points=tuple(CecpPoint(r[2], r[3]) for r in rows),
+            window_starts=starts,
+            points=tuple(r[2] for r in rows),
             samples_per_window=0,  # not recorded in the file format
         )
     return results
+
+
+def _on_plane(entropy: float) -> bool:
+    """Whether ``CecpPoint`` accepts this entropy (with complexity 0)."""
+    try:
+        CecpPoint(entropy, 0.0)
+    except ValueError:
+        return False
+    return True
 
 
 def _cmd_analyze(args) -> int:

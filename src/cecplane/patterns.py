@@ -2,8 +2,9 @@
 
 A window of ``dim`` values spaced ``delay`` samples apart is replaced by the
 permutation describing the relative ordering of its entries (Bandt-Pompe
-encoding).  Counting pattern occurrences along a series yields an ordinal
-pattern probability distribution, the input to all downstream quantifiers.
+encoding, PRL 88:174102, 2002).  Counting pattern occurrences along a series
+yields an ordinal pattern probability distribution, the input to all
+downstream quantifiers.
 
 Conventions used throughout:
 
@@ -17,6 +18,15 @@ Conventions used throughout:
   deterministic, with no randomization of ties.
 * Patterns are identified by the lexicographic rank of the permutation tuple,
   an integer in ``[0, D! - 1]``.
+
+The rank follows from order relations alone, with no sort (Unakafova &
+Keller, Entropy 15:4392, 2013).  Write ``x_j`` for the value at lag offset
+``j``.  By the tie rule, offset ``k < j`` comes after offset ``j`` in the
+permutation exactly when ``x_k <= x_j``.  So the Lehmer digit at ``j``'s
+position is ``cnt_j = #{k < j : x_k <= x_j}``, that position is
+``rank_j = #{k < j : x_k > x_j} + #{k > j : x_j <= x_k}``, and the rank is
+``sum_j (D-1-rank_j)! * cnt_j``.  :func:`_encode_starts` evaluates these
+``D(D-1)/2`` comparisons on strided views of the whole series at once.
 """
 
 from __future__ import annotations
@@ -227,24 +237,48 @@ def _encode_starts(values: np.ndarray, config: OrdinalConfig) -> np.ndarray:
 
     ``values`` is one series of shape ``(n,)`` or a batch of shape
     ``(rows, n)``; entry ``t`` of a row encodes the window whose final sample
-    sits at ``t + (dim-1)*delay``.  Vectorized: a strided embedding array is
-    rank coded along its last axis with a stable sort, which realizes the
-    deterministic tie rule (equal values ordered by ascending lag offset).
+    sits at ``t + (dim-1)*delay``.
+
+    No window is sorted.  ``x_j = values[..., s:s + n]`` with
+    ``s = (D-1-j)*delay`` is a strided view holding the value at lag offset
+    ``j`` of every window, and each pair ``k < j`` is compared once,
+    ``le = x_k <= x_j``.  The tie rule puts offset ``k`` after offset ``j``
+    in the permutation exactly when ``le`` holds (a smaller value, or an
+    equal one at the smaller offset), so
+
+    * ``cnt_j = #{k < j : x_k <= x_j}`` counts the smaller offsets that
+      follow ``j``, the Lehmer digit at ``j``'s position;
+    * ``rank_j``, that position, counts the offsets ahead of ``j``: each
+      pair adds ``le`` to ``rank_k`` and ``~le`` to ``rank_j``.  Summed
+      over ``k < j`` the ``~le`` terms are ``j - cnt_j``.
+
+    The code is ``sum_j (D-1-rank_j)! * cnt_j``, one gather per offset from a
+    D-entry factorial table; ``cnt_0 = 0``.  Counts and ranks are int8
+    (``D <= MAX_DIM``): ``2 D`` bytes per window beside the int64 codes, and
+    no ``(..., n, D)`` copy of the values.
     """
     d, tau = config.dim, config.delay
     n_windows = config.windows_in(values.shape[-1])
-    # Column j holds the value at lag offset j behind each window's last sample.
-    emb = np.empty(values.shape[:-1] + (n_windows, d))
-    for j in range(d):
-        start = (d - 1 - j) * tau
-        emb[..., j] = values[..., start:start + n_windows]
-    chain = np.argsort(emb, axis=-1, kind="stable")  # offsets by ascending value
-    perm = chain[..., ::-1]  # (r0, ..., r_{D-1}): largest value first
-    # Lexicographic rank via the Lehmer code, vectorized over windows.
-    codes = np.zeros(emb.shape[:-1], dtype=np.int64)
-    for i in range(d - 1):
-        smaller_after = (perm[..., i + 1:] < perm[..., i:i + 1]).sum(axis=-1)
-        codes += smaller_after.astype(np.int64) * math.factorial(d - 1 - i)
+    # x[j] starts (D-1-j)*delay samples in: the value at lag offset j.
+    x = [values[..., s:s + n_windows] for s in range((d - 1) * tau, -1, -tau)]
+    shape = x[0].shape
+    rank = [np.full(shape, j, dtype=np.int8) for j in range(d)]
+    cnt = [np.zeros(shape, dtype=np.int8) for _ in range(d)]
+    le = np.empty(shape, dtype=bool)
+    for j in range(1, d):
+        for k in range(j):
+            np.less_equal(x[k], x[j], out=le)
+            cnt[j] += le
+            rank[k] += le
+        rank[j] -= cnt[j]  # its ~le terms: j - cnt_j
+    factorial_at_rank = np.array([math.factorial(d - 1 - r) for r in range(d)],
+                                 dtype=np.int64)
+    codes = np.zeros(shape, dtype=np.int64)
+    term = np.empty(shape, dtype=np.int64)
+    for j in range(1, d):
+        np.take(factorial_at_rank, rank[j], out=term)
+        term *= cnt[j]
+        codes += term
     return codes
 
 

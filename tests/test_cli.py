@@ -1,12 +1,18 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cecplane import __version__, make_synthetic_dataset, write_dataset
-from cecplane.cli import main
+from cecplane.cli import _load_windows, main
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +188,161 @@ class TestAnova:
         rc, _, err = run_main(capsys, ["anova", "--input", str(solo)])
         assert rc == 1
         assert "at least two" in json.loads(err)["message"]
+
+
+WINDOWS_HEADER = ["asset", "window_index", "start_offset", "end_timestamp",
+                  "entropy", "complexity"]
+ODD_WINDOW_CELLS = st.sampled_from([
+    "", " ", "abc", "nan", "inf", "-inf", "1e500", "-1", "-0.5", "1.5", "3.0",
+    "1e3", "1_0", "\uff11", '"7', '"1,5"', "9" * 25, "-1e-9",
+])
+
+
+@st.composite
+def windows_inputs(draw):
+    """A small windows.csv text with the defects a hand-edited file can have,
+    and the ``(start, entropy, complexity)`` rows per asset a clean one holds
+    (``None`` when the text was made defective)."""
+    header = list(WINDOWS_HEADER)
+    defective = False
+    if draw(st.integers(0, 5)) == 0:
+        edit = draw(st.sampled_from(["drop", "duplicate", "extra", "shuffle"]))
+        defective = edit in ("drop", "duplicate")  # an extra or moved column reads fine
+        k = draw(st.integers(0, len(header) - 1))
+        if edit == "drop":
+            del header[k]
+        elif edit == "duplicate":
+            header.insert(k, header[k])
+        elif edit == "extra":
+            header.append("x")
+        else:
+            header = draw(st.permutations(header))
+    expected = {}
+    rows = []
+    for asset in draw(st.lists(st.sampled_from(["AAA", "BBB", "CCC"]),
+                               min_size=1, max_size=3, unique=True)):
+        step = draw(st.integers(1, 600))
+        for k in range(draw(st.integers(1, 4))):
+            point = (k * step,
+                     draw(st.floats(0.0, 1.0)),
+                     draw(st.floats(0.0, 0.5)))
+            expected.setdefault(asset, []).append(point)
+            rows.append({"asset": asset, "window_index": str(k),
+                         "start_offset": str(k * step), "end_timestamp": "",
+                         "entropy": repr(point[1]), "complexity": repr(point[2]),
+                         "x": "7"})
+    rows = draw(st.permutations(rows))
+    lines = [",".join(header)]
+    noisy = draw(st.booleans())
+    for row in rows:
+        cells = [row[c] for c in header]
+        kind = draw(st.sampled_from(["row"] * 6 + ["odd", "ragged", "blank", "again"]
+                                    if noisy else ["row"]))
+        if kind == "odd":
+            k = draw(st.integers(0, len(cells) - 1))
+            cells[k] = draw(ODD_WINDOW_CELLS)
+        elif kind == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["7"]
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "," * (len(cells) - 1)])))
+        elif kind == "again":
+            lines.append(",".join(cells))  # the same window twice
+        defective |= kind in ("odd", "ragged", "again")
+        lines.append(",".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    if draw(st.integers(0, 9)) == 0:
+        text = draw(st.sampled_from(["", lines[0] + eol]))  # empty, header only
+        defective = True
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text, None if defective else expected
+
+
+LOCATED = re.compile(r"line \d+(, column ('[^']*'|\d+))?: \S")
+
+
+def _load_windows_outcome(path: Path):
+    """The rows ``_load_windows`` read, or ``None`` after a located
+    ValueError; any other outcome fails the test."""
+    try:
+        results = _load_windows(str(path))
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}: "), message
+        assert LOCATED.match(message[len(str(path)) + 2:]), message
+        return None
+    loaded = {}
+    for asset, res in results.items():
+        assert res.asset == asset
+        strides = set(np.diff(res.window_starts).tolist())
+        assert len(strides) <= 1 and all(s > 0 for s in strides)
+        assert ((res.entropies >= 0) & (res.entropies <= 1)).all()
+        assert (res.complexities >= 0).all()
+        loaded[asset] = list(zip(res.window_starts.tolist(),
+                                 res.entropies.tolist(), res.complexities.tolist()))
+    return loaded
+
+
+class TestLoadWindows:
+    """``windows.csv`` gives its windows or a ValueError naming path, line
+    and column."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(windows_inputs())
+    def test_fuzz_loads_or_locates(self, case):
+        text, expected = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "windows.csv"
+            path.write_bytes(text.encode("utf-8"))
+            loaded = _load_windows_outcome(path)
+        if expected is not None:
+            assert loaded == expected
+
+    @pytest.mark.parametrize("body,where", [
+        ("AAA,0,0,,0.5,0.1\nAAA,1,60,,abc,0.1\n", "line 3, column 'entropy'"),
+        ("AAA,0,0,,0.5,0.1\nAAA,1,60,,0.5\n", "line 3, column 'complexity'"),
+        ("AAA,0,0,,1.5,0.1\n", "line 2, column 'entropy'"),
+        ("AAA,0,0,,0.5,-0.1\n", "line 2, column 'complexity'"),
+        ("AAA,0,0,,0.5,inf\n", "line 2, column 'complexity'"),
+        ("AAA,0,0,,0.5,0.1\n\nAAA,0,0,,0.5,0.1\n", "line 4, column 'window_index'"),
+        ("AAA,0,0,,0.5,0.1\nAAA,1,0,,0.5,0.1\n", "line 3, column 'start_offset'"),
+        ("AAA,1,60,,0.5,0.1\nAAA,0,0,,0.5,0.1\nAAA,2,180,,0.5,0.1\n",
+         "line 4, column 'start_offset'"),
+        ("AAA,0.5,0,,0.5,0.1\n", "line 2, column 'window_index'"),
+        ("AAA,0,-60,,0.5,0.1\n", "line 2, column 'start_offset'"),
+        ("AAA,0,%s,,0.5,0.1\n" % ("9" * 25), "line 2, column 'start_offset'"),
+        ("AAA,0,0,,0.5,0.1,7\n", "line 2, column 7"),
+        (",0,0,,0.5,0.1\n", "line 2, column 'asset'"),
+    ])
+    def test_errors_name_line_and_column(self, tmp_path, body, where):
+        path = tmp_path / "windows.csv"
+        path.write_text(",".join(WINDOWS_HEADER) + "\n" + body)
+        with pytest.raises(ValueError) as exc:
+            _load_windows(str(path))
+        assert str(exc.value).startswith(f"{path}: {where}: ")
+
+    def test_reads_analyze_output(self, workspace):
+        _, _, out = workspace
+        results = _load_windows(str(out / "windows.csv"))
+        assert sorted(results) == ["AAA", "BBB", "CCC"]
+        assert all(r.window_starts.tolist() == [0, 120, 240, 360, 480]
+                   for r in results.values())
+
+    def test_cli_reports_one_json_line(self, tmp_path, capsys):
+        path = tmp_path / "windows.csv"
+        path.write_text(",".join(WINDOWS_HEADER)
+                        + "\nAAA,0,0,,0.5,0.1\nBBB,0,0,,0.5\n")
+        rc = main(["rank", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{path}: line 3, column 'complexity': ")
 
 
 class TestSpearman:

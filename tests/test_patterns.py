@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from cecplane.patterns import (
     PatternDistribution,
     PatternId,
     TimeSeries,
+    _encode_starts,
     encode_window,
     extract_pattern_distribution,
     index_to_permutation,
@@ -160,6 +162,79 @@ class TestNaiveOracleAgreement:
             return
         assert (extract_pattern_distribution(series, cfg).counts
                 == naive_pattern_oracle(series, cfg).counts)
+
+
+def _argsort_encode_starts(values: np.ndarray, config: OrdinalConfig) -> np.ndarray:
+    """Reference encoder: a stable argsort of the ``(..., n, D)`` embedding,
+    then the Lehmer code of the reversed order."""
+    d, tau = config.dim, config.delay
+    n_windows = config.windows_in(values.shape[-1])
+    emb = np.empty(values.shape[:-1] + (n_windows, d))
+    for j in range(d):
+        start = (d - 1 - j) * tau
+        emb[..., j] = values[..., start:start + n_windows]
+    chain = np.argsort(emb, axis=-1, kind="stable")  # offsets by ascending value
+    perm = chain[..., ::-1]  # largest value first
+    codes = np.zeros(emb.shape[:-1], dtype=np.int64)
+    for i in range(d - 1):
+        smaller_after = (perm[..., i + 1:] < perm[..., i:i + 1]).sum(axis=-1)
+        codes += smaller_after.astype(np.int64) * math.factorial(d - 1 - i)
+    return codes
+
+
+TIED_VALUES = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([-0.0, 0.0]))
+
+
+@st.composite
+def encoder_inputs(draw):
+    """A config over every dim and delays 1-4, and a ``(rows, n)`` batch of
+    heavily tied values; short series at large dim, often a single window."""
+    dim = draw(st.integers(2, MAX_DIM))
+    delay = draw(st.integers(1, 4))
+    n_windows = draw(st.one_of(st.just(1), st.integers(1, 48 // dim)))
+    rows = draw(st.integers(1, 3))
+    length = (dim - 1) * delay + n_windows
+    elements = st.one_of(TIED_VALUES, st.floats(-8.0, 8.0, allow_nan=False))
+    values = draw(st.lists(elements, min_size=rows * length, max_size=rows * length))
+    return OrdinalConfig(dim, delay), np.array(values).reshape(rows, length)
+
+
+class TestSortFreeEncoder:
+    """The comparison encoder gives exactly the argsort encoder's codes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(encoder_inputs())
+    def test_matches_argsort_encoder(self, case):
+        cfg, batch = case
+        batched = _encode_starts(batch, cfg)
+        assert batched.dtype == np.int64
+        assert batched.shape == (batch.shape[0], cfg.windows_in(batch.shape[1]))
+        for row, codes in zip(batch, batched):
+            expected = _argsort_encode_starts(row, cfg)
+            assert np.array_equal(_encode_starts(row, cfg), expected)
+            assert np.array_equal(codes, expected)
+
+    @pytest.mark.parametrize("dim,levels", [(6, None), (5, 3), (3, 3)])
+    def test_every_window_shape(self, dim, levels):
+        # every permutation of distinct values, or every tie pattern over
+        # ``levels`` values, as a batch of one-window rows
+        if levels is None:
+            windows = list(itertools.permutations(range(dim)))
+        else:
+            windows = list(itertools.product(range(levels), repeat=dim))
+        batch = np.array(windows, dtype=float)
+        cfg = OrdinalConfig(dim, 1)
+        assert np.array_equal(_encode_starts(batch, cfg),
+                              _argsort_encode_starts(batch, cfg))
+        if levels is None:
+            assert sorted(_encode_starts(batch, cfg)[:, 0]) == list(range(len(windows)))
+
+    def test_long_random_series(self, rng):
+        values = rng.standard_normal(5000)
+        for dim in (4, 6, MAX_DIM):
+            cfg = OrdinalConfig(dim, 2)
+            assert np.array_equal(_encode_starts(values, cfg),
+                                  _argsort_encode_starts(values, cfg))
 
 
 class TestMonotoneInvariance:
