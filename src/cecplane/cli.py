@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from .dataio import (
 )
 from .fbm import baseline_cloud
 from .patterns import OrdinalConfig
-from .quantifiers import CecpPoint
+from .quantifiers import _off_plane
 from .rolling import RollingResult, WindowParams
 from .stats import (
     efficiency_distance,
@@ -82,19 +83,16 @@ def _write_or_print(path: str | None, header, rows) -> None:
         _write_csv(Path(path), header, rows)
 
 
-_WINDOW_COLUMNS = ("asset", "window_index", "start_offset", "entropy", "complexity")
+def _located(path: str, line: int, column, message: str) -> ValueError:
+    return ValueError(f"{path}: line {line}, column {column!r}: {message}")
 
 
-def _load_windows(path: str) -> dict[str, RollingResult]:
-    """Rebuild per-asset rolling results from the analyze output schema.
-
-    The header must name every column of ``_WINDOW_COLUMNS``; other columns
-    are ignored and blank rows skipped.  Every defect is a ValueError that
-    names the path, the line and, for a cell, the column: a ragged row, a
-    window index or start offset that is not an integer in ``[0, 2**63)``,
-    a non-finite entropy or complexity or one off the plane, a window listed
-    twice, and window starts that do not advance by one constant stride.  A
-    UTF-8 byte-order mark is skipped.
+def _read_table(path: str):
+    """The stripped header of a UTF-8 CSV file and its ``(line, row)`` data
+    rows, blank rows skipped.  Each defect is a ValueError naming the path
+    and the line: bytes that are not UTF-8, an empty file, a repeated column
+    name, and a row whose cell count differs from the header's (naming the
+    first missing or extra column).  A byte-order mark is skipped.
     """
     raw = Path(path).read_bytes()
     try:
@@ -102,92 +100,130 @@ def _load_windows(path: str) -> dict[str, RollingResult]:
     except UnicodeDecodeError as exc:
         line = raw[:exc.start].count(b"\n") + 1
         raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
-
-    def located(line: int, column, message: str) -> ValueError:
-        return ValueError(f"{path}: line {line}, column {column!r}: {message}")
-
     reader = csv.reader(io.StringIO(text, newline=""))
     header = [h.strip() for h in next(reader, [])]
     if not header:
         raise ValueError(f"{path}: line 1: empty file, expected a header row")
-    missing = [c for c in _WINDOW_COLUMNS if c not in header]
-    if missing:
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            raise _located(path, 1, name, "duplicate column name")
+
+    def rows():
+        for line, row in _data_rows(reader):
+            if len(row) != len(header):
+                column = header[len(row)] if len(row) < len(header) else len(header) + 1
+                raise _located(path, line, column,
+                               f"row has {len(row)} cells, header has {len(header)}")
+            yield line, row
+
+    return header, rows()
+
+
+def _cell(path: str, line: int, column: str, text: str, parse):
+    """The cell parsed by ``int`` or ``float``; an error naming the cell
+    when that fails or gives a non-finite number."""
+    text = text.strip()
+    try:
+        value = parse(text)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
+        kind = "an integer" if parse is int else "a finite number"
+        raise _located(path, line, column, f"{text!r} is not {kind}")
+    return value
+
+
+_WINDOW_COLUMNS = ("asset", "window_index", "start_offset", "entropy", "complexity")
+
+
+def _load_windows(path: str) -> dict[str, RollingResult]:
+    """Rebuild per-asset rolling results from the analyze output schema.
+
+    The header must name every column of ``_WINDOW_COLUMNS``; other columns
+    are ignored.  Besides the defects :func:`_read_table` reports, each of
+    these is an error naming its line and column: a window index or start
+    offset that is not an integer in ``[0, 2**63)``, an entropy or
+    complexity that is not finite or off the plane, a window listed twice,
+    and window starts that do not advance by one constant stride.
+    """
+    header, rows = _read_table(path)
+    if any(c not in header for c in _WINDOW_COLUMNS):
         raise ValueError(
             f"{path}: line 1: expected columns {sorted(_WINDOW_COLUMNS)}, got {header}"
         )
-    for k, name in enumerate(header):
-        if name in header[:k]:
-            raise located(1, name, "duplicate column name")
     idx = {c: header.index(c) for c in _WINDOW_COLUMNS}
-
-    def cell(line: int, row: list[str], column: str, parse):
-        text = row[idx[column]].strip()
-        try:
-            value = parse(text)
-        except ValueError:
-            value = None
-        if value is None or not math.isfinite(value):
-            kind = "an integer" if parse is int else "a finite number"
-            raise located(line, column, f"{text!r} is not {kind}")
-        return value
-
-    # asset -> window_index -> (line, start_offset, point)
-    per_asset: dict[str, dict[int, tuple[int, int, CecpPoint]]] = {}
-    for line, row in _data_rows(reader):
-        if len(row) != len(header):
-            column = header[len(row)] if len(row) < len(header) else len(header) + 1
-            raise located(line, column,
-                          f"row has {len(row)} cells, header has {len(header)}")
+    # asset -> window_index -> (line, start_offset, entropy, complexity)
+    per_asset: dict[str, dict[int, tuple[int, int, float, float]]] = {}
+    for line, row in rows:
         asset = row[idx["asset"]]
         if not asset.strip():
-            raise located(line, "asset", "empty asset label")
-        index = cell(line, row, "window_index", int)
-        start = cell(line, row, "start_offset", int)
+            raise _located(path, line, "asset", "empty asset label")
+        index = _cell(path, line, "window_index", row[idx["window_index"]], int)
+        start = _cell(path, line, "start_offset", row[idx["start_offset"]], int)
         for column, value in (("window_index", index), ("start_offset", start)):
             if not 0 <= value < 2**63:
-                raise located(line, column, f"{value} is outside [0, 2**63)")
-        entropy = cell(line, row, "entropy", float)
-        complexity = cell(line, row, "complexity", float)
-        try:
-            point = CecpPoint(entropy, complexity)
-        except ValueError as exc:
-            column = "entropy" if not _on_plane(entropy) else "complexity"
-            raise located(line, column, str(exc)) from None
+                raise _located(path, line, column, f"{value} is outside [0, 2**63)")
+        entropy = _cell(path, line, "entropy", row[idx["entropy"]], float)
+        complexity = _cell(path, line, "complexity", row[idx["complexity"]], float)
+        error = _off_plane(entropy, complexity)
+        if error is not None:
+            raise _located(path, line, *error)
         windows = per_asset.setdefault(asset, {})
         if index in windows:
-            raise located(line, "window_index", f"window {index} of asset {asset!r} "
-                          f"already on line {windows[index][0]}")
-        windows[index] = (line, start, point)
+            raise _located(path, line, "window_index", f"window {index} of asset {asset!r} "
+                           f"already on line {windows[index][0]}")
+        windows[index] = (line, start, entropy, complexity)
     if not per_asset:
         raise ValueError(f"{path}: line 1: header but no window rows")
     results = {}
     for asset, windows in per_asset.items():
-        rows = [windows[k] for k in sorted(windows)]
-        starts = np.array([r[1] for r in rows], dtype=np.int64)
+        lines, starts, entropies, complexities = zip(*(windows[k] for k in sorted(windows)))
+        starts = np.array(starts, dtype=np.int64)
         strides = np.diff(starts)
         bad = np.flatnonzero((strides <= 0) | (strides != strides[:1]))
         if bad.size:
             k = int(bad[0]) + 1
-            raise located(rows[k][0], "start_offset",
-                          f"asset {asset!r} window starts must advance by a constant "
-                          f"positive stride; {starts[k]} follows {starts[k - 1]}, "
-                          f"the first stride is {strides[0]}")
+            raise _located(path, lines[k], "start_offset",
+                           f"asset {asset!r} window starts must advance by a constant "
+                           f"positive stride; {starts[k]} follows {starts[k - 1]}, "
+                           f"the first stride is {strides[0]}")
         results[asset] = RollingResult(
             asset=asset,
             window_starts=starts,
-            points=tuple(r[2] for r in rows),
+            entropies=entropies,
+            complexities=complexities,
             samples_per_window=0,  # not recorded in the file format
         )
     return results
 
 
-def _on_plane(entropy: float) -> bool:
-    """Whether ``CecpPoint`` accepts this entropy (with complexity 0)."""
-    try:
-        CecpPoint(entropy, 0.0)
-    except ValueError:
-        return False
-    return True
+def _load_metrics(path: str) -> dict[str, dict[str, float]]:
+    """Per-metric ``{asset: value}`` from a CSV with an ``asset`` column and
+    one column per metric, in header order.  Besides the defects
+    :func:`_read_table` reports, an empty asset label, a metric that is not
+    a finite number and an asset listed twice are errors naming their line
+    and column.
+    """
+    header, rows = _read_table(path)
+    if "asset" not in header:
+        raise ValueError(f"{path}: line 1: expected an 'asset' column, got {header}")
+    columns = [(k, name) for k, name in enumerate(header) if name != "asset"]
+    if not columns:
+        raise ValueError(f"{path}: line 1: no metric columns besides 'asset'")
+    at = header.index("asset")
+    metrics: dict[str, dict[str, float]] = {name: {} for _, name in columns}
+    first_line: dict[str, int] = {}
+    for line, row in rows:
+        asset = row[at]
+        if not asset.strip():
+            raise _located(path, line, "asset", "empty asset label")
+        if asset in first_line:
+            raise _located(path, line, "asset",
+                           f"asset {asset!r} already on line {first_line[asset]}")
+        first_line[asset] = line
+        for k, name in columns:
+            metrics[name][asset] = _cell(path, line, name, row[k], float)
+    return metrics
 
 
 def _cmd_analyze(args) -> int:
@@ -254,18 +290,9 @@ def _cmd_anova(args) -> int:
         raise ValueError("insufficient groups: ANOVA needs at least two assets")
     labels = sorted(results)
     payload = {}
-    for metric in ("entropy", "complexity"):
-        anova = one_way_anova(
-            [(a, (results[a].entropies if metric == "entropy"
-                  else results[a].complexities).tolist()) for a in labels]
-        )
-        payload[metric] = {
-            "ss_between": anova.ss_between, "ss_within": anova.ss_within,
-            "ss_total": anova.ss_total, "df_between": anova.df_between,
-            "df_within": anova.df_within, "ms_between": anova.ms_between,
-            "ms_within": anova.ms_within, "f_stat": anova.f_stat,
-            "p_value": anova.p_value, "degenerate": anova.degenerate,
-        }
+    for metric, column in (("entropy", "entropies"), ("complexity", "complexities")):
+        payload[metric] = asdict(
+            one_way_anova([(a, getattr(results[a], column)) for a in labels]))
     baseline = args.baseline if args.baseline is not None else labels[0]
     pairwise = pairwise_anova_vs_baseline(results, baseline)
     payload["pairwise"] = [
@@ -275,11 +302,7 @@ def _cmd_anova(args) -> int:
             "significant_5pct": anova.p_value < 0.05,
             "significant_1pct": anova.p_value < 0.01,
         }
-        for c in pairwise
-        for metric, anova, diff in (
-            ("entropy", c.entropy_anova, c.entropy_mean_diff),
-            ("complexity", c.complexity_anova, c.complexity_mean_diff),
-        )
+        for c in pairwise for metric, anova, diff in c.by_metric()
     ]
     payload["caveat"] = ("window overlap unknown when reading from file; "
                          "p-values are descriptive")
@@ -295,19 +318,9 @@ def _cmd_spearman(args) -> int:
     results = _load_windows(args.input)
     summaries = {a: summarize(results[a]) for a in results}
     distances = {a: efficiency_distance(s) for a, s in summaries.items()}
-    with open(args.metric, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "asset" not in reader.fieldnames:
-            raise ValueError(f"{args.metric}: expected an 'asset' column")
-        metric_names = [c for c in reader.fieldnames if c != "asset"]
-        if not metric_names:
-            raise ValueError(f"{args.metric}: no metric columns besides 'asset'")
-        metrics: dict[str, dict[str, float]] = {m: {} for m in metric_names}
-        for row in reader:
-            for m in metric_names:
-                metrics[m][row["asset"]] = float(row[m])
+    metrics = _load_metrics(args.metric)
     rows = []
-    for name in metric_names:
+    for name in metrics:
         common = [a for a in distances if a in metrics[name]]
         if len(common) < 3:
             raise ValueError(

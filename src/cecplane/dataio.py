@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -439,12 +439,8 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
     anova_entropy = anova_complexity = None
     pairwise: list[PairwiseComparison] = []
     if len(selected) >= 2:
-        anova_entropy = one_way_anova(
-            [(a, rolling[a].entropies.tolist()) for a in selected]
-        )
-        anova_complexity = one_way_anova(
-            [(a, rolling[a].complexities.tolist()) for a in selected]
-        )
+        anova_entropy = one_way_anova([(a, rolling[a].entropies) for a in selected])
+        anova_complexity = one_way_anova([(a, rolling[a].complexities) for a in selected])
         baseline = config.baseline if config.baseline is not None else selected[0]
         pairwise = pairwise_anova_vs_baseline(rolling, baseline)
 
@@ -476,11 +472,12 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
 
 
 def _windows_rows(bundle: AnalysisBundle):
+    """``WINDOWS_HEADER`` rows of every window, as Python scalars."""
     for asset, res in bundle.rolling.items():
-        for k, point in enumerate(res.points):
-            end_ts = "" if res.end_timestamps is None else res.end_timestamps[k]
-            yield (asset, k, int(res.window_starts[k]), end_ts,
-                   point.entropy, point.complexity)
+        n = res.window_starts.size
+        ends = [""] * n if res.end_timestamps is None else res.end_timestamps.tolist()
+        yield from zip([asset] * n, range(n), res.window_starts.tolist(), ends,
+                       res.entropies.tolist(), res.complexities.tolist())
 
 
 WINDOWS_HEADER = ["asset", "window_index", "start_offset", "end_timestamp",
@@ -493,10 +490,7 @@ def _anova_rows(bundle: AnalysisBundle):
                            ("complexity", bundle.anova_complexity)):
         if result is None:
             continue
-        yield (metric, result.ss_between, result.ss_within, result.ss_total,
-               result.df_between, result.df_within, result.ms_between,
-               result.ms_within, result.f_stat, result.p_value,
-               result.degenerate, caveat)
+        yield (metric, *astuple(result), caveat)
 
 
 def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
@@ -533,19 +527,12 @@ def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
               "degenerate", "caveat"],
              _anova_rows(bundle))
     if bundle.pairwise:
-        rows = []
-        for c in bundle.pairwise:
-            for metric, anova, diff in (
-                ("entropy", c.entropy_anova, c.entropy_mean_diff),
-                ("complexity", c.complexity_anova, c.complexity_mean_diff),
-            ):
-                rows.append((c.asset, c.baseline, metric, diff, anova.f_stat,
-                             anova.p_value, anova.p_value < 0.05,
-                             anova.p_value < 0.01))
         emit("pairwise_anova.csv",
              ["asset", "baseline", "metric", "mean_diff", "f_stat", "p_value",
               "significant_5pct", "significant_1pct"],
-             rows)
+             ((c.asset, c.baseline, metric, diff, anova.f_stat, anova.p_value,
+               anova.p_value < 0.05, anova.p_value < 0.01)
+              for c in bundle.pairwise for metric, anova, diff in c.by_metric()))
     emit("bounds.csv",
          ["H", "C_lower", "C_upper"],
          zip(bundle.lower.entropy, bundle.lower.complexity,
@@ -588,16 +575,11 @@ def emit_plot_data(bundle: AnalysisBundle, kind: str, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     if kind == "entropy-evolution":
         path = out / "plot_entropy_evolution.csv"
-        rows = ((asset, "" if res.end_timestamps is None else res.end_timestamps[k],
-                 point.entropy)
-                for asset, res in bundle.rolling.items()
-                for k, point in enumerate(res.points))
+        rows = ((asset, end, h) for asset, _, _, end, h, _ in _windows_rows(bundle))
         _write_csv(path, ["asset", "end_timestamp", "entropy"], rows)
     elif kind == "cecp-scatter":
         path = out / "plot_cecp_scatter.csv"
-        rows = ((asset, k, point.entropy, point.complexity)
-                for asset, res in bundle.rolling.items()
-                for k, point in enumerate(res.points))
+        rows = ((asset, k, h, c) for asset, k, _, _, h, c in _windows_rows(bundle))
         _write_csv(path, ["asset", "window_index", "entropy", "complexity"], rows)
     elif kind == "cecp-means":
         path = out / "plot_cecp_means.csv"
@@ -609,14 +591,9 @@ def emit_plot_data(bundle: AnalysisBundle, kind: str, out_dir) -> Path:
         if not bundle.pairwise:
             raise ValueError("anova-intervals needs pairwise baseline results")
         path = out / "plot_anova_intervals.csv"
-        rows = []
-        for c in bundle.pairwise:
-            for metric, anova, diff in (
-                ("entropy", c.entropy_anova, c.entropy_mean_diff),
-                ("complexity", c.complexity_anova, c.complexity_mean_diff),
-            ):
-                rows.append((c.asset, c.baseline, metric, diff,
-                             anova.p_value < 0.01, anova.p_value < 0.05))
+        rows = ((c.asset, c.baseline, metric, diff, anova.p_value < 0.01,
+                 anova.p_value < 0.05)
+                for c in bundle.pairwise for metric, anova, diff in c.by_metric())
         _write_csv(path, ["asset", "baseline", "metric", "mean_diff",
                           "significant_1pct", "significant_5pct"], rows)
     else:

@@ -217,7 +217,7 @@ def baseline_cloud(hurst: float, sims: int, length: int,
                                  _encode_starts(paths, config),
                                  seeds.size, config.num_patterns)
         block = slice(lo, lo + seeds.size)
-        entropies[block], complexities[block] = _plane_points(counts / n_windows)
+        entropies[block], _, complexities[block] = _plane_points(counts / n_windows)
     return BaselineCloud(
         hurst=hurst,
         mean_point=CecpPoint(float(entropies.mean()), float(complexities.mean())),

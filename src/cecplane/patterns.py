@@ -3,8 +3,7 @@
 A window of ``dim`` values spaced ``delay`` samples apart is replaced by the
 permutation describing the relative ordering of its entries (Bandt-Pompe
 encoding, PRL 88:174102, 2002).  Counting pattern occurrences along a series
-yields an ordinal pattern probability distribution, the input to all
-downstream quantifiers.
+yields an ordinal pattern distribution, the input to every plane point.
 
 Conventions used throughout:
 
@@ -17,14 +16,19 @@ Conventions used throughout:
   whenever the two values tie).  This makes the encoding total and
   deterministic, with no randomization of ties.
 * Patterns are identified by the lexicographic rank of the permutation tuple,
-  an integer in ``[0, D! - 1]``.
+  an integer code in ``[0, D! - 1]``.
 
-The rank follows from order relations alone, with no sort (Unakafova &
+Codes flow through the package as int64 arrays, and one ``np.bincount``
+turns them into the dense length-``D!`` count vector a
+:class:`PatternDistribution` holds.  :class:`PatternId` objects are built
+only for :func:`encode_window` and the ``counts`` mapping.
+
+The code follows from order relations alone, with no sort (Unakafova &
 Keller, Entropy 15:4392, 2013).  Write ``x_j`` for the value at lag offset
 ``j``.  By the tie rule, offset ``k < j`` comes after offset ``j`` in the
 permutation exactly when ``x_k <= x_j``.  So the Lehmer digit at ``j``'s
 position is ``cnt_j = #{k < j : x_k <= x_j}``, that position is
-``rank_j = #{k < j : x_k > x_j} + #{k > j : x_j <= x_k}``, and the rank is
+``rank_j = #{k < j : x_k > x_j} + #{k > j : x_j <= x_k}``, and the code is
 ``sum_j (D-1-rank_j)! * cnt_j``.  :func:`_encode_starts` evaluates these
 ``D(D-1)/2`` comparisons on strided views of the whole series at once.
 """
@@ -32,8 +36,8 @@ position is ``cnt_j = #{k < j : x_k <= x_j}``, that position is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import permutations
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,7 +49,6 @@ __all__ = [
     "PatternDistribution",
     "encode_window",
     "extract_pattern_distribution",
-    "naive_pattern_oracle",
     "permutation_to_index",
     "index_to_permutation",
 ]
@@ -196,40 +199,49 @@ class PatternId:
         return len(self.permutation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatternDistribution:
-    """Ordinal pattern counts and the probability vector they induce.
-
-    ``counts`` holds exact integer occurrence counts for the observed
-    patterns; probabilities are formed on demand as ``count / sample_count``
-    so no rounding accumulates during counting.
+    """Exact ordinal pattern counts: ``histogram[i]`` is the number of
+    windows with pattern code ``i``, a read-only int64 vector of length
+    ``dim!``.  Everything else is derived from it on demand, so no rounding
+    accumulates during counting.
     """
 
     config: OrdinalConfig
-    counts: Mapping[PatternId, int]
-    sample_count: int
-    _probs: np.ndarray = field(init=False, repr=False, compare=False)
+    histogram: np.ndarray
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be positive")
-        total = sum(self.counts.values())
-        if total != self.sample_count:
-            raise ValueError(
-                f"counts sum to {total}, expected sample_count={self.sample_count}"
-            )
-        probs = np.zeros(self.config.num_patterns)
-        for pid, count in self.counts.items():
-            if count < 0:
-                raise ValueError("counts must be nonnegative")
-            probs[pid.index] = count / self.sample_count
-        probs.flags.writeable = False
-        object.__setattr__(self, "_probs", probs)
+        hist = np.asarray(self.histogram)
+        if hist.dtype.kind not in "iu":
+            raise ValueError(f"histogram must hold integer counts, got dtype {hist.dtype}")
+        if hist.shape != (self.config.num_patterns,):
+            raise ValueError(f"histogram must have shape ({self.config.num_patterns},) "
+                             f"for dim={self.config.dim}, got {hist.shape}")
+        if (hist < 0).any():
+            raise ValueError("counts must be nonnegative")
+        if hist.sum() < 1:
+            raise ValueError("counts must sum to a positive sample count")
+        hist = hist.astype(np.int64)
+        hist.flags.writeable = False
+        object.__setattr__(self, "histogram", hist)
+
+    @property
+    def sample_count(self) -> int:
+        """Number of windows counted."""
+        return int(self.histogram.sum())
 
     @property
     def probabilities(self) -> np.ndarray:
         """Dense probability vector over all ``dim!`` patterns (zeros included)."""
-        return self._probs
+        return self.histogram / self.sample_count
+
+    @property
+    def counts(self) -> Mapping[PatternId, int]:
+        """Read-only ``{PatternId: count}`` over the observed patterns."""
+        return MappingProxyType({
+            PatternId.from_index(int(code), self.config.dim): int(self.histogram[code])
+            for code in np.flatnonzero(self.histogram)
+        })
 
 
 def _encode_starts(values: np.ndarray, config: OrdinalConfig) -> np.ndarray:
@@ -301,15 +313,6 @@ def encode_window(window, config: OrdinalConfig) -> PatternId:
     return PatternId.from_index(code, config.dim)
 
 
-def _distribution_from_codes(codes: np.ndarray, config: OrdinalConfig) -> PatternDistribution:
-    observed, occurrences = np.unique(codes, return_counts=True)
-    counts = {
-        PatternId.from_index(int(code), config.dim): int(count)
-        for code, count in zip(observed, occurrences)
-    }
-    return PatternDistribution(config, counts, int(codes.size))
-
-
 def extract_pattern_distribution(series: TimeSeries, config: OrdinalConfig) -> PatternDistribution:
     """Count every ordinal pattern along the series and normalize.
 
@@ -323,31 +326,5 @@ def extract_pattern_distribution(series: TimeSeries, config: OrdinalConfig) -> P
             f"delay={config.delay} (needs at least {(config.dim - 1) * config.delay + 1})"
         )
     codes = _encode_starts(series.values, config)
-    return _distribution_from_codes(codes, config)
+    return PatternDistribution(config, np.bincount(codes, minlength=config.num_patterns))
 
-
-def naive_pattern_oracle(series: TimeSeries, config: OrdinalConfig) -> PatternDistribution:
-    """Reference implementation by explicit window materialization.
-
-    Every window is sorted with plain Python and pattern ranks come from an
-    enumerated permutation table, independent of the vectorized path.  Only
-    meant for tests and small ``dim``.
-    """
-    d, tau = config.dim, config.delay
-    n_windows = config.windows_in(len(series))
-    if n_windows < 1:
-        raise ValueError(
-            f"series of length {len(series)} too short for dim={d}, delay={tau}"
-        )
-    rank_of = {perm: i for i, perm in enumerate(permutations(range(d)))}
-    values = series.values
-    counts: dict[PatternId, int] = {}
-    for t in range(n_windows):
-        last = t + (d - 1) * tau
-        # (value, lag) pairs sorted ascending; equal values fall back to the
-        # smaller lag offset, which is exactly the deterministic tie rule.
-        by_value = sorted((values[last - j * tau], j) for j in range(d))
-        perm = tuple(j for _, j in reversed(by_value))
-        pid = PatternId(perm, rank_of[perm])
-        counts[pid] = counts.get(pid, 0) + 1
-    return PatternDistribution(config, counts, n_windows)

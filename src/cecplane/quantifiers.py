@@ -1,26 +1,22 @@
 """Information-theoretic quantifiers over ordinal pattern distributions.
 
-Given a probability vector ``P`` over ``M`` symbols these functions compute
-Shannon entropy (in nats), its normalized form ``H = S(P)/ln M``, the
-Jensen-Shannon disequilibrium against the uniform distribution, and the
-statistical complexity ``C = H * Q``.  The pair ``(H, C)`` locates the
-distribution on the complexity-entropy plane.
+Given a probability vector ``P`` over ``M`` symbols: the Shannon entropy
+``S(P)`` in nats, its normalized form ``H = S(P)/ln M``, the disequilibrium
+``Q`` (the Jensen-Shannon divergence from the uniform distribution, scaled to
+1 at a degenerate ``P``) and the statistical complexity ``C = H * Q``.  The
+pair ``(H, C)`` locates the distribution on the complexity-entropy plane
+(Rosso et al., PRL 99:154102, 2007).
 
-Plane points come from one vectorized kernel, :func:`_plane_points`, which
-maps a ``(rows, M)`` probability matrix to ``H`` and ``C`` arrays.
-:func:`cecp_point` calls it with a single row; rolling windows and fBm clouds
-call it with many, so a window's point does not depend on which caller made
-it.  The kernel works with the ratios ``r = M p`` to the uniform reference:
-``H = 1 - KL(P || U) / ln M`` and the Jensen-Shannon divergence is a sum of
-nonnegative per-symbol terms, so a uniform row gives ``H = 1`` exactly and
-``C`` at rounding level, and a degenerate row gives ``H = 0`` exactly.  It clamps ``H`` to ``[0, 1]`` and
-``C`` to ``>= 0``: this is the one numeric contract every plane point meets.
-It stays within 1e-14 of the scalar functions in both coordinates.
-
-The scalar functions (:func:`shannon_entropy` through
-:func:`statistical_complexity`) are the reference: their reductions use
-``math.fsum`` over explicitly materialized terms, and ``0 * ln 0`` is taken as
-0 by skipping zero entries rather than by masking arithmetic.
+One vectorized kernel, :func:`_plane_points`, computes ``H``, ``Q`` and
+``C`` for every row of a ``(rows, M)`` probability matrix.  Rolling windows
+and fBm clouds call it with many rows; :func:`cecp_point` and the scalar
+functions validate their input once and call it with one row, so a point
+does not depend on its caller.  With ``r = M p``, ``H = 1 - KL(P || U) / ln M``
+and the Jensen-Shannon divergence is a sum of nonnegative per-symbol terms:
+a uniform row gives ``H = 1`` exactly, a degenerate one ``H = 0``.  ``H`` is
+clamped to ``[0, 1]`` and ``Q`` to ``>= 0``, the one numeric contract of
+every plane point, and ``C = H * Q`` exactly.  The tests hold every
+coordinate within 1e-14 of ``math.fsum`` references.
 """
 
 from __future__ import annotations
@@ -69,18 +65,6 @@ def _validate_probs(probs: ProbsLike) -> np.ndarray:
     return arr
 
 
-def shannon_entropy(probs: ProbsLike) -> float:
-    """Shannon entropy ``S(P) = -sum p ln p`` in nats; zero entries contribute 0."""
-    arr = _validate_probs(probs)
-    return -math.fsum(p * math.log(p) for p in arr.tolist() if p > 0.0)
-
-
-def normalized_entropy(probs: ProbsLike) -> float:
-    """``H(P) = S(P) / ln M`` where ``M = len(P)``; lies in ``[0, 1]``."""
-    arr = _validate_probs(probs)
-    return shannon_entropy(arr) / math.log(arr.size)
-
-
 def q0_constant(m: int) -> float:
     """Normalization making the disequilibrium's maximum exactly 1.
 
@@ -98,64 +82,17 @@ def q0_constant(m: int) -> float:
     return -2.0 / peak
 
 
-def jensen_shannon_divergence(p: ProbsLike, q: ProbsLike) -> float:
-    """Symmetric divergence ``S((P+Q)/2) - S(P)/2 - S(Q)/2`` in nats."""
-    p_arr = _validate_probs(p)
-    q_arr = _validate_probs(q)
-    if p_arr.size != q_arr.size:
-        raise ValueError(f"length mismatch: {p_arr.size} vs {q_arr.size}")
-    mid = 0.5 * (p_arr + q_arr)
-    return shannon_entropy(mid) - 0.5 * shannon_entropy(p_arr) - 0.5 * shannon_entropy(q_arr)
-
-
-def jensen_shannon_disequilibrium(p: ProbsLike, reference: ProbsLike) -> float:
-    """Normalized Jensen-Shannon disequilibrium ``Q0 * JSD(P, reference)``.
-
-    Symmetric in its arguments, 0 iff the distributions coincide, and exactly
-    1 for a delta distribution against the uniform one (that case defines the
-    normalization ``Q0``).
-    """
-    p_arr = _validate_probs(p)
-    return q0_constant(p_arr.size) * jensen_shannon_divergence(p_arr, reference)
-
-
-def disequilibrium(probs: ProbsLike) -> float:
-    """Disequilibrium against the uniform reference over the same symbols."""
-    arr = _validate_probs(probs)
-    uniform = np.full(arr.size, 1.0 / arr.size)
-    return jensen_shannon_disequilibrium(arr, uniform)
-
-
-def statistical_complexity(probs: ProbsLike) -> float:
-    """``C(P) = H(P) * Q(P)``: zero for both degenerate and uniform ``P``."""
-    arr = _validate_probs(probs)
-    return normalized_entropy(arr) * disequilibrium(arr)
-
-
-@dataclass(frozen=True)
-class CecpPoint:
-    """A location on the complexity-entropy plane."""
-
-    entropy: float
-    complexity: float
-
-    def __post_init__(self):
-        if not -1e-12 <= self.entropy <= 1.0 + 1e-12:
-            raise ValueError(f"normalized entropy {self.entropy} outside [0, 1]")
-        if self.complexity < -1e-12:
-            raise ValueError(f"complexity {self.complexity} negative")
-
-
-def _plane_points(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(H, C)`` arrays for every row of a ``(rows, M)`` probability matrix.
+def _plane_points(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(H, Q, C)`` arrays for every row of a ``(rows, M)`` probability matrix.
 
     Callers validate their input; the kernel only computes.  With ``r = M p``
     the Kullback-Leibler divergence from the uniform distribution is
     ``sum p ln r = ln M - S(P)``, and the Jensen-Shannon divergence against
     the uniform distribution is ``1/(2M) * sum g(r)`` with
     ``g(r) = r ln r - (r+1) ln((r+1)/2) >= 0``; zero entries have
-    ``r ln r = 0``.  Temporaries are updated in place, so the peak memory
-    is a few copies of ``probs``.
+    ``r ln r = 0``.  ``H`` is clamped to ``[0, 1]`` and ``Q`` to ``>= 0``, and
+    ``C = H * Q``.  Temporaries are updated in place, so the peak memory is a
+    few copies of ``probs``.
     """
     m = probs.shape[1]
     r = probs * m
@@ -171,8 +108,89 @@ def _plane_points(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r_log_r -= log_mix
     jsd = r_log_r.sum(axis=1) / (2.0 * m)
     entropy = np.clip(1.0 - kl / np.log(np.float64(m)), 0.0, 1.0)
-    complexity = np.maximum(entropy * (q0_constant(m) * jsd), 0.0)
-    return entropy, complexity
+    diseq = np.maximum(q0_constant(m) * jsd, 0.0)
+    return entropy, diseq, entropy * diseq
+
+
+def _one_row(probs: ProbsLike) -> tuple[int, float, float, float]:
+    """``(M, H, Q, C)`` of one distribution, validated once."""
+    arr = _validate_probs(probs)
+    entropy, diseq, complexity = _plane_points(arr[np.newaxis, :])
+    return arr.size, float(entropy[0]), float(diseq[0]), float(complexity[0])
+
+
+def shannon_entropy(probs: ProbsLike) -> float:
+    """Shannon entropy ``S(P) = -sum p ln p`` in nats; zero entries contribute 0."""
+    m, entropy, _, _ = _one_row(probs)
+    return entropy * math.log(m)
+
+
+def normalized_entropy(probs: ProbsLike) -> float:
+    """``H(P) = S(P) / ln M`` where ``M = len(P)``; lies in ``[0, 1]``."""
+    return _one_row(probs)[1]
+
+
+def disequilibrium(probs: ProbsLike) -> float:
+    """Disequilibrium against the uniform reference over the same symbols."""
+    return _one_row(probs)[2]
+
+
+def statistical_complexity(probs: ProbsLike) -> float:
+    """``C(P) = H(P) * Q(P)``: zero for both degenerate and uniform ``P``."""
+    return _one_row(probs)[3]
+
+
+def _jsd(p: np.ndarray, q: np.ndarray) -> float:
+    """Jensen-Shannon divergence of two validated vectors: the mean of
+    ``KL(P || mid)`` and ``KL(Q || mid)``, each summed over its support,
+    where ``mid >= p / 2 > 0``."""
+    if p.size != q.size:
+        raise ValueError(f"length mismatch: {p.size} vs {q.size}")
+    mid = 0.5 * (p + q)
+    total = 0.0
+    for x in (p, q):
+        support = x > 0.0
+        total += float(np.dot(x[support], np.log(x[support] / mid[support])))
+    return 0.5 * total
+
+
+def jensen_shannon_divergence(p: ProbsLike, q: ProbsLike) -> float:
+    """Symmetric divergence ``S((P+Q)/2) - S(P)/2 - S(Q)/2`` in nats."""
+    return _jsd(_validate_probs(p), _validate_probs(q))
+
+
+def jensen_shannon_disequilibrium(p: ProbsLike, reference: ProbsLike) -> float:
+    """Normalized Jensen-Shannon disequilibrium ``Q0 * JSD(P, reference)``.
+
+    Symmetric in its arguments, 0 iff the distributions coincide, and exactly
+    1 for a delta distribution against the uniform one (that case defines the
+    normalization ``Q0``).
+    """
+    p_arr = _validate_probs(p)
+    return q0_constant(p_arr.size) * _jsd(p_arr, _validate_probs(reference))
+
+
+def _off_plane(entropy: float, complexity: float) -> tuple[str, str] | None:
+    """The coordinate a point breaks and why, or ``None`` on the plane; a
+    coordinate read from elsewhere may sit up to 1e-12 off the plane."""
+    if not -1e-12 <= entropy <= 1.0 + 1e-12:
+        return "entropy", f"normalized entropy {entropy} outside [0, 1]"
+    if complexity < -1e-12:
+        return "complexity", f"complexity {complexity} negative"
+    return None
+
+
+@dataclass(frozen=True)
+class CecpPoint:
+    """A location on the complexity-entropy plane."""
+
+    entropy: float
+    complexity: float
+
+    def __post_init__(self):
+        error = _off_plane(self.entropy, self.complexity)
+        if error is not None:
+            raise ValueError(error[1])
 
 
 def cecp_point(source: ProbsLike | TimeSeries, config: OrdinalConfig | None = None) -> CecpPoint:
@@ -190,5 +208,5 @@ def cecp_point(source: ProbsLike | TimeSeries, config: OrdinalConfig | None = No
         source = extract_pattern_distribution(source, config)
     elif config is not None:
         raise ValueError("config is only meaningful with a TimeSeries input")
-    entropy, complexity = _plane_points(_validate_probs(source)[np.newaxis, :])
-    return CecpPoint(entropy=float(entropy[0]), complexity=float(complexity[0]))
+    _, entropy, _, complexity = _one_row(source)
+    return CecpPoint(entropy=entropy, complexity=complexity)

@@ -3,19 +3,20 @@
 Window ``k`` covers samples ``[k*step, k*step + size)``; pattern vectors never
 straddle a window edge, and trailing samples that cannot fill a window are
 dropped.  Each window is mapped to its (H, C) point, yielding the temporal
-trajectory of a series on the complexity-entropy plane.
+trajectory of a series on the complexity-entropy plane, which a
+:class:`RollingResult` holds as two read-only float64 arrays.
 
-The implementation encodes the full series once: the code at stream
-position ``t`` depends only on samples ``t .. t + (dim-1)*delay``, which lie
-inside window ``k`` exactly when ``t`` is one of the window's
-``size - (dim-1)*delay`` admissible starts.  The window start and end
-positions cut the code stream into blocks; one ``bincount`` counts every
-block's patterns, a cumulative sum over blocks gives the counts before each
-edge, and each window's histogram is the difference at its end and start
-edges (the successive-pattern idea of Unakafova & Keller, Entropy 15:4392,
-2013, without a per-window loop).  All windows then go through the plane-point
-kernel at once.  The counts, hence the points, are bit-identical to
-standalone per-window extraction.
+The series is encoded once: the code at stream position ``t`` depends only
+on samples ``t .. t + (dim-1)*delay``, which lie inside window ``k`` exactly
+when ``t`` is one of the window's ``size - (dim-1)*delay`` admissible
+starts.  The window start and end positions cut the code stream into
+blocks; one ``bincount`` counts every block's patterns, a cumulative sum
+over blocks gives the counts before each edge, and each window's dense count
+vector is the difference at its end and start edges (the successive-pattern
+idea of Unakafova & Keller, Entropy 15:4392, 2013, without a per-window
+loop).  All windows then go through the plane-point kernel at once.  The
+counts, hence the points, are bit-identical to standalone per-window
+extraction.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .patterns import OrdinalConfig, TimeSeries, _encode_starts, _pattern_counts
-from .quantifiers import CecpPoint, _plane_points
+from .quantifiers import _plane_points
 
 __all__ = [
     "WindowParams",
@@ -51,18 +52,24 @@ class WindowParams:
 
 @dataclass(frozen=True)
 class RollingResult:
-    """Per-window plane points, aligned with their window start offsets."""
+    """Per-window plane coordinates: read-only float64 ``entropies`` and
+    ``complexities`` aligned with the window start offsets."""
 
     asset: str
     window_starts: np.ndarray
-    points: tuple[CecpPoint, ...]
+    entropies: np.ndarray
+    complexities: np.ndarray
     samples_per_window: int
     end_timestamps: np.ndarray | None = None
 
     def __post_init__(self):
-        starts = np.asarray(self.window_starts, dtype=np.int64)
-        if starts.size != len(self.points):
-            raise ValueError("window_starts and points must have equal length")
+        starts = np.array(self.window_starts, dtype=np.int64)
+        for name in ("entropies", "complexities"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            if values.shape != starts.shape:
+                raise ValueError(f"window_starts and {name} must have equal length")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if starts.size > 1:
             strides = np.diff(starts)
             if not (strides > 0).all() or strides.min() != strides.max():
@@ -71,14 +78,6 @@ class RollingResult:
         object.__setattr__(self, "window_starts", starts)
         if self.end_timestamps is not None and len(self.end_timestamps) != starts.size:
             raise ValueError("end_timestamps must align with window_starts")
-
-    @property
-    def entropies(self) -> np.ndarray:
-        return np.array([p.entropy for p in self.points])
-
-    @property
-    def complexities(self) -> np.ndarray:
-        return np.array([p.complexity for p in self.points])
 
 
 def window_count(series_len: int, params: WindowParams) -> int:
@@ -121,8 +120,7 @@ def rolling_quantifiers(series: TimeSeries, params: WindowParams,
     starts = np.arange(n_windows, dtype=np.int64) * params.step
     counts = _window_counts(_encode_starts(series.values, config), starts, per_window,
                             config.num_patterns)
-    entropy, complexity = _plane_points(counts / per_window)
-    points = tuple(map(CecpPoint, entropy.tolist(), complexity.tolist()))
+    entropies, _, complexities = _plane_points(counts / per_window)
     ends = None
     if series.timestamps is not None:
         ends = series.timestamps[starts + params.size - 1].copy()
@@ -130,7 +128,8 @@ def rolling_quantifiers(series: TimeSeries, params: WindowParams,
     return RollingResult(
         asset=asset,
         window_starts=starts,
-        points=points,
+        entropies=entropies,
+        complexities=complexities,
         samples_per_window=per_window,
         end_timestamps=ends,
     )

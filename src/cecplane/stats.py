@@ -89,6 +89,8 @@ class AnovaResult:
 
     ``degenerate`` marks the all-values-identical case where both between-
     and within-group variation vanish; by convention it reports F = 0, p = 1.
+    The fields, in order, are the columns of ``anova.csv`` and the keys of
+    the ``anova`` command's JSON.
     """
 
     ss_between: float
@@ -146,11 +148,11 @@ def _sample_std(values: Sequence[float], mean: float) -> float:
 
 
 def summarize(result: RollingResult) -> AssetSummary:
-    """Componentwise mean and sample (n-1) standard deviation of the points."""
-    if not result.points:
+    """Componentwise mean and sample (n-1) standard deviation of the windows."""
+    hs = result.entropies.tolist()
+    cs = result.complexities.tolist()
+    if not hs:
         raise ValueError("rolling result contains no windows")
-    hs = [p.entropy for p in result.points]
-    cs = [p.complexity for p in result.points]
     mh, mc = _mean(hs), _mean(cs)
     return AssetSummary(
         asset=result.asset,
@@ -158,7 +160,7 @@ def summarize(result: RollingResult) -> AssetSummary:
         mean_complexity=mc,
         std_entropy=_sample_std(hs, mh),
         std_complexity=_sample_std(cs, mc),
-        window_count=len(result.points),
+        window_count=len(hs),
     )
 
 
@@ -262,6 +264,11 @@ class PairwiseComparison:
     complexity_anova: AnovaResult
     entropy_mean_diff: float
     complexity_mean_diff: float
+
+    def by_metric(self):
+        """``(metric, anova, mean_diff)`` for entropy, then complexity."""
+        yield "entropy", self.entropy_anova, self.entropy_mean_diff
+        yield "complexity", self.complexity_anova, self.complexity_mean_diff
 
     def significant(self, metric: str, alpha: float) -> bool:
         anova = {"entropy": self.entropy_anova, "complexity": self.complexity_anova}[metric]

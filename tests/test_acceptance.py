@@ -34,9 +34,9 @@ from cecplane import (
     write_dataset,
 )
 from cecplane.cli import main as cli_main
-from cecplane.patterns import naive_pattern_oracle
 from cecplane.special import f_sf
 from cecplane.stats import average_ranks
+from oracles import naive_pattern_oracle
 
 mpmath.mp.dps = 50
 

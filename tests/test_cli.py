@@ -11,8 +11,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cecplane import __version__, make_synthetic_dataset, write_dataset
-from cecplane.cli import _load_windows, main
+from cecplane import (
+    RunConfig,
+    WindowParams,
+    __version__,
+    load_dataset,
+    make_synthetic_dataset,
+    run_pipeline,
+    write_dataset,
+)
+from cecplane.cli import _load_metrics, _load_windows, main
 
 
 @pytest.fixture(scope="module")
@@ -324,11 +332,18 @@ class TestLoadWindows:
         assert str(exc.value).startswith(f"{path}: {where}: ")
 
     def test_reads_analyze_output(self, workspace):
-        _, _, out = workspace
+        _, data, out = workspace
         results = _load_windows(str(out / "windows.csv"))
         assert sorted(results) == ["AAA", "BBB", "CCC"]
         assert all(r.window_starts.tolist() == [0, 120, 240, 360, 480]
                    for r in results.values())
+        # the same config as the workspace's analyze run, in process
+        bundle = run_pipeline(RunConfig(window=WindowParams(360, 120), seed=5),
+                              load_dataset(data))
+        for asset, res in bundle.rolling.items():
+            for name in ("window_starts", "entropies", "complexities"):
+                assert (getattr(results[asset], name).tobytes()
+                        == getattr(res, name).tobytes())
 
     def test_cli_reports_one_json_line(self, tmp_path, capsys):
         path = tmp_path / "windows.csv"
@@ -343,6 +358,126 @@ class TestLoadWindows:
         record = json.loads(lines[0])
         assert record["error"] == "ValueError"
         assert record["message"].startswith(f"{path}: line 3, column 'complexity': ")
+
+
+ODD_METRIC_CELLS = st.sampled_from([
+    "", " ", "abc", "nan", "inf", "-inf", "1e500", "1_0", "\uff11", '"7', '"1,5"',
+])
+
+
+@st.composite
+def metric_inputs(draw):
+    """A small ``--metric`` CSV text with the defects a hand-made file can
+    have, and its expected outcome: the ``{metric: {asset: value}}`` a clean
+    file holds, ``None`` when an odd cell may or may not read, or ``"error"``
+    when a defect must be reported: a header defect, or a ragged row or an
+    asset listed twice with no odd cell (an unterminated quote can swallow
+    the rest of the file into one cell)."""
+    names = draw(st.lists(st.sampled_from(["mcap", "volume", "age"]),
+                          min_size=1, max_size=3, unique=True))
+    header = draw(st.permutations(["asset", *names]))
+    header_fails = row_fails = odd = False
+    if draw(st.integers(0, 5)) == 0:
+        edit = draw(st.sampled_from(["drop", "duplicate"]))
+        k = draw(st.integers(0, len(header) - 1))
+        # dropping a metric column leaves a valid file with one metric less
+        header_fails = edit == "duplicate" or header[k] == "asset" or len(header) == 2
+        if edit == "drop":
+            names = [n for n in names if n != header[k]]
+            header = header[:k] + header[k + 1:]
+        else:
+            header = header[:k + 1] + header[k:]
+    expected = {n: {} for n in names}
+    lines = [",".join(header)]
+    noisy = draw(st.booleans())
+    for asset in draw(st.lists(st.sampled_from(["AAA", "BBB", "CCC", "DDD"]),
+                               max_size=4, unique=True)):
+        row = {"asset": asset}
+        for n in names:
+            value = draw(st.floats(allow_nan=False, allow_infinity=False))
+            expected[n][asset] = value
+            row[n] = repr(value)
+        cells = [row.get(c, "7") for c in header]
+        kind = draw(st.sampled_from(["row"] * 6 + ["odd", "ragged", "blank", "again"]
+                                    if noisy else ["row"]))
+        if kind == "odd":
+            k = draw(st.integers(0, len(cells) - 1))
+            cells[k] = draw(ODD_METRIC_CELLS)
+        elif kind == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["7"]
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "," * (len(cells) - 1)])))
+        elif kind == "again":
+            lines.append(",".join(cells))  # the same asset twice
+        odd |= kind == "odd"
+        row_fails |= kind in ("ragged", "again")
+        lines.append(",".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    if draw(st.integers(0, 9)) == 0:
+        text, header_fails = "", True
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    if header_fails or (row_fails and not odd):
+        return text, "error"
+    return text, None if odd else expected
+
+
+class TestLoadMetrics:
+    """The ``spearman --metric`` file gives its values or a ValueError naming
+    path, line and column."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(metric_inputs())
+    def test_fuzz_loads_or_locates(self, case):
+        text, expected = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "metrics.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                loaded = _load_metrics(str(path))
+            except ValueError as exc:
+                message = str(exc)
+                assert message.startswith(f"{path}: "), message
+                assert LOCATED.match(message[len(str(path)) + 2:]), message
+                loaded = None
+        if loaded is not None:
+            assert all(np.isfinite(list(v.values())).all() for v in loaded.values())
+        if expected == "error":
+            assert loaded is None
+        elif expected is not None:
+            assert loaded == expected
+
+    @pytest.mark.parametrize("body,where", [
+        ("AAA,abc\n", "line 2, column 'mcap'"),
+        ("AAA,1\nBBB\n", "line 3, column 'mcap'"),
+        ("AAA,nan\n", "line 2, column 'mcap'"),
+        ("AAA,1\n\nAAA,9\n", "line 4, column 'asset'"),
+        ("AAA,1,5\n", "line 2, column 3"),
+        (" ,1\n", "line 2, column 'asset'"),
+    ])
+    def test_errors_name_line_and_column(self, tmp_path, body, where):
+        path = tmp_path / "metrics.csv"
+        path.write_text("asset,mcap\n" + body)
+        with pytest.raises(ValueError) as exc:
+            _load_metrics(str(path))
+        assert str(exc.value).startswith(f"{path}: {where}: ")
+
+    def test_cli_reports_one_json_line(self, workspace, tmp_path, capsys):
+        _, _, out = workspace
+        path = tmp_path / "metrics.csv"
+        path.write_text("asset,mcap\nAAA,1\nBBB,2\nCCC,3\nAAA,9\n")
+        rc = main(["spearman", "--input", str(out / "windows.csv"), "--metric", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValueError"
+        assert record["message"] == (f"{path}: line 5, column 'asset': "
+                                     "asset 'AAA' already on line 2")
 
 
 class TestSpearman:

@@ -356,7 +356,7 @@ class TestPipeline:
         expected_windows = window_count(1500, self.CONFIG.window)
         assert set(bundle.rolling) == {"AAA", "BBB", "CCC"}
         for res in bundle.rolling.values():
-            assert len(res.points) == expected_windows
+            assert len(res.entropies) == expected_windows
         assert len(bundle.ranking) == 3
         assert bundle.anova_entropy is not None
         assert bundle.anova_complexity is not None
@@ -390,7 +390,7 @@ class TestPipeline:
             RunConfig(window=WindowParams(360, 60), log_returns=True),
             small_dataset)
         # one sample is lost to differencing
-        assert len(next(iter(bundle.rolling.values())).points) == \
+        assert len(next(iter(bundle.rolling.values())).entropies) == \
             window_count(1499, WindowParams(360, 60))
 
     def test_unknown_asset(self, small_dataset):
@@ -429,7 +429,7 @@ class TestWriteBundle:
         out = tmp_path / "out"
         write_bundle(bundle, out)
         lines = (out / "windows.csv").read_text().splitlines()
-        per_asset = len(next(iter(bundle.rolling.values())).points)
+        per_asset = len(next(iter(bundle.rolling.values())).entropies)
         assert lines[0] == "asset,window_index,start_offset,end_timestamp,entropy,complexity"
         assert len(lines) == 1 + 3 * per_asset
 
@@ -463,7 +463,7 @@ class TestWriteBundle:
 
 class TestPlotData:
     def test_every_kind_emits(self, bundle, tmp_path):
-        per_asset = len(next(iter(bundle.rolling.values())).points)
+        per_asset = len(next(iter(bundle.rolling.values())).entropies)
         expected_rows = {
             "entropy-evolution": 3 * per_asset,
             "cecp-scatter": 3 * per_asset,

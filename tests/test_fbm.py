@@ -21,6 +21,7 @@ from cecplane.fbm import (
     _fgn_conditional,
     _standard_normals,
 )
+from oracles import fbm_d3_probabilities
 
 
 class TestAutocovariance:
@@ -212,3 +213,42 @@ def test_circulant_embedding_admissible_everywhere():
     for hurst in np.arange(1, 100) / 100:
         for n in lengths:
             assert _circulant_eigenvalues(float(hurst), n).shape == (2 * n,)
+
+
+class TestD3PatternOracle:
+    """Pooled D = 3 pattern frequencies of fBm against their closed form.
+
+    Tolerance: batch ``k`` pools the windows of ``PATHS`` paths of one seed
+    block, giving a frequency ``f_k`` per pattern.  fBm has stationary
+    increments, so every window has the same pattern distribution and
+    ``f_k`` is unbiased for the closed form ``p`` at any path length; the
+    ``BATCHES`` batches are independent.  Long memory inflates their spread
+    ``s`` (most at H = 0.9, where one path rises or falls for long
+    stretches), so ``s`` is measured, not assumed.  The pooled mean then has
+    standard error ``s / sqrt(BATCHES)``, and ``(mean - p) / se`` follows
+    Student's t with ``BATCHES - 1 = 15`` degrees of freedom, which exceeds
+    ``Z = 6`` in size with probability 2.4e-5.  So each pattern must lie
+    within ``Z * se`` of ``p``.  The pooled monotone frequency must also miss
+    the closed form at H +- 0.05 by more than its own bound, so the bound is
+    tight enough to tell Hurst exponents apart.  Per-path Hurst estimates
+    are not used: for finite paths their mean is biased low.
+    """
+
+    BATCHES, PATHS, LENGTH, Z = 16, 32, 2048, 6.0
+
+    @pytest.mark.parametrize("hurst", [0.2, 0.5, 0.7, 0.9])
+    def test_pooled_frequencies_match_closed_form(self, hurst):
+        config = OrdinalConfig(3, 1)
+        freqs = np.array([
+            sum(extract_pattern_distribution(
+                generate_fbm(FbmSpec(hurst, self.LENGTH, 1000 * k + i)), config).histogram
+                for i in range(self.PATHS))
+            for k in range(self.BATCHES)
+        ]) / (self.PATHS * config.windows_in(self.LENGTH))
+        se = freqs.std(axis=0, ddof=1) / math.sqrt(self.BATCHES)
+        assert (np.abs(freqs.mean(axis=0) - fbm_d3_probabilities(hurst)) <= self.Z * se).all()
+        monotone = freqs[:, 0] + freqs[:, 5]
+        bound = self.Z * monotone.std(ddof=1) / math.sqrt(self.BATCHES)
+        for other in (hurst - 0.05, hurst + 0.05):
+            wrong = fbm_d3_probabilities(other)
+            assert abs(monotone.mean() - (wrong[0] + wrong[5])) > bound

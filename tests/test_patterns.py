@@ -16,9 +16,9 @@ from cecplane.patterns import (
     encode_window,
     extract_pattern_distribution,
     index_to_permutation,
-    naive_pattern_oracle,
     permutation_to_index,
 )
+from oracles import argsort_encode_starts, naive_pattern_oracle
 
 CFG3 = OrdinalConfig(3, 1)
 
@@ -164,24 +164,6 @@ class TestNaiveOracleAgreement:
                 == naive_pattern_oracle(series, cfg).counts)
 
 
-def _argsort_encode_starts(values: np.ndarray, config: OrdinalConfig) -> np.ndarray:
-    """Reference encoder: a stable argsort of the ``(..., n, D)`` embedding,
-    then the Lehmer code of the reversed order."""
-    d, tau = config.dim, config.delay
-    n_windows = config.windows_in(values.shape[-1])
-    emb = np.empty(values.shape[:-1] + (n_windows, d))
-    for j in range(d):
-        start = (d - 1 - j) * tau
-        emb[..., j] = values[..., start:start + n_windows]
-    chain = np.argsort(emb, axis=-1, kind="stable")  # offsets by ascending value
-    perm = chain[..., ::-1]  # largest value first
-    codes = np.zeros(emb.shape[:-1], dtype=np.int64)
-    for i in range(d - 1):
-        smaller_after = (perm[..., i + 1:] < perm[..., i:i + 1]).sum(axis=-1)
-        codes += smaller_after.astype(np.int64) * math.factorial(d - 1 - i)
-    return codes
-
-
 TIED_VALUES = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([-0.0, 0.0]))
 
 
@@ -210,7 +192,7 @@ class TestSortFreeEncoder:
         assert batched.dtype == np.int64
         assert batched.shape == (batch.shape[0], cfg.windows_in(batch.shape[1]))
         for row, codes in zip(batch, batched):
-            expected = _argsort_encode_starts(row, cfg)
+            expected = argsort_encode_starts(row, cfg)
             assert np.array_equal(_encode_starts(row, cfg), expected)
             assert np.array_equal(codes, expected)
 
@@ -225,7 +207,7 @@ class TestSortFreeEncoder:
         batch = np.array(windows, dtype=float)
         cfg = OrdinalConfig(dim, 1)
         assert np.array_equal(_encode_starts(batch, cfg),
-                              _argsort_encode_starts(batch, cfg))
+                              argsort_encode_starts(batch, cfg))
         if levels is None:
             assert sorted(_encode_starts(batch, cfg)[:, 0]) == list(range(len(windows)))
 
@@ -234,7 +216,7 @@ class TestSortFreeEncoder:
         for dim in (4, 6, MAX_DIM):
             cfg = OrdinalConfig(dim, 2)
             assert np.array_equal(_encode_starts(values, cfg),
-                                  _argsort_encode_starts(values, cfg))
+                                  argsort_encode_starts(values, cfg))
 
 
 class TestMonotoneInvariance:
@@ -291,6 +273,28 @@ class TestValidation:
             series.values[0] = 9.0
 
     def test_distribution_rejects_bad_total(self):
-        pid = PatternId.from_permutation((0, 1, 2))
-        with pytest.raises(ValueError):
-            PatternDistribution(CFG3, {pid: 2}, 3)
+        for histogram in ([0] * 6, [1] * 5, [1] * 7, [2, -1, 0, 0, 0, 0],
+                          [0.5] * 6, {PatternId.from_permutation((0, 1, 2)): 2}):
+            with pytest.raises(ValueError):
+                PatternDistribution(CFG3, histogram)
+
+
+class TestDenseDistribution:
+    """One read-only int64 count vector; the rest is derived from it."""
+
+    def test_histogram_is_a_frozen_copy(self):
+        counts = np.array([3, 0, 1, 0, 0, 2], dtype=np.int32)
+        dist = PatternDistribution(CFG3, counts)
+        assert dist.histogram.dtype == np.int64
+        assert not dist.histogram.flags.writeable
+        counts[0] = 9
+        assert dist.histogram.tolist() == [3, 0, 1, 0, 0, 2]
+        assert dist.sample_count == 6
+        assert dist.probabilities.tolist() == [0.5, 0.0, 1 / 6, 0.0, 0.0, 2 / 6]
+
+    def test_counts_mapping_is_read_only(self):
+        dist = PatternDistribution(CFG3, [3, 0, 1, 0, 0, 2])
+        assert dist.counts == {PatternId.from_index(0, 3): 3, PatternId.from_index(2, 3): 1,
+                               PatternId.from_index(5, 3): 2}
+        with pytest.raises(TypeError):
+            dist.counts[PatternId.from_index(1, 3)] = 1

@@ -21,6 +21,7 @@ from cecplane import (
     statistical_complexity,
 )
 from cecplane.quantifiers import _plane_points
+import oracles
 
 
 def delta(m, at=0):
@@ -245,10 +246,9 @@ def test_random_points_inside_envelope(bounds24, rng):
 KERNEL_ATOL = 1e-14
 
 
-@pytest.mark.parametrize("m", [6, 24, 120, 720])
-def test_kernel_matches_fsum_reference(m):
-    """Dense, sparse and undersampled count rows, against the scalar
-    ``math.fsum`` quantifiers, row by row."""
+def probe_rows(m):
+    """Dense, sparse and undersampled count rows over ``m`` symbols, as
+    probabilities, plus the uniform and a degenerate row."""
     rng = np.random.default_rng(m)
     rows = []
     for n in (3, m // 2, m, 5 * m, 100 * m):  # undersampled to well sampled
@@ -256,12 +256,41 @@ def test_kernel_matches_fsum_reference(m):
             rows.extend(rng.multinomial(n, rng.dirichlet(np.full(m, alpha)), size=6) / n)
     rows.append(np.full(m, 1.0 / m))
     rows.append(delta(m, m - 1))
-    probs = np.array(rows)
-    h, c = _plane_points(probs)
-    assert h.shape == c.shape == (len(rows),)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("m", [6, 24, 120, 720])
+def test_kernel_matches_fsum_reference(m):
+    """The kernel against the ``math.fsum`` oracles, row by row."""
+    probs = probe_rows(m)
+    h, q, c = _plane_points(probs)
+    assert h.shape == q.shape == c.shape == (len(probs),)
     for i, p in enumerate(probs):
-        assert abs(h[i] - normalized_entropy(p)) <= KERNEL_ATOL
-        assert abs(c[i] - statistical_complexity(p)) <= KERNEL_ATOL
+        assert abs(h[i] - oracles.normalized_entropy(p)) <= KERNEL_ATOL
+        assert abs(q[i] - oracles.disequilibrium(p)) <= KERNEL_ATOL
+        assert abs(c[i] - oracles.statistical_complexity(p)) <= KERNEL_ATOL
+
+
+class TestPublicScalarsAgainstOracles:
+    """The scalar quantifiers are one-row kernel calls: within the kernel's
+    bound of the ``math.fsum`` oracles, S in nats within that bound times
+    ln M."""
+
+    @pytest.mark.parametrize("m", [6, 24, 120, 720])
+    def test_within_kernel_bound(self, m):
+        for p in probe_rows(m):
+            assert abs(normalized_entropy(p) - oracles.normalized_entropy(p)) <= KERNEL_ATOL
+            assert abs(disequilibrium(p) - oracles.disequilibrium(p)) <= KERNEL_ATOL
+            assert (abs(statistical_complexity(p) - oracles.statistical_complexity(p))
+                    <= KERNEL_ATOL)
+            assert (abs(shannon_entropy(p) - oracles.shannon_entropy(p))
+                    <= KERNEL_ATOL * math.log(m))
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_uniform_is_exactly_one(self, d):
+        m = math.factorial(d)
+        assert normalized_entropy(uniform(m)) == 1.0
+        assert shannon_entropy(uniform(m)) == math.log(m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cecplane import (
-    CecpPoint,
     OrdinalConfig,
     RollingResult,
     TimeSeries,
@@ -54,10 +53,10 @@ class TestAgainstStandalone:
         config = OrdinalConfig(dim, delay)
         params = WindowParams(size=400, step=step)
         result = rolling_quantifiers(series, params, config)
-        for k, point in enumerate(result.points):
+        for k, (h, c) in enumerate(zip(result.entropies, result.complexities)):
             chunk = TimeSeries(values[k * step:k * step + 400])
             expected = cecp_point(extract_pattern_distribution(chunk, config))
-            assert point == expected  # bit-identical, not approx
+            assert (h, c) == (expected.entropy, expected.complexity)  # bit-identical
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(2, 9), st.sampled_from([3, 4]))
@@ -68,22 +67,22 @@ class TestAgainstStandalone:
         config = OrdinalConfig(dim, 1)
         params = WindowParams(size=30, step=step)
         result = rolling_quantifiers(series, params, config)
-        assert len(result.points) == window_count(90, params)
-        for k, point in enumerate(result.points):
+        assert len(result.entropies) == window_count(90, params)
+        for k, (h, c) in enumerate(zip(result.entropies, result.complexities)):
             chunk = TimeSeries(values[k * step:k * step + 30])
-            assert point == cecp_point(extract_pattern_distribution(chunk, config))
+            expected = cecp_point(extract_pattern_distribution(chunk, config))
+            assert (h, c) == (expected.entropy, expected.complexity)
 
 
 class TestTrajectories:
     def test_monotone_series_sits_at_origin(self):
         series = TimeSeries(np.arange(480.0))
         result = rolling_quantifiers(series, WindowParams(360, 60), CONFIG)
-        assert len(result.points) == 3
-        assert all(p == CecpPoint(0.0, 0.0) for p in result.points)
+        assert result.entropies.tolist() == result.complexities.tolist() == [0.0] * 3
 
     def test_constant_window_is_a_point_not_an_error(self):
         result = rolling_quantifiers(TimeSeries(np.zeros(400)), WindowParams(360, 20), CONFIG)
-        assert all(p.entropy == 0.0 and p.complexity == 0.0 for p in result.points)
+        assert not result.entropies.any() and not result.complexities.any()
 
     def test_regime_change_is_visible(self, rng):
         calm = np.arange(800.0)
@@ -101,7 +100,7 @@ class TestTrajectories:
     def test_iid_noise_stays_near_upper_right(self, rng):
         series = TimeSeries(rng.standard_normal(16031))
         result = rolling_quantifiers(series, WindowParams(360, 60), CONFIG)
-        assert len(result.points) == 262
+        assert len(result.entropies) == 262
         assert result.entropies.min() > 0.9
         assert result.complexities.max() < 0.1
 
@@ -124,9 +123,10 @@ class TestResultStructure:
     def test_entropy_and_complexity_properties_align(self, rng):
         series = TimeSeries(rng.standard_normal(600))
         result = rolling_quantifiers(series, WindowParams(360, 120), CONFIG)
-        for i, p in enumerate(result.points):
-            assert result.entropies[i] == p.entropy
-            assert result.complexities[i] == p.complexity
+        for values in (result.entropies, result.complexities):
+            assert values.dtype == np.float64
+            assert not values.flags.writeable
+            assert values.shape == result.window_starts.shape == (3,)
 
     def test_window_smaller_than_pattern_span(self):
         series = TimeSeries(np.arange(100.0))
@@ -138,11 +138,17 @@ class TestResultStructure:
             rolling_quantifiers(TimeSeries(np.arange(100.0)), WindowParams(360, 60), CONFIG)
 
     def test_result_validation(self):
-        pts = (CecpPoint(0.0, 0.0), CecpPoint(0.5, 0.1))
+        hs, cs = [0.0, 0.5], [0.0, 0.1]
         with pytest.raises(ValueError):
-            RollingResult("x", np.array([0]), pts, 357)
+            RollingResult("x", np.array([0]), hs, cs, 357)
         with pytest.raises(ValueError):
-            RollingResult("x", np.array([0, 60, 100]), pts + pts[:1], 357)
+            RollingResult("x", np.array([0, 60]), hs, cs[:1], 357)
         with pytest.raises(ValueError):
-            RollingResult("x", np.array([0, 60]), pts, 357,
+            RollingResult("x", np.array([0, 60, 100]), hs + hs[:1], cs + cs[:1], 357)
+        with pytest.raises(ValueError):
+            RollingResult("x", np.array([0, 60]), hs, cs, 357,
                           end_timestamps=np.array([1.0]))
+        given = np.array([0.25, 0.5])
+        result = RollingResult("x", np.array([0, 60]), given, cs, 357)
+        given[0] = 0.75
+        assert result.entropies.tolist() == [0.25, 0.5]

@@ -8,7 +8,6 @@ import scipy.stats
 from cecplane import (
     AnovaResult,
     AssetSummary,
-    CecpPoint,
     RollingResult,
     efficiency_distance,
     one_way_anova,
@@ -21,9 +20,8 @@ from cecplane.stats import average_ranks, spearman_permutation_p
 
 
 def mk_result(asset, hs, cs):
-    pts = tuple(CecpPoint(h, c) for h, c in zip(hs, cs))
-    starts = np.arange(len(pts), dtype=np.int64) * 60
-    return RollingResult(asset, starts, pts, samples_per_window=357)
+    starts = np.arange(len(hs), dtype=np.int64) * 60
+    return RollingResult(asset, starts, hs, cs, samples_per_window=357)
 
 
 def mk_summary(asset, mean_h, mean_c):
