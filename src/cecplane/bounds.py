@@ -42,7 +42,7 @@ __all__ = [
 _BISECT_ITERS = 80
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundCurve:
     """One boundary curve of the reachable (H, C) region for M states."""
 
@@ -151,10 +151,12 @@ def lower_bound_curve(m: int, resolution: int) -> BoundCurve:
     q = _bisect_q(target_s, m, 0,
                   np.full(resolution, 1.0 / m), np.ones(resolution),
                   increasing=False)
-    c = _family_complexity(q, m, 0)
-    # The envelope pinches to C = 0 at both ends; solved q already sits at the
-    # bracket endpoints there, so clipping only removes residual rounding.
-    c = np.clip(c, 0.0, None)
+    c = np.clip(_family_complexity(q, m, 0), 0.0, None)
+    # The envelope pinches to C = 0 at both ends.  At H = 1 the solved q is
+    # 1/M, the uniform distribution, whose complexity is exactly 0 but whose
+    # closed form leaves up to ~7e-16 of rounding; that end is pinned so the
+    # lower curve never lies above the upper one there.
+    c[h_grid == 1.0] = 0.0
     return BoundCurve(states=m, kind="lower", entropy=h_grid, complexity=c)
 
 

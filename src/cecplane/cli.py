@@ -33,13 +33,17 @@ from .bounds import lower_bound_curve, upper_bound_curve
 from .dataio import (
     PLOT_KINDS,
     RunConfig,
+    _bounds_table,
+    _clouds_table,
     _data_rows,
-    _fmt,
-    _write_csv,
-    emit_plot_data,
+    _pairwise_table,
+    _ranking_table,
+    _records,
+    _Table,
+    _write,
+    _write_tree,
     load_dataset,
     run_pipeline,
-    write_bundle,
 )
 from .fbm import baseline_cloud
 from .patterns import OrdinalConfig
@@ -69,18 +73,6 @@ def _float_list(text: str) -> list[float]:
         return [float(t) for t in _csv_list(text)]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _write_or_print(path: str | None, header, rows) -> None:
-    if path is None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(c) for c in row])
-        sys.stdout.write(buf.getvalue())
-    else:
-        _write_csv(Path(path), header, rows)
 
 
 def _located(path: str, line: int, column, message: str) -> ValueError:
@@ -243,10 +235,10 @@ def _cmd_analyze(args) -> int:
     bundle = run_pipeline(config, dataset)
     for warning in bundle.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    kinds = PLOT_KINDS if args.plots == ["all"] else (args.plots or [])
-    plots = [emit_plot_data(bundle, kind, args.out) for kind in kinds]
-    # The manifest goes last, so that it hashes the plot files too.
-    for path in write_bundle(bundle, args.out) + plots:
+    kinds = args.plots or []
+    if kinds == ["all"]:  # every kind this run can show
+        kinds = [k for k in PLOT_KINDS if bundle.pairwise or k != "anova-intervals"]
+    for path in _write_tree(bundle, args.out, kinds):
         print(path)
     return 0
 
@@ -255,32 +247,22 @@ def _cmd_bounds(args) -> int:
     config = OrdinalConfig(args.dim, 1)
     lower = lower_bound_curve(config.num_patterns, args.resolution)
     upper = upper_bound_curve(config.num_patterns, args.resolution)
-    _write_or_print(args.out, ["H", "C_lower", "C_upper"],
-                    zip(lower.entropy, lower.complexity, upper.complexity))
+    _write(_bounds_table(lower, upper), args.out)
     return 0
 
 
 def _cmd_fbm(args) -> int:
     config = OrdinalConfig(args.dim, args.tau)
-    rows = []
-    for hurst in args.hurst:
-        cloud = baseline_cloud(hurst, args.sims, args.length, config, args.seed)
-        rows.append((cloud.hurst, cloud.mean_point.entropy,
-                     cloud.mean_point.complexity, cloud.std_entropy,
-                     cloud.std_complexity, cloud.sims))
-    _write_or_print(args.out,
-                    ["hurst", "mean_entropy", "mean_complexity",
-                     "std_entropy", "std_complexity", "sims"],
-                    rows)
+    clouds = [baseline_cloud(hurst, args.sims, args.length, config, args.seed)
+              for hurst in args.hurst]
+    _write(_clouds_table(clouds), args.out)
     return 0
 
 
 def _cmd_rank(args) -> int:
     results = _load_windows(args.input)
     summaries = [summarize(results[a]) for a in results]
-    entries = rank_assets(summaries)
-    _write_or_print(args.out, ["rank", "asset", "distance", "tied"],
-                    ((e.rank, e.asset, e.distance, e.tied) for e in entries))
+    _write(_ranking_table(rank_assets(summaries)), args.out)
     return 0
 
 
@@ -294,16 +276,9 @@ def _cmd_anova(args) -> int:
         payload[metric] = asdict(
             one_way_anova([(a, getattr(results[a], column)) for a in labels]))
     baseline = args.baseline if args.baseline is not None else labels[0]
-    pairwise = pairwise_anova_vs_baseline(results, baseline)
-    payload["pairwise"] = [
-        {
-            "asset": c.asset, "baseline": c.baseline, "metric": metric,
-            "mean_diff": diff, "f_stat": anova.f_stat, "p_value": anova.p_value,
-            "significant_5pct": anova.p_value < 0.05,
-            "significant_1pct": anova.p_value < 0.01,
-        }
-        for c in pairwise for metric, anova, diff in c.by_metric()
-    ]
+    pairwise = _pairwise_table(pairwise_anova_vs_baseline(results, baseline))
+    payload["pairwise"] = [dict(zip(pairwise.header, row))
+                           for row in zip(*(np.asarray(c).tolist() for c in pairwise.columns))]
     payload["caveat"] = ("window overlap unknown when reading from file; "
                          "p-values are descriptive")
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -319,17 +294,17 @@ def _cmd_spearman(args) -> int:
     summaries = {a: summarize(results[a]) for a in results}
     distances = {a: efficiency_distance(s) for a, s in summaries.items()}
     metrics = _load_metrics(args.metric)
-    rows = []
+    correlations = {}
     for name in metrics:
         common = [a for a in distances if a in metrics[name]]
         if len(common) < 3:
             raise ValueError(
                 f"metric {name!r}: only {len(common)} assets overlap the windows file"
             )
-        result = spearman_rho([distances[a] for a in common],
-                              [metrics[name][a] for a in common])
-        rows.append((name, result.rho, result.p_value, result.n))
-    _write_or_print(args.out, ["metric", "rho", "p_value", "n"], rows)
+        correlations[name] = spearman_rho([distances[a] for a in common],
+                                          [metrics[name][a] for a in common])
+    table = _records(correlations.values(), "rho", "p_value", "n")
+    _write(_Table(("metric", *table.header), (list(correlations), *table.columns)), args.out)
     return 0
 
 

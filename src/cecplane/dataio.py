@@ -8,23 +8,26 @@ pass; the row reader handles everything else: ISO-8601 timestamps, gaps for
 and every defect, which it reports with its line.  The input alone picks the
 path, and both give the same dataset bit for bit.
 
-Everything written back out — window tables, summaries,
-rankings, test results, plot data, manifest — is formatted through
-shortest-roundtrip ``repr`` so a rerun with the same inputs and seed is
+Every CSV written back out — window tables, summaries, rankings, test
+results, envelopes, plot data, the CLI's stdout tables — is one ``_Table``
+(a header plus typed columns), formatted a column at a time by ``_text`` and
+written by ``_write``, so a rerun with the same inputs and seed is
 byte-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import sys
 import warnings
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,26 +66,89 @@ __all__ = [
 UNDERSAMPLE_FACTOR = 5
 
 
-def _fmt(value) -> str:
-    """Deterministic cell formatting: shortest-roundtrip floats, plain ints."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isfinite(v) and abs(v) < 2**53 and v == int(v):
-            return str(int(v))
-        return repr(v)
-    return str(value)
+def _text(column) -> list[str]:
+    """The cells of one column as text, the column's type decided once:
+    ``true``/``false`` for bools, ``str`` for ints, and for floats the
+    shortest round-trip ``repr``, or integer text for an integral float
+    (finite, ``|v| < 2**53``, ``v == trunc(v)``), so ``-0.0`` reads ``0``.
+    """
+    values = np.asarray(column)
+    if values.dtype.kind == "b":
+        return ["true" if v else "false" for v in values.tolist()]
+    if values.dtype.kind != "f":
+        return list(map(str, values.tolist()))
+    text = list(map(float.__repr__, values.tolist()))
+    integral = np.isfinite(values) & (np.abs(values) < 2.0**53) & (values == np.trunc(values))
+    for k, v in zip(np.flatnonzero(integral).tolist(), values[integral].astype(np.int64).tolist()):
+        text[k] = str(v)
+    return text
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+class _Table(NamedTuple):
+    """One output table: a header and its columns.  A column is a numpy
+    array of bools, ints or floats, or a list of str written as it stands:
+    labels, or text that :func:`_text` already made."""
+
+    header: tuple[str, ...]
+    columns: tuple
+
+    def select(self, *names: str) -> "_Table":
+        return _Table(names, tuple(self.columns[self.header.index(n)] for n in names))
+
+    def formatted(self) -> "_Table":
+        return self._replace(columns=tuple(c if isinstance(c, list) else _text(c)
+                                           for c in self.columns))
+
+
+def _table(**columns) -> _Table:
+    return _Table(tuple(columns), tuple(columns.values()))
+
+
+def _write(table: _Table, path) -> None:
+    """Write ``table`` as CSV to ``path``, or to stdout when it is None."""
+    text = table.formatted()
+    with (open(path, "w", newline="") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerow(text.header)
+        writer.writerows(zip(*text.columns))
+
+
+def _records(records, *names: str) -> _Table:
+    """One row per record, one column per attribute in ``names``."""
+    columns = [[getattr(r, name) for r in records] for name in names]
+    return _Table(names, tuple(c if c and isinstance(c[0], str) else np.asarray(c)
+                               for c in columns))
+
+
+def _ranking_table(entries: Sequence[RankingEntry]) -> _Table:
+    return _records(entries, "rank", "asset", "distance", "tied")
+
+
+def _bounds_table(lower: BoundCurve, upper: BoundCurve) -> _Table:
+    return _table(H=lower.entropy, C_lower=lower.complexity, C_upper=upper.complexity)
+
+
+def _clouds_table(clouds: Sequence[BaselineCloud]) -> _Table:
+    return _table(
+        hurst=np.array([c.hurst for c in clouds]),
+        mean_entropy=np.array([c.mean_point.entropy for c in clouds]),
+        mean_complexity=np.array([c.mean_point.complexity for c in clouds]),
+        std_entropy=np.array([c.std_entropy for c in clouds]),
+        std_complexity=np.array([c.std_complexity for c in clouds]),
+        sims=np.array([c.sims for c in clouds]),
+    )
+
+
+def _pairwise_table(pairwise: Sequence[PairwiseComparison]) -> _Table:
+    """One row per asset and metric; ``pairwise`` must not be empty."""
+    rows = [(c.asset, c.baseline, metric, diff, anova.f_stat, anova.p_value)
+            for c in pairwise for metric, anova, diff in c.by_metric()]
+    asset, baseline, metric, diff, f_stat, p_value = zip(*rows)
+    p_value = np.array(p_value)
+    return _table(asset=list(asset), baseline=list(baseline), metric=list(metric),
+                  mean_diff=np.array(diff), f_stat=np.array(f_stat), p_value=p_value,
+                  significant_5pct=p_value < 0.05, significant_1pct=p_value < 0.01)
 
 
 def _sha256_file(path: Path) -> str:
@@ -150,10 +216,10 @@ def _grid_error(path: Path, ts: np.ndarray, index: int, rule: str) -> ValueError
         for k, (line_no, row) in enumerate(_data_rows(reader)):
             if k == index:
                 break
+    step, first = _text(np.array([ts[index] - ts[index - 1], ts[1] - ts[0]]))
     return ValueError(
         f"{path}: line {line_no}: timestamps must be {rule}; {row[0].strip()!r} comes "
-        f"{_fmt(ts[index] - ts[index - 1])} after the previous row, but the first "
-        f"two rows are {_fmt(ts[1] - ts[0])} apart"
+        f"{step} after the previous row, but the first two rows are {first} apart"
     )
 
 
@@ -296,10 +362,8 @@ def write_dataset(dataset: Dataset, path) -> str:
         ts = np.arange(len(first), dtype=np.float64)
     else:
         ts = first.timestamps
-    header = [dataset.timestamp_label, *dataset.assets]
-    cols = [dataset.series[a].values for a in dataset.assets]
-    rows = ([ts[i]] + [col[i] for col in cols] for i in range(len(first)))
-    _write_csv(path, header, rows)
+    _write(_Table((dataset.timestamp_label, *dataset.assets),
+                  (ts, *(dataset.series[a].values for a in dataset.assets))), path)
     return _sha256_file(path)
 
 
@@ -471,80 +535,78 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
     )
 
 
-def _windows_rows(bundle: AnalysisBundle):
-    """``WINDOWS_HEADER`` rows of every window, as Python scalars."""
-    for asset, res in bundle.rolling.items():
-        n = res.window_starts.size
-        ends = [""] * n if res.end_timestamps is None else res.end_timestamps.tolist()
-        yield from zip([asset] * n, range(n), res.window_starts.tolist(), ends,
-                       res.entropies.tolist(), res.complexities.tolist())
+def _windows_table(rolling: dict[str, RollingResult]) -> _Table:
+    """One row per window of every asset."""
+    results = rolling.values()
+    return _table(
+        asset=[a for a, r in rolling.items() for _ in range(r.window_starts.size)],
+        window_index=np.concatenate([np.arange(r.window_starts.size) for r in results]),
+        start_offset=np.concatenate([r.window_starts for r in results]),
+        end_timestamp=[t for r in results for t in ([""] * r.window_starts.size
+                       if r.end_timestamps is None else _text(r.end_timestamps))],
+        entropy=np.concatenate([r.entropies for r in results]),
+        complexity=np.concatenate([r.complexities for r in results]),
+    )
 
 
-WINDOWS_HEADER = ["asset", "window_index", "start_offset", "end_timestamp",
-                  "entropy", "complexity"]
+def _summaries_table(bundle: AnalysisBundle) -> _Table:
+    return _records(bundle.summaries.values(), "asset", "mean_entropy", "mean_complexity",
+                    "std_entropy", "std_complexity", "window_count")
 
 
-def _anova_rows(bundle: AnalysisBundle):
+def _anova_table(bundle: AnalysisBundle) -> _Table:
+    """The all-asset ANOVA of each metric, one ``AnovaResult`` field a column."""
+    results = {"entropy": bundle.anova_entropy, "complexity": bundle.anova_complexity}
+    anova = _records(results.values(), *(f.name for f in fields(AnovaResult)))
     caveat = "overlapping-windows" if bundle.caveats else ""
-    for metric, result in (("entropy", bundle.anova_entropy),
-                           ("complexity", bundle.anova_complexity)):
-        if result is None:
-            continue
-        yield (metric, *astuple(result), caveat)
+    return _Table(("metric", *anova.header, "caveat"),
+                  (list(results), *anova.columns, [caveat] * len(results)))
 
 
-def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
-    """Write every result table plus a manifest; returns the written paths.
+PLOT_KINDS = ("entropy-evolution", "cecp-scatter", "cecp-means", "anova-intervals")
 
-    The manifest is written last.  It records the config, seed, input
-    digest, tool version, and the sha256 of every other file in the output
-    directory, so plot data emitted beforehand is covered too.  It contains
-    no wall-clock data, so identical runs produce identical trees.
-    """
+
+def _plot_table(bundle: AnalysisBundle, kind: str,
+                windows: _Table | None = None) -> tuple[str, _Table]:
+    """The file name and table of one plot kind, columns of a result table
+    copied verbatim; ``windows`` is the window table's text, if made."""
+    name = f"plot_{kind.replace('-', '_')}.csv"
+    if kind in ("entropy-evolution", "cecp-scatter"):
+        windows = windows or _windows_table(bundle.rolling).formatted()
+        if kind == "entropy-evolution":
+            return name, windows.select("asset", "end_timestamp", "entropy")
+        return name, windows.select("asset", "window_index", "entropy", "complexity")
+    if kind == "cecp-means":
+        return name, _Table(("asset", "mean_H", "mean_C", "std_H", "std_C"),
+                            _summaries_table(bundle).columns[:5])
+    if kind == "anova-intervals":
+        if not bundle.pairwise:
+            raise ValueError("anova-intervals needs pairwise baseline results")
+        pairwise = _pairwise_table(bundle.pairwise)
+        # the identity and the mean difference, then the 1% flag before the 5% one
+        header = pairwise.header
+        return name, pairwise.select(*header[:4], header[7], header[6])
+    raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
+
+
+def _write_tree(bundle: AnalysisBundle, out_dir, kinds: Sequence[str]) -> list[Path]:
+    """Write the result tables, the plot data of ``kinds`` and, last, the
+    manifest; returns the paths, plot data last.  Every table is built before
+    the first write, so a plot kind that cannot be made leaves no file."""
+    windows = _windows_table(bundle.rolling).formatted()
+    tables = {"windows.csv": windows, "summaries.csv": _summaries_table(bundle),
+              "ranking.csv": _ranking_table(bundle.ranking)}
+    if bundle.pairwise:
+        tables["anova.csv"] = _anova_table(bundle)
+        tables["pairwise_anova.csv"] = _pairwise_table(bundle.pairwise)
+    tables["bounds.csv"] = _bounds_table(bundle.lower, bundle.upper)
+    if bundle.clouds:
+        tables["fbm_clouds.csv"] = _clouds_table(bundle.clouds)
+    plots = dict(_plot_table(bundle, kind, windows) for kind in kinds)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def emit(name: str, header, rows):
-        p = out / name
-        _write_csv(p, header, rows)
-        written.append(p)
-
-    emit("windows.csv", WINDOWS_HEADER, _windows_rows(bundle))
-    emit("summaries.csv",
-         ["asset", "mean_entropy", "mean_complexity", "std_entropy",
-          "std_complexity", "window_count"],
-         ((s.asset, s.mean_entropy, s.mean_complexity, s.std_entropy,
-           s.std_complexity, s.window_count)
-          for s in bundle.summaries.values()))
-    emit("ranking.csv",
-         ["rank", "asset", "distance", "tied"],
-         ((e.rank, e.asset, e.distance, e.tied) for e in bundle.ranking))
-    if bundle.anova_entropy is not None:
-        emit("anova.csv",
-             ["metric", "ss_between", "ss_within", "ss_total", "df_between",
-              "df_within", "ms_between", "ms_within", "f_stat", "p_value",
-              "degenerate", "caveat"],
-             _anova_rows(bundle))
-    if bundle.pairwise:
-        emit("pairwise_anova.csv",
-             ["asset", "baseline", "metric", "mean_diff", "f_stat", "p_value",
-              "significant_5pct", "significant_1pct"],
-             ((c.asset, c.baseline, metric, diff, anova.f_stat, anova.p_value,
-               anova.p_value < 0.05, anova.p_value < 0.01)
-              for c in bundle.pairwise for metric, anova, diff in c.by_metric()))
-    emit("bounds.csv",
-         ["H", "C_lower", "C_upper"],
-         zip(bundle.lower.entropy, bundle.lower.complexity,
-             bundle.upper.complexity))
-    if bundle.clouds:
-        emit("fbm_clouds.csv",
-             ["hurst", "mean_entropy", "mean_complexity", "std_entropy",
-              "std_complexity", "sims"],
-             ((c.hurst, c.mean_point.entropy, c.mean_point.complexity,
-               c.std_entropy, c.std_complexity, c.sims)
-              for c in bundle.clouds))
-
+    for name, table in {**tables, **plots}.items():
+        _write(table, out / name)
     manifest = {
         "tool": "cecplane",
         "tool_version": __version__,
@@ -558,11 +620,18 @@ def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    written.append(manifest_path)
-    return written
+    return [out / name for name in tables] + [manifest_path] + [out / name for name in plots]
 
 
-PLOT_KINDS = ("entropy-evolution", "cecp-scatter", "cecp-means", "anova-intervals")
+def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
+    """Write every result table plus a manifest; returns the written paths.
+
+    The manifest is written last.  It records the config, seed, input
+    digest, tool version, and the sha256 of every other file in the output
+    directory, so plot data emitted beforehand is covered too.  It contains
+    no wall-clock data, so identical runs produce identical trees.
+    """
+    return _write_tree(bundle, out_dir, ())
 
 
 def emit_plot_data(bundle: AnalysisBundle, kind: str, out_dir) -> Path:
@@ -571,31 +640,8 @@ def emit_plot_data(bundle: AnalysisBundle, kind: str, out_dir) -> Path:
     Values are copied from the bundle verbatim — the emitter never
     recomputes anything.
     """
+    name, table = _plot_table(bundle, kind)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if kind == "entropy-evolution":
-        path = out / "plot_entropy_evolution.csv"
-        rows = ((asset, end, h) for asset, _, _, end, h, _ in _windows_rows(bundle))
-        _write_csv(path, ["asset", "end_timestamp", "entropy"], rows)
-    elif kind == "cecp-scatter":
-        path = out / "plot_cecp_scatter.csv"
-        rows = ((asset, k, h, c) for asset, k, _, _, h, c in _windows_rows(bundle))
-        _write_csv(path, ["asset", "window_index", "entropy", "complexity"], rows)
-    elif kind == "cecp-means":
-        path = out / "plot_cecp_means.csv"
-        rows = ((s.asset, s.mean_entropy, s.mean_complexity,
-                 s.std_entropy, s.std_complexity)
-                for s in bundle.summaries.values())
-        _write_csv(path, ["asset", "mean_H", "mean_C", "std_H", "std_C"], rows)
-    elif kind == "anova-intervals":
-        if not bundle.pairwise:
-            raise ValueError("anova-intervals needs pairwise baseline results")
-        path = out / "plot_anova_intervals.csv"
-        rows = ((c.asset, c.baseline, metric, diff, anova.p_value < 0.01,
-                 anova.p_value < 0.05)
-                for c in bundle.pairwise for metric, anova, diff in c.by_metric())
-        _write_csv(path, ["asset", "baseline", "metric", "mean_diff",
-                          "significant_1pct", "significant_5pct"], rows)
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    return path
+    _write(table, out / name)
+    return out / name

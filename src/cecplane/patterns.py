@@ -88,7 +88,7 @@ def _grid_violation(ts: np.ndarray) -> tuple[int, str] | None:
     return first + 1, rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """An evenly spaced sequence of finite real observations.
 

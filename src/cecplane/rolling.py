@@ -50,7 +50,7 @@ class WindowParams:
             raise ValueError(f"step must be an integer >= 1, got {self.step!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RollingResult:
     """Per-window plane coordinates: read-only float64 ``entropies`` and
     ``complexities`` aligned with the window start offsets."""

@@ -9,7 +9,9 @@ clarity rather than speed:
   pattern indices from an enumerated permutation table;
 * :func:`argsort_encode_starts` is the stable-argsort Lehmer encoder;
 * :func:`fbm_d3_probabilities` is the closed form of the D = 3 pattern
-  probabilities of fractional Brownian motion.
+  probabilities of fractional Brownian motion;
+* :func:`_fmt` formats one output cell at a time, the reference for the
+  package's column formatter.
 
 Inputs are trusted: these functions do not validate.
 """
@@ -103,3 +105,17 @@ def fbm_d3_probabilities(hurst: float) -> np.ndarray:
     probs = np.full(6, (1.0 - 2.0 * monotone) / 4.0)
     probs[[0, 5]] = monotone
     return probs
+
+
+def _fmt(value) -> str:
+    """One output cell as text: shortest-roundtrip floats, plain ints."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if math.isfinite(v) and abs(v) < 2**53 and v == int(v):
+            return str(int(v))
+        return repr(v)
+    return str(value)

@@ -61,6 +61,25 @@ class TestBounds:
         assert rc == 0 and out == ""
         assert target.read_text().startswith("H,C_lower,C_upper\n")
 
+    @pytest.mark.parametrize("command", ["bounds", "fbm", "rank", "spearman"])
+    def test_stdout_equals_out_file(self, workspace, capsysbinary, tmp_path, command):
+        _, _, run = workspace
+        metric = tmp_path / "metrics.csv"
+        metric.write_text("asset,mcap,volume\nAAA,100,9\nBBB,50,5\nCCC,10,1\n")
+        argv = {
+            "bounds": ["bounds", "--dim", "3", "--resolution", "40"],
+            "fbm": ["fbm", "--hurst", "0.5,0.8", "--sims", "4", "--length", "128"],
+            "rank": ["rank", "--input", str(run / "windows.csv")],
+            "spearman": ["spearman", "--input", str(run / "windows.csv"),
+                         "--metric", str(metric)],
+        }[command]
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        target = tmp_path / "table.csv"
+        assert main(argv + ["--out", str(target)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert stdout.count(b"\n") > 1 and stdout == target.read_bytes()
+
     def test_invalid_dim(self, capsys):
         rc, _, err = run_main(capsys, ["bounds", "--dim", "1"])
         assert rc == 1
@@ -136,11 +155,40 @@ class TestAnalyze:
 
     def test_unknown_plot_kind(self, workspace, capsys, tmp_path):
         root, data, _ = workspace
+        out = tmp_path / "p"
         rc, _, err = run_main(capsys, [
-            "analyze", "--input", str(data), "--out", str(tmp_path / "p"),
-            "--window", "360", "--step", "120", "--plots", "pie-chart"])
+            "analyze", "--input", str(data), "--out", str(out),
+            "--window", "360", "--step", "120", "--plots", "cecp-means,pie-chart"])
         assert rc == 1
         assert "unknown plot kind" in json.loads(err)["message"]
+        assert list(out.glob("*")) == []  # no partial output tree
+
+    def test_one_asset_plots_all(self, workspace, capsys, tmp_path):
+        # 'all' is every kind the run can show: no pairwise results, so no
+        # anova-intervals
+        _, data, _ = workspace
+        out = tmp_path / "solo"
+        rc, stdout, _ = run_main(capsys, [
+            "analyze", "--input", str(data), "--out", str(out), "--assets", "BBB",
+            "--window", "360", "--step", "120", "--plots", "all"])
+        assert rc == 0
+        names = {p.name for p in out.iterdir()}
+        assert {"plot_entropy_evolution.csv", "plot_cecp_scatter.csv",
+                "plot_cecp_means.csv", "windows.csv", "manifest.json"} <= names
+        assert "plot_anova_intervals.csv" not in names
+        assert {line.rsplit("/", 1)[-1] for line in stdout.splitlines()} == names
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["files"]) == names - {"manifest.json"}
+
+    def test_one_asset_anova_intervals_rejected(self, workspace, capsys, tmp_path):
+        _, data, _ = workspace
+        out = tmp_path / "solo"
+        rc, _, err = run_main(capsys, [
+            "analyze", "--input", str(data), "--out", str(out), "--assets", "BBB",
+            "--window", "360", "--step", "120", "--plots", "cecp-means,anova-intervals"])
+        assert rc == 1
+        assert "needs pairwise" in json.loads(err)["message"]
+        assert list(out.glob("*")) == []
 
 
 class TestRank:

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -24,22 +25,59 @@ from cecplane import (
 )
 from cecplane import dataio
 from cecplane.cli import main as cli_main
-from cecplane.dataio import PLOT_KINDS, _fmt, _sha256_file
+from cecplane.dataio import PLOT_KINDS, _sha256_file, _text
+from oracles import _fmt
+
+# Floats where the integral rule or the shortest repr is easy to get wrong.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -7.0, 0.5,
+               2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53), 2.0**53 + 2,
+               4503599627370495.5, 1e16, -1e16, 1e300, math.inf, -math.inf, math.nan]
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32, np.uint64]
 
 
 class TestCellFormat:
+    """The column formatter ``_text`` against the cell-by-cell reference
+    ``oracles._fmt``."""
+
     def test_integral_floats_have_no_fraction(self):
-        assert _fmt(1500000000.0) == "1500000000"
-        assert _fmt(-3.0) == "-3"
+        assert _text([1500000000.0, -3.0, -0.0]) == ["1500000000", "-3", "0"]
 
     def test_floats_use_shortest_roundtrip(self):
-        assert _fmt(0.1) == "0.1"
-        assert float(_fmt(2.0 / 3.0)) == 2.0 / 3.0
+        assert _text([0.1]) == ["0.1"]
+        assert float(_text([2.0 / 3.0])[0]) == 2.0 / 3.0
 
     def test_bools_and_ints(self):
-        assert _fmt(True) == "true"
-        assert _fmt(False) == "false"
-        assert _fmt(np.int64(7)) == "7"
+        assert _text([True, False]) == ["true", "false"]
+        assert _text(np.array([7], dtype=np.int64)) == ["7"]
+
+    def test_edge_floats_match_cell_reference(self):
+        assert _text(np.array(EDGE_FLOATS)) == [_fmt(v) for v in EDGE_FLOATS]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS),
+                              st.integers(-2**60, 2**60).map(float)), max_size=40))
+    def test_float_column_matches_cell_reference(self, values):
+        expected = [_fmt(v) for v in values]
+        assert _text(values) == expected
+        column = np.array(values, dtype=np.float64)
+        assert _text(column) == [_fmt(v) for v in column] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=40))
+    def test_python_int_column_matches_cell_reference(self, values):
+        assert _text(values) == [_fmt(v) for v in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(INT_DTYPES).flatmap(
+        lambda dtype: st.lists(st.integers(int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)),
+                               max_size=40).map(lambda v: np.array(v, dtype=dtype))))
+    def test_numpy_int_column_matches_cell_reference(self, column):
+        assert _text(column) == [_fmt(v) for v in column]
+
+    @given(st.lists(st.booleans(), max_size=40))
+    def test_bool_column_matches_cell_reference(self, values):
+        assert _text(values) == [_fmt(v) for v in values]
+        assert _text(np.array(values, dtype=bool)) == [_fmt(v) for v in values]
 
 
 class TestRoundTrip:

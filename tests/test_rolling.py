@@ -10,6 +10,7 @@ from cecplane import (
     WindowParams,
     cecp_point,
     extract_pattern_distribution,
+    lower_bound_curve,
     rolling_quantifiers,
     window_count,
 )
@@ -152,3 +153,16 @@ class TestResultStructure:
         result = RollingResult("x", np.array([0, 60]), given, cs, 357)
         given[0] = 0.75
         assert result.entropies.tolist() == [0.25, 0.5]
+
+
+def test_array_holding_results_compare_by_identity():
+    # numpy fields make a field-wise == ambiguous; these types compare and
+    # hash by identity instead
+    series = TimeSeries(np.arange(40.0) % 7, np.arange(40.0))
+    twin = TimeSeries(np.arange(40.0) % 7, np.arange(40.0))
+    rolled = rolling_quantifiers(series, WindowParams(20, 10), OrdinalConfig(3, 1))
+    rolled_twin = rolling_quantifiers(twin, WindowParams(20, 10), OrdinalConfig(3, 1))
+    lower = lower_bound_curve(6, 10)
+    for value, other in ((series, twin), (rolled, rolled_twin), (lower, lower_bound_curve(6, 10))):
+        assert value == value and value != other
+        assert len({value, other, value}) == 2
