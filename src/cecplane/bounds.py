@@ -143,8 +143,17 @@ def _validate_args(m: int, resolution: int):
 
 
 def lower_bound_curve(m: int, resolution: int) -> BoundCurve:
-    """Minimum-complexity frontier on a uniform grid of ``resolution`` H values."""
+    """Minimum-complexity frontier on a uniform grid of ``resolution`` H values.
+
+    At ``M = 2`` both families are ``(q, 1 - q)``, the lower one for
+    ``q >= 1/2`` and the upper one for ``q <= 1/2``: one curve, returned for
+    both, since two solves of it differ in the last bit.
+    """
     _validate_args(m, resolution)
+    if m == 2:
+        upper = upper_bound_curve(m, resolution)
+        return BoundCurve(states=m, kind="lower", entropy=upper.entropy,
+                          complexity=upper.complexity)
     h_grid = np.linspace(0.0, 1.0, resolution)
     target_s = h_grid * math.log(m)
     # Entropy decreases from ln M at q = 1/M to 0 at q = 1.

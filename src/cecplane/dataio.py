@@ -6,7 +6,9 @@ series per asset.  A file of plain numbers is read in one ``np.loadtxt``
 pass; the row reader handles everything else: ISO-8601 timestamps, gaps for
 ``forward_fill``, cells only ``float`` accepts (``1_0``, non-ASCII digits),
 and every defect, which it reports with its line.  The input alone picks the
-path, and both give the same dataset bit for bit.
+path, and both give the same dataset bit for bit.  Loading holds at most the
+parsed table and the copies of the requested columns at once, and the
+file's sha256 is streamed in fixed blocks, never read whole.
 
 Every CSV written back out — window tables, summaries, rankings, test
 results, envelopes, plot data, the CLI's stdout tables — is one ``_Table``
@@ -151,8 +153,19 @@ def _pairwise_table(pairwise: Sequence[PairwiseComparison]) -> _Table:
                   significant_5pct=p_value < 0.05, significant_1pct=p_value < 0.01)
 
 
+# Files are hashed a block at a time, so a digest never holds a whole file.
+# (hashlib.file_digest does this, but only from Python 3.11.)
+_HASH_BLOCK = 1 << 20
+
+
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    block = bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -223,10 +236,11 @@ def _grid_error(path: Path, ts: np.ndarray, index: int, rule: str) -> ValueError
     )
 
 
-def _read_numeric(fh, n_cols: int, used: list[int]) -> np.ndarray | None:
-    """The data rows after the header as one ``(rows, n_cols)`` float array,
-    parsed in a single ``np.loadtxt`` pass; ``None`` when that pass cannot
-    stand in for the row reader.
+def _read_numeric(fh, n_cols: int, used: list[int]) -> list[np.ndarray] | None:
+    """The ``used`` columns of the data rows after the header, each a
+    contiguous float array, parsed in a single ``np.loadtxt`` pass; ``None``
+    when that pass cannot stand in for the row reader.  The parsed table is
+    freed on return, so only the copies of the used columns outlive it.
 
     It stands in only if loadtxt accepts every row, there is at least one,
     the column count matches the header, and every cell in the ``used``
@@ -245,9 +259,10 @@ def _read_numeric(fh, n_cols: int, used: list[int]) -> np.ndarray | None:
         return None
     if table.shape[0] == 0 or table.shape[1] != n_cols:
         return None
-    if not np.isfinite(table[:, used]).all():
+    # One column at a time: ``table[:, used]`` would copy every used column.
+    if not all(np.isfinite(table[:, j]).all() for j in used):
         return None
-    return table
+    return [np.ascontiguousarray(table[:, j]) for j in used]
 
 
 def _read_rows(path: Path, n_cols: int, col_idx: dict[str, int],
@@ -312,7 +327,8 @@ def load_dataset(path, assets: Sequence[str] | None = None,
     Every other file (ISO-8601 timestamps, gaps to fill, cells such as
     ``1_0`` that ``float`` accepts but loadtxt does not, any defect to
     report) goes through the row reader.  Both give the same dataset, bit for
-    bit, and the same errors.
+    bit, and the same errors.  ``Dataset.digest`` is the sha256 of the file,
+    streamed a block at a time.
     """
     path = Path(path)
     if not path.is_file():
@@ -335,13 +351,13 @@ def load_dataset(path, assets: Sequence[str] | None = None,
         if missing:
             raise ValueError(f"{path}: requested columns not in header: {missing}")
         col_idx = {a: columns.index(a) + 1 for a in selected}
-        table = _read_numeric(fh, len(header), [0, *col_idx.values()])
+        numeric = _read_numeric(fh, len(header), [0, *col_idx.values()])
 
-    if table is None:
+    if numeric is None:
         ts, values, fill_counts = _read_rows(path, len(header), col_idx, forward_fill)
     else:
-        ts = np.ascontiguousarray(table[:, 0])
-        values = {a: np.ascontiguousarray(table[:, i]) for a, i in col_idx.items()}
+        ts, *value_columns = numeric
+        values = dict(zip(col_idx, value_columns))
         fill_counts = {a: 0 for a in selected}
     violation = _grid_violation(ts)
     if violation is not None:
@@ -404,7 +420,7 @@ def log_return_series(series: TimeSeries) -> TimeSeries:
         bad = int(np.flatnonzero(series.values <= 0)[0])
         raise ValueError(f"log returns need positive values; offender at position {bad}")
     values = np.diff(np.log(series.values))
-    ts = None if series.timestamps is None else series.timestamps[1:].copy()
+    ts = None if series.timestamps is None else series.timestamps[1:]
     return TimeSeries(values, ts)
 
 

@@ -80,11 +80,16 @@ def _grid_violation(ts: np.ndarray) -> tuple[int, str] | None:
     if gaps.size == 0:
         return None
     ref = gaps[0]
-    broken = (gaps <= 0) | (np.abs(gaps - ref) > _GRID_RTOL * max(abs(ref), 1.0))
+    not_increasing = gaps <= 0
+    # |gaps - ref| in place: no float temporary beside ``gaps``.
+    gaps -= ref
+    np.abs(gaps, out=gaps)
+    broken = gaps > _GRID_RTOL * max(abs(ref), 1.0)
+    broken |= not_increasing
     if not broken.any():
         return None
     first = int(np.argmax(broken))
-    rule = "strictly increasing" if gaps[first] <= 0 else "evenly spaced"
+    rule = "strictly increasing" if not_increasing[first] else "evenly spaced"
     return first + 1, rule
 
 
@@ -288,7 +293,9 @@ def _encode_starts(values: np.ndarray, config: OrdinalConfig) -> np.ndarray:
     codes = np.zeros(shape, dtype=np.int64)
     term = np.empty(shape, dtype=np.int64)
     for j in range(1, d):
-        np.take(factorial_at_rank, rank[j], out=term)
+        # Ranks are always in range; "clip" writes straight into ``term``,
+        # where the default "raise" fills a buffer and copies it over.
+        np.take(factorial_at_rank, rank[j], out=term, mode="clip")
         term *= cnt[j]
         codes += term
     return codes

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import OrdinalConfig, TimeSeries, _encode_starts, _pattern_counts
+from .patterns import OrdinalConfig, TimeSeries, _encode_starts
 from .quantifiers import _plane_points
 
 __all__ = [
@@ -89,18 +89,29 @@ def window_count(series_len: int, params: WindowParams) -> int:
     return (series_len - params.size) // params.step + 1
 
 
-def _window_counts(codes: np.ndarray, starts: np.ndarray, per_window: int,
-                   m: int) -> np.ndarray:
-    """``(windows, m)`` pattern counts of the code slices
-    ``codes[start : start + per_window]``, for increasing ``starts``."""
+def _window_counts(values: np.ndarray, config: OrdinalConfig, starts: np.ndarray,
+                   per_window: int) -> np.ndarray:
+    """``(windows, M)`` pattern counts of the windows whose admissible starts
+    are ``start .. start + per_window - 1``, for increasing ``starts``.
+
+    The window edges cut the code stream into blocks.  The codes of block
+    ``b`` are overwritten with the bincount keys ``(b + 1) * M + code``, so
+    one bincount counts every block in row ``b + 1`` and leaves row 0 zero.
+    A cumulative sum over the rows, in place, then makes row ``j`` the
+    counts of every code ahead of edge ``j``, and a window's counts are its
+    end row minus its start row, subtracted into the gathered end rows.  The
+    codes are freed before the rows are gathered.
+    """
+    m = config.num_patterns
     edges = np.union1d(starts, starts + per_window)
-    block_of = np.repeat(np.arange(edges.size - 1, dtype=np.int64), np.diff(edges))
-    blocks = _pattern_counts(block_of, codes[:edges[-1]], edges.size - 1, m)
-    # before[j]: counts of every code ahead of edges[j].
-    before = np.zeros((edges.size, m), dtype=np.int64)
-    np.cumsum(blocks, axis=0, out=before[1:])
-    return (before[np.searchsorted(edges, starts + per_window)]
-            - before[np.searchsorted(edges, starts)])
+    keys = _encode_starts(values, config)[edges[0]:edges[-1]]
+    keys += np.repeat(np.arange(m, edges.size * m, m, dtype=np.int64), np.diff(edges))
+    before = np.bincount(keys, minlength=edges.size * m).reshape(edges.size, m)
+    del keys
+    np.cumsum(before, axis=0, out=before)
+    counts = before[np.searchsorted(edges, starts + per_window)]
+    counts -= before[np.searchsorted(edges, starts)]
+    return counts
 
 
 def rolling_quantifiers(series: TimeSeries, params: WindowParams,
@@ -118,9 +129,8 @@ def rolling_quantifiers(series: TimeSeries, params: WindowParams,
         )
     n_windows = window_count(len(series), params)
     starts = np.arange(n_windows, dtype=np.int64) * params.step
-    counts = _window_counts(_encode_starts(series.values, config), starts, per_window,
-                            config.num_patterns)
-    entropies, _, complexities = _plane_points(counts / per_window)
+    entropies, _, complexities = _plane_points(
+        _window_counts(series.values, config, starts, per_window) / per_window)
     ends = None
     if series.timestamps is not None:
         ends = series.timestamps[starts + params.size - 1].copy()

@@ -336,6 +336,29 @@ class TestLoadPaths:
             assert _outcome(path, forward_fill=True)[0] == "loaded"
         rows.assert_called_once()
 
+    # The finite check covers the timestamp and each requested column, one
+    # column at a time, and no other column.
+    NAN_IN_B = "timestamp,a,b,c\n0,1,2,3\n300,4,nan,6\n600,7,8,9\n"
+
+    @pytest.mark.parametrize("assets", [["a"], ["c"], ["c", "a"]])
+    def test_nan_in_unrequested_column_takes_one_pass(self, tmp_path, assets):
+        path = tmp_path / "d.csv"
+        path.write_text(self.NAN_IN_B)
+        with mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows:
+            loaded = _outcome(path, assets=assets)
+        rows.assert_not_called()
+        assert loaded[0] == "loaded" and loaded[1] == tuple(assets)
+        assert loaded == _row_reader_outcome(path, assets=assets)
+
+    @pytest.mark.parametrize("assets", [["b"], ["a", "b"], ["c", "b"], None])
+    def test_nan_in_requested_column_takes_row_reader(self, tmp_path, assets):
+        path = tmp_path / "d.csv"
+        path.write_text(self.NAN_IN_B)
+        with mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows:
+            loaded = _outcome(path, assets=assets, forward_fill=True)
+        rows.assert_called_once()
+        assert loaded[0] == "loaded" and loaded[4]["b"] == 1
+
 
 class TestIsoTimestamps:
     def test_naive_read_as_utc(self, tmp_path):
