@@ -13,50 +13,24 @@ Exit code 0 on success.  Any failure prints a one-line JSON object
 (``{"error": ..., "message": ...}``) to stderr and returns a nonzero code.
 Advisory warnings (e.g. undersampled histograms) also go to stderr; files
 and stdout stay deterministic.
+
+Each handler imports the modules it runs, so ``--version`` loads neither
+numpy nor the pipeline, and ``rank``, ``anova`` and ``spearman`` load the
+statistics and the table writer but not the encoder or the kernel.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
+import contextlib
 import math
 import sys
-from dataclasses import asdict
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import PLOT_KINDS, __version__
 
-from . import __version__
-from .bounds import lower_bound_curve, upper_bound_curve
-from .dataio import (
-    PLOT_KINDS,
-    RunConfig,
-    _bounds_table,
-    _clouds_table,
-    _data_rows,
-    _pairwise_table,
-    _ranking_table,
-    _records,
-    _Table,
-    _write,
-    _write_tree,
-    load_dataset,
-    run_pipeline,
-)
-from .fbm import baseline_cloud
-from .patterns import OrdinalConfig
-from .quantifiers import _off_plane
-from .rolling import RollingResult, WindowParams
-from .stats import (
-    efficiency_distance,
-    one_way_anova,
-    pairwise_anova_vs_baseline,
-    rank_assets,
-    spearman_rho,
-    summarize,
-)
+if TYPE_CHECKING:
+    from .rolling import RollingResult
 
 __all__ = ["main"]
 
@@ -86,6 +60,12 @@ def _read_table(path: str):
     name, and a row whose cell count differs from the header's (naming the
     first missing or extra column).  A byte-order mark is skipped.
     """
+    import csv
+    import io
+    from pathlib import Path
+
+    from ._tables import _data_rows
+
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8-sig")
@@ -111,18 +91,25 @@ def _read_table(path: str):
     return header, rows()
 
 
-def _cell(path: str, line: int, column: str, text: str, parse):
-    """The cell parsed by ``int`` or ``float``; an error naming the cell
-    when that fails or gives a non-finite number."""
+def _cell(path: str, line: int, column: str, text: str) -> float:
+    """The cell as a finite float; an error naming the cell otherwise."""
     text = text.strip()
     try:
-        value = parse(text)
+        value = float(text)
     except ValueError:
-        value = None
-    if value is None or not math.isfinite(value):
-        kind = "an integer" if parse is int else "a finite number"
-        raise _located(path, line, column, f"{text!r} is not {kind}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise _located(path, line, column, f"{text!r} is not a finite number")
     return value
+
+
+def _parsed(cells, parse) -> list:
+    """``parse`` of each cell up to the first one it refuses, which is
+    therefore at the length of the result."""
+    values = []
+    with contextlib.suppress(ValueError):
+        values.extend(map(parse, cells))
+    return values
 
 
 _WINDOW_COLUMNS = ("asset", "window_index", "start_offset", "entropy", "complexity")
@@ -133,59 +120,86 @@ def _load_windows(path: str) -> dict[str, RollingResult]:
 
     The header must name every column of ``_WINDOW_COLUMNS``; other columns
     are ignored.  Besides the defects :func:`_read_table` reports, each of
-    these is an error naming its line and column: a window index or start
-    offset that is not an integer in ``[0, 2**63)``, an entropy or
-    complexity that is not finite or off the plane, a window listed twice,
-    and window starts that do not advance by one constant stride.
+    these is an error naming its line and column, in this order along a
+    row: an empty asset label, a window index or start offset that is not
+    an integer in ``[0, 2**63)``, an entropy or complexity that is not
+    finite or off the plane, and a window listed twice.  Each column is
+    converted and checked whole, and the defect on the earliest line is
+    reported.  Then each asset's window starts must advance by one constant
+    stride.
     """
+    import numpy as np
+
+    from .rolling import RollingResult
+    from .special import _off_plane
+
     header, rows = _read_table(path)
     if any(c not in header for c in _WINDOW_COLUMNS):
-        raise ValueError(
-            f"{path}: line 1: expected columns {sorted(_WINDOW_COLUMNS)}, got {header}"
-        )
-    idx = {c: header.index(c) for c in _WINDOW_COLUMNS}
-    # asset -> window_index -> (line, start_offset, entropy, complexity)
-    per_asset: dict[str, dict[int, tuple[int, int, float, float]]] = {}
-    for line, row in rows:
-        asset = row[idx["asset"]]
-        if not asset.strip():
-            raise _located(path, line, "asset", "empty asset label")
-        index = _cell(path, line, "window_index", row[idx["window_index"]], int)
-        start = _cell(path, line, "start_offset", row[idx["start_offset"]], int)
-        for column, value in (("window_index", index), ("start_offset", start)):
-            if not 0 <= value < 2**63:
-                raise _located(path, line, column, f"{value} is outside [0, 2**63)")
-        entropy = _cell(path, line, "entropy", row[idx["entropy"]], float)
-        complexity = _cell(path, line, "complexity", row[idx["complexity"]], float)
-        error = _off_plane(entropy, complexity)
-        if error is not None:
-            raise _located(path, line, *error)
-        windows = per_asset.setdefault(asset, {})
-        if index in windows:
-            raise _located(path, line, "window_index", f"window {index} of asset {asset!r} "
-                           f"already on line {windows[index][0]}")
-        windows[index] = (line, start, entropy, complexity)
-    if not per_asset:
-        raise ValueError(f"{path}: line 1: header but no window rows")
+        raise ValueError(f"{path}: line 1: expected columns "
+                         f"{sorted(_WINDOW_COLUMNS)}, got {header}")
+    lines, table, ragged = [], [], None
+    try:
+        for line, row in rows:
+            lines.append(line)
+            table.append(row)
+    except ValueError as exc:  # a ragged row; a line above it may hold a defect too
+        ragged = exc
+    if not table:
+        raise ragged or ValueError(f"{path}: line 1: header but no window rows")
+    n, cells = len(table), dict(zip(header, zip(*table)))
+    found = []  # (row, column, message) of each rule's first defect, in rule order
+
+    def rule(bad, column, message):
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            found.append((int(hits[0]), column, message(int(hits[0]))))
+
+    rule([not a.strip() for a in cells["asset"]], "asset", lambda k: "empty asset label")
+    ints = {c: _parsed(cells[c], int) for c in ("window_index", "start_offset")}
+    for c, v in ints.items():
+        rule(np.arange(n) == len(v), c, lambda k: f"{cells[c][k].strip()!r} is not an integer")
+    for c, v in ints.items():
+        big = np.array(v, dtype=object)
+        rule((big < 0) | (big >= 2**63), c, lambda k: f"{v[k]} is outside [0, 2**63)")
+    floats = {}
+    for c in ("entropy", "complexity"):
+        v = floats[c] = np.array(_parsed(cells[c], float), dtype=np.float64)
+        rule(np.append(~np.isfinite(v), v.size < n), c,
+             lambda k: f"{cells[c][k].strip()!r} is not a finite number")
+    m = min(v.size for v in floats.values())
+    for c, off, why in _off_plane(floats["entropy"][:m], floats["complexity"][:m]):
+        rule(off, c, lambda k: why.format(floats[c][k].item()))
+    pairs = list(zip(cells["asset"], ints["window_index"]))
+    first = dict(zip(reversed(pairs), range(len(pairs) - 1, -1, -1)))
+    if len(first) < len(pairs):
+        rule([first[p] < k for k, p in enumerate(pairs)], "window_index",
+             lambda k: f"window {pairs[k][1]} of asset {pairs[k][0]!r} "
+                       f"already on line {lines[first[pairs[k]]]}")
+    if found:
+        k, column, message = min(found, key=lambda defect: defect[0])
+        raise _located(path, lines[k], column, message)
+    if ragged is not None:
+        raise ragged
+
+    # Rows by asset in order of first appearance, by window index within one.
+    codes: dict[str, int] = {}
+    code = np.array([codes.setdefault(a, len(codes)) for a in cells["asset"]])
+    order = np.lexsort((np.array(ints["window_index"], dtype=np.int64), code))
+    all_starts = np.array(ints["start_offset"], dtype=np.int64)
     results = {}
-    for asset, windows in per_asset.items():
-        lines, starts, entropies, complexities = zip(*(windows[k] for k in sorted(windows)))
-        starts = np.array(starts, dtype=np.int64)
+    for asset, at in zip(codes, np.split(order, np.cumsum(np.bincount(code))[:-1])):
+        starts = all_starts[at]
         strides = np.diff(starts)
         bad = np.flatnonzero((strides <= 0) | (strides != strides[:1]))
         if bad.size:
             k = int(bad[0]) + 1
-            raise _located(path, lines[k], "start_offset",
+            raise _located(path, lines[at[k]], "start_offset",
                            f"asset {asset!r} window starts must advance by a constant "
                            f"positive stride; {starts[k]} follows {starts[k - 1]}, "
                            f"the first stride is {strides[0]}")
-        results[asset] = RollingResult(
-            asset=asset,
-            window_starts=starts,
-            entropies=entropies,
-            complexities=complexities,
-            samples_per_window=0,  # not recorded in the file format
-        )
+        # samples_per_window is not recorded in the file format
+        results[asset] = RollingResult(asset, starts, floats["entropy"][at],
+                                       floats["complexity"][at], samples_per_window=0)
     return results
 
 
@@ -214,11 +228,15 @@ def _load_metrics(path: str) -> dict[str, dict[str, float]]:
                            f"asset {asset!r} already on line {first_line[asset]}")
         first_line[asset] = line
         for k, name in columns:
-            metrics[name][asset] = _cell(path, line, name, row[k], float)
+            metrics[name][asset] = _cell(path, line, name, row[k])
     return metrics
 
 
 def _cmd_analyze(args) -> int:
+    from .dataio import RunConfig, _write_tree, load_dataset, run_pipeline
+    from .patterns import OrdinalConfig
+    from .rolling import WindowParams
+
     config = RunConfig(
         ordinal=OrdinalConfig(args.dim, args.tau),
         window=WindowParams(args.window, args.step),
@@ -244,6 +262,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from ._tables import _bounds_table, _write
+    from .bounds import lower_bound_curve, upper_bound_curve
+    from .patterns import OrdinalConfig
+
     config = OrdinalConfig(args.dim, 1)
     lower = lower_bound_curve(config.num_patterns, args.resolution)
     upper = upper_bound_curve(config.num_patterns, args.resolution)
@@ -252,6 +274,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_fbm(args) -> int:
+    from ._tables import _clouds_table, _write
+    from .fbm import baseline_cloud
+    from .patterns import OrdinalConfig
+
     config = OrdinalConfig(args.dim, args.tau)
     clouds = [baseline_cloud(hurst, args.sims, args.length, config, args.seed)
               for hurst in args.hurst]
@@ -260,6 +286,9 @@ def _cmd_fbm(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from ._tables import _ranking_table, _write
+    from .stats import rank_assets, summarize
+
     results = _load_windows(args.input)
     summaries = [summarize(results[a]) for a in results]
     _write(_ranking_table(rank_assets(summaries)), args.out)
@@ -267,6 +296,13 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_anova(args) -> int:
+    import json
+    from dataclasses import asdict
+    from pathlib import Path
+
+    from ._tables import _pairwise_table
+    from .stats import one_way_anova, pairwise_anova_vs_baseline
+
     results = _load_windows(args.input)
     if len(results) < 2:
         raise ValueError("insufficient groups: ANOVA needs at least two assets")
@@ -278,7 +314,8 @@ def _cmd_anova(args) -> int:
     baseline = args.baseline if args.baseline is not None else labels[0]
     pairwise = _pairwise_table(pairwise_anova_vs_baseline(results, baseline))
     payload["pairwise"] = [dict(zip(pairwise.header, row))
-                           for row in zip(*(np.asarray(c).tolist() for c in pairwise.columns))]
+                           for row in zip(*(c if isinstance(c, list) else c.tolist()
+                                            for c in pairwise.columns))]
     payload["caveat"] = ("window overlap unknown when reading from file; "
                          "p-values are descriptive")
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -290,6 +327,9 @@ def _cmd_anova(args) -> int:
 
 
 def _cmd_spearman(args) -> int:
+    from ._tables import _records, _Table, _write
+    from .stats import efficiency_distance, spearman_rho, summarize
+
     results = _load_windows(args.input)
     summaries = {a: summarize(results[a]) for a in results}
     distances = {a: efficiency_distance(s) for a, s in summaries.items()}
@@ -385,6 +425,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # structured nonzero failure, per the CLI contract
+        import json
+
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -10,33 +10,28 @@ path, and both give the same dataset bit for bit.  Loading holds at most the
 parsed table and the copies of the requested columns at once, and the
 file's sha256 is streamed in fixed blocks, never read whole.
 
-Every CSV written back out — window tables, summaries, rankings, test
-results, envelopes, plot data, the CLI's stdout tables — is one ``_Table``
-(a header plus typed columns), formatted a column at a time by ``_text`` and
-written by ``_write``, so a rerun with the same inputs and seed is
-byte-identical.
+Every CSV written back out is one ``_Table`` of ``_tables``, written by its
+``_write``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import json
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import PLOT_KINDS, __version__
+from ._tables import (_bounds_table, _clouds_table, _data_rows, _pairwise_table,
+                      _ranking_table, _records, _table, _Table, _text, _write)
 from .bounds import BoundCurve, lower_bound_curve, upper_bound_curve
-from .fbm import BaselineCloud, baseline_cloud
-from .patterns import OrdinalConfig, TimeSeries, _grid_violation
+from .patterns import OrdinalConfig, TimeSeries, _grid_violation, _on_grid
 from .rolling import RollingResult, WindowParams, rolling_quantifiers
 from .stats import (
     AnovaResult,
@@ -48,6 +43,9 @@ from .stats import (
     rank_assets,
     summarize,
 )
+
+if TYPE_CHECKING:
+    from .fbm import BaselineCloud
 
 __all__ = [
     "Dataset",
@@ -66,91 +64,6 @@ __all__ = [
 # Per-window histogram sample counts below this multiple of dim! trigger an
 # undersampling warning (advisory only; results are still produced).
 UNDERSAMPLE_FACTOR = 5
-
-
-def _text(column) -> list[str]:
-    """The cells of one column as text, the column's type decided once:
-    ``true``/``false`` for bools, ``str`` for ints, and for floats the
-    shortest round-trip ``repr``, or integer text for an integral float
-    (finite, ``|v| < 2**53``, ``v == trunc(v)``), so ``-0.0`` reads ``0``.
-    """
-    values = np.asarray(column)
-    if values.dtype.kind == "b":
-        return ["true" if v else "false" for v in values.tolist()]
-    if values.dtype.kind != "f":
-        return list(map(str, values.tolist()))
-    text = list(map(float.__repr__, values.tolist()))
-    integral = np.isfinite(values) & (np.abs(values) < 2.0**53) & (values == np.trunc(values))
-    for k, v in zip(np.flatnonzero(integral).tolist(), values[integral].astype(np.int64).tolist()):
-        text[k] = str(v)
-    return text
-
-
-class _Table(NamedTuple):
-    """One output table: a header and its columns.  A column is a numpy
-    array of bools, ints or floats, or a list of str written as it stands:
-    labels, or text that :func:`_text` already made."""
-
-    header: tuple[str, ...]
-    columns: tuple
-
-    def select(self, *names: str) -> "_Table":
-        return _Table(names, tuple(self.columns[self.header.index(n)] for n in names))
-
-    def formatted(self) -> "_Table":
-        return self._replace(columns=tuple(c if isinstance(c, list) else _text(c)
-                                           for c in self.columns))
-
-
-def _table(**columns) -> _Table:
-    return _Table(tuple(columns), tuple(columns.values()))
-
-
-def _write(table: _Table, path) -> None:
-    """Write ``table`` as CSV to ``path``, or to stdout when it is None."""
-    text = table.formatted()
-    with (open(path, "w", newline="") if path is not None
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(text.header)
-        writer.writerows(zip(*text.columns))
-
-
-def _records(records, *names: str) -> _Table:
-    """One row per record, one column per attribute in ``names``."""
-    columns = [[getattr(r, name) for r in records] for name in names]
-    return _Table(names, tuple(c if c and isinstance(c[0], str) else np.asarray(c)
-                               for c in columns))
-
-
-def _ranking_table(entries: Sequence[RankingEntry]) -> _Table:
-    return _records(entries, "rank", "asset", "distance", "tied")
-
-
-def _bounds_table(lower: BoundCurve, upper: BoundCurve) -> _Table:
-    return _table(H=lower.entropy, C_lower=lower.complexity, C_upper=upper.complexity)
-
-
-def _clouds_table(clouds: Sequence[BaselineCloud]) -> _Table:
-    return _table(
-        hurst=np.array([c.hurst for c in clouds]),
-        mean_entropy=np.array([c.mean_point.entropy for c in clouds]),
-        mean_complexity=np.array([c.mean_point.complexity for c in clouds]),
-        std_entropy=np.array([c.std_entropy for c in clouds]),
-        std_complexity=np.array([c.std_complexity for c in clouds]),
-        sims=np.array([c.sims for c in clouds]),
-    )
-
-
-def _pairwise_table(pairwise: Sequence[PairwiseComparison]) -> _Table:
-    """One row per asset and metric; ``pairwise`` must not be empty."""
-    rows = [(c.asset, c.baseline, metric, diff, anova.f_stat, anova.p_value)
-            for c in pairwise for metric, anova, diff in c.by_metric()]
-    asset, baseline, metric, diff, f_stat, p_value = zip(*rows)
-    p_value = np.array(p_value)
-    return _table(asset=list(asset), baseline=list(baseline), metric=list(metric),
-                  mean_diff=np.array(diff), f_stat=np.array(f_stat), p_value=p_value,
-                  significant_5pct=p_value < 0.05, significant_1pct=p_value < 0.01)
 
 
 # Files are hashed a block at a time, so a digest never holds a whole file.
@@ -198,6 +111,8 @@ def _parse_timestamp(cell: str, line: int) -> float:
     try:
         value = float(text)
     except ValueError:
+        from datetime import datetime, timezone  # only ISO-8601 files need it
+
         try:
             dt = datetime.fromisoformat(text)
         except ValueError:
@@ -210,14 +125,6 @@ def _parse_timestamp(cell: str, line: int) -> float:
     if not math.isfinite(value):
         raise ValueError(f"line {line}: timestamp {cell!r} is not finite")
     return value
-
-
-def _data_rows(reader):
-    """``(line, row)`` for every data row after the header; blank rows are
-    skipped but still counted."""
-    for line_no, row in enumerate(reader, start=2):
-        if row and any(c.strip() for c in row):
-            yield line_no, row
 
 
 def _grid_error(path: Path, ts: np.ndarray, index: int, rule: str) -> ValueError:
@@ -362,7 +269,8 @@ def load_dataset(path, assets: Sequence[str] | None = None,
     violation = _grid_violation(ts)
     if violation is not None:
         raise _grid_error(path, ts, *violation)
-    series = {a: TimeSeries(values[a], ts) for a in selected}
+    ts.flags.writeable = False
+    series = {a: _on_grid(values[a], ts) for a in selected}
     return Dataset(series=series, fill_counts=fill_counts,
                    timestamp_label=ts_label, digest=_sha256_file(path))
 
@@ -421,7 +329,7 @@ def log_return_series(series: TimeSeries) -> TimeSeries:
         raise ValueError(f"log returns need positive values; offender at position {bad}")
     values = np.diff(np.log(series.values))
     ts = None if series.timestamps is None else series.timestamps[1:]
-    return TimeSeries(values, ts)
+    return _on_grid(values, ts)
 
 
 @dataclass(frozen=True)
@@ -528,11 +436,13 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
     lower = lower_bound_curve(m, config.bounds_resolution)
     upper = upper_bound_curve(m, config.bounds_resolution)
 
-    clouds = tuple(
-        baseline_cloud(h, config.fbm_sims, config.window.size,
-                       config.ordinal, config.seed)
-        for h in config.fbm_hursts
-    )
+    clouds = ()
+    if config.fbm_hursts:
+        from .fbm import baseline_cloud  # only a run with baseline clouds loads fbm
+
+        clouds = tuple(baseline_cloud(h, config.fbm_sims, config.window.size,
+                                      config.ordinal, config.seed)
+                       for h in config.fbm_hursts)
     return AnalysisBundle(
         config=config,
         input_digest=dataset.digest,
@@ -577,9 +487,6 @@ def _anova_table(bundle: AnalysisBundle) -> _Table:
     caveat = "overlapping-windows" if bundle.caveats else ""
     return _Table(("metric", *anova.header, "caveat"),
                   (list(results), *anova.columns, [caveat] * len(results)))
-
-
-PLOT_KINDS = ("entropy-evolution", "cecp-scatter", "cecp-means", "anova-intervals")
 
 
 def _plot_table(bundle: AnalysisBundle, kind: str,

@@ -126,6 +126,15 @@ class TimeSeries:
         return int(self.values.size)
 
 
+def _on_grid(values, timestamps: np.ndarray | None) -> TimeSeries:
+    """A :class:`TimeSeries` of ``values`` on ``timestamps``, a read-only
+    float64 grid as long as ``values`` that already passed
+    :func:`_grid_violation` (or ``None``); only the values are checked."""
+    series = TimeSeries(values)
+    object.__setattr__(series, "timestamps", timestamps)
+    return series
+
+
 @dataclass(frozen=True)
 class OrdinalConfig:
     """Embedding dimension (pattern length) and delay for symbolization."""

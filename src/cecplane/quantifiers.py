@@ -28,6 +28,7 @@ from typing import Union
 import numpy as np
 
 from .patterns import OrdinalConfig, PatternDistribution, TimeSeries, extract_pattern_distribution
+from .special import _off_plane
 
 __all__ = [
     "shannon_entropy",
@@ -170,16 +171,6 @@ def jensen_shannon_disequilibrium(p: ProbsLike, reference: ProbsLike) -> float:
     return q0_constant(p_arr.size) * _jsd(p_arr, _validate_probs(reference))
 
 
-def _off_plane(entropy: float, complexity: float) -> tuple[str, str] | None:
-    """The coordinate a point breaks and why, or ``None`` on the plane; a
-    coordinate read from elsewhere may sit up to 1e-12 off the plane."""
-    if not -1e-12 <= entropy <= 1.0 + 1e-12:
-        return "entropy", f"normalized entropy {entropy} outside [0, 1]"
-    if complexity < -1e-12:
-        return "complexity", f"complexity {complexity} negative"
-    return None
-
-
 @dataclass(frozen=True)
 class CecpPoint:
     """A location on the complexity-entropy plane."""
@@ -188,9 +179,9 @@ class CecpPoint:
     complexity: float
 
     def __post_init__(self):
-        error = _off_plane(self.entropy, self.complexity)
-        if error is not None:
-            raise ValueError(error[1])
+        for column, off, why in _off_plane(self.entropy, self.complexity):
+            if off:
+                raise ValueError(why.format(getattr(self, column)))
 
 
 def cecp_point(source: ProbsLike | TimeSeries, config: OrdinalConfig | None = None) -> CecpPoint:

@@ -16,17 +16,19 @@ vector is the difference at its end and start edges (the successive-pattern
 idea of Unakafova & Keller, Entropy 15:4392, 2013, without a per-window
 loop).  All windows then go through the plane-point kernel at once.  The
 counts, hence the points, are bit-identical to standalone per-window
-extraction.
+extraction.  The encoder and the kernel load when a series is rolled, so
+reading results back from a file loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .patterns import OrdinalConfig, TimeSeries, _encode_starts
-from .quantifiers import _plane_points
+if TYPE_CHECKING:
+    from .patterns import OrdinalConfig, TimeSeries
 
 __all__ = [
     "WindowParams",
@@ -102,6 +104,8 @@ def _window_counts(values: np.ndarray, config: OrdinalConfig, starts: np.ndarray
     end row minus its start row, subtracted into the gathered end rows.  The
     codes are freed before the rows are gathered.
     """
+    from .patterns import _encode_starts
+
     m = config.num_patterns
     edges = np.union1d(starts, starts + per_window)
     keys = _encode_starts(values, config)[edges[0]:edges[-1]]
@@ -121,6 +125,8 @@ def rolling_quantifiers(series: TimeSeries, params: WindowParams,
     A constant window is not an error: the tie rule maps it to a single
     pattern, hence to the plane origin (0, 0).
     """
+    from .quantifiers import _plane_points
+
     per_window = config.windows_in(params.size)
     if per_window < 1:
         raise ValueError(

@@ -4,7 +4,8 @@ Only the regularized incomplete beta function is needed — both the F and
 Student-t tail probabilities reduce to it — so it is implemented here
 directly (continued-fraction evaluation with a ``lgamma`` prefactor) instead
 of pulling in a scientific stack at runtime.  The test suite cross-checks
-these routines against independent high-precision oracles.
+these routines against independent high-precision oracles.  The plane
+rule shared by ``CecpPoint`` and the ``windows.csv`` reader lives here too.
 """
 
 from __future__ import annotations
@@ -59,6 +60,15 @@ def _betacf(a: float, b: float, x: float) -> float:
     raise ArithmeticError(
         f"incomplete beta continued fraction failed to converge for a={a}, b={b}, x={x}"
     )
+
+
+def _off_plane(entropy, complexity):
+    """``(column, off, why)`` per coordinate, for floats or float arrays:
+    an entropy outside [0, 1] or NaN, or a complexity below 0, beyond the
+    1e-12 a coordinate read from elsewhere may sit off the plane."""
+    return (("entropy", (entropy < -1e-12) | (entropy > 1.0 + 1e-12) | (entropy != entropy),
+             "normalized entropy {} outside [0, 1]"),
+            ("complexity", complexity < -1e-12, "complexity {} negative"))
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:

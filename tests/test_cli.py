@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cecplane
 from cecplane import (
     RunConfig,
     WindowParams,
@@ -576,3 +579,90 @@ class TestEntryPoints:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Runs the CLI on its arguments, then lists the modules it loaded on stderr.
+IMPORT_PROBE = """
+import sys
+from cecplane.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(*sorted(sys.modules), file=sys.stderr)
+"""
+SUBMODULES = ("patterns", "quantifiers", "bounds", "fbm", "rolling", "stats", "dataio")
+
+
+def loaded_modules(*argv) -> set[str]:
+    """The modules a fresh interpreter holds after one CLI command."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *map(str, argv)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+class TestImportContract:
+    """Each command imports only the modules it runs."""
+
+    def test_version_loads_no_numpy_and_no_pipeline(self):
+        modules = loaded_modules("--version")
+        assert "numpy" not in modules
+        assert {m for m in modules if m.startswith("cecplane")} == {"cecplane", "cecplane.cli"}
+
+    @pytest.mark.parametrize("command", ["rank", "anova", "spearman"])
+    def test_read_commands_skip_encoder_kernel_and_pipeline(self, workspace, tmp_path, command):
+        _, _, out = workspace
+        argv = [command, "--input", out / "windows.csv"]
+        if command == "spearman":
+            metric = tmp_path / "metric.csv"
+            metric.write_text("asset,mcap\nAAA,1\nBBB,3\nCCC,2\n")
+            argv += ["--metric", metric]
+        modules = loaded_modules(*argv)
+        assert {"cecplane.stats", "cecplane.rolling", "cecplane.special"} <= modules
+        for name in ("patterns", "quantifiers", "bounds", "fbm", "dataio"):
+            assert f"cecplane.{name}" not in modules
+
+    @pytest.mark.parametrize("argv,absent", [
+        (["bounds", "--dim", "3", "--resolution", "20"], ["fbm", "dataio", "stats", "rolling"]),
+        (["fbm", "--hurst", "0.5", "--sims", "4", "--length", "40"],
+         ["dataio", "stats", "bounds"]),
+    ])
+    def test_generators_skip_what_they_do_not_run(self, argv, absent):
+        modules = loaded_modules(*argv)
+        assert f"cecplane.{argv[0]}" in modules
+        for name in absent:
+            assert f"cecplane.{name}" not in modules
+
+
+class TestLazyPackage:
+    """``cecplane`` resolves its public names on first use."""
+
+    def test_names_are_the_submodule_objects(self):
+        for name in cecplane.__all__[1:]:
+            homes = [m for m in SUBMODULES
+                     if name in importlib.import_module(f"cecplane.{m}").__all__]
+            assert len(homes) == 1, (name, homes)
+            home = importlib.import_module(f"cecplane.{homes[0]}")
+            assert getattr(cecplane, name) is getattr(home, name)
+
+    def test_dir_and_star_import(self):
+        assert set(cecplane.__all__) <= set(dir(cecplane))
+        namespace = {}
+        exec("from cecplane import *", namespace)
+        assert set(cecplane.__all__) <= set(namespace)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cecplane.no_such_name
+        assert not hasattr(cecplane, "PatternIdx")
+
+    def test_fresh_import_loads_nothing_until_used(self):
+        probe = ("import sys, cecplane as cp; before = 'numpy' in sys.modules; "
+                 "kinds = cp.dataio.PLOT_KINDS; print(before, kinds == cp.PLOT_KINDS, "
+                 "cp.rank_assets is sys.modules['cecplane.stats'].rank_assets)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.stdout.split() == ["False", "True", "True"], proc.stderr

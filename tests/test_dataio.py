@@ -25,7 +25,9 @@ from cecplane import (
 )
 from cecplane import dataio
 from cecplane.cli import main as cli_main
-from cecplane.dataio import PLOT_KINDS, _sha256_file, _text
+from cecplane import patterns
+from cecplane._tables import _text
+from cecplane.dataio import PLOT_KINDS, _sha256_file
 from oracles import _fmt
 
 # Floats where the integral rule or the shortest repr is easy to get wrong.
@@ -358,6 +360,43 @@ class TestLoadPaths:
             loaded = _outcome(path, assets=assets, forward_fill=True)
         rows.assert_called_once()
         assert loaded[0] == "loaded" and loaded[4]["b"] == 1
+
+
+class TestGridCheckedOnce:
+    """The timestamps are checked once, where the file is read; the series
+    built from them share that read-only grid."""
+
+    @pytest.fixture
+    def grid_calls(self, monkeypatch):
+        calls = []
+
+        def spy(ts):
+            calls.append(ts.size)
+            return check(ts)
+
+        check = patterns._grid_violation
+        monkeypatch.setattr(patterns, "_grid_violation", spy)
+        monkeypatch.setattr(dataio, "_grid_violation", spy)
+        return calls
+
+    def test_one_check_per_load(self, tmp_path, grid_calls):
+        path = tmp_path / "d.csv"
+        write_dataset(make_synthetic_dataset([f"A{k:02d}" for k in range(12)], 400, seed=2),
+                      path)
+        grid_calls.clear()
+        ds = load_dataset(path)
+        assert grid_calls == [400]
+        first = ds.series["A00"].timestamps
+        assert not first.flags.writeable
+        assert all(s.timestamps is first for s in ds.series.values())
+        returns = [log_return_series(s) for s in ds.series.values()]
+        assert grid_calls == [400]
+        assert all(np.array_equal(r.timestamps, first[1:]) for r in returns)
+
+    def test_direct_series_still_checked(self, grid_calls):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            TimeSeries([1.0, 2.0, 3.0], [0.0, 1.0, 3.0])
+        assert grid_calls == [3]
 
 
 class TestIsoTimestamps:
