@@ -1,11 +1,14 @@
-"""The table model and the one CSV writer, shared by ``dataio`` and ``cli``.
+"""The table model, the one CSV writer and the one CSV reader, shared by
+``dataio`` and ``cli``.
 
 Every CSV written out — window tables, summaries, rankings, test results,
 envelopes, plot data, the CLI's stdout tables — is one ``_Table`` (a header
 plus typed columns), formatted a column at a time by ``_text`` and written by
-``_write``, so a rerun with the same inputs and seed is byte-identical.  The
-module imports numpy and the standard library only, so a command loads the
-schemas without the pipeline behind them.
+``_write``, so a rerun with the same inputs and seed is byte-identical.
+Every CSV read in — the dataset, ``windows.csv``, a ``--metric`` file — is
+opened by ``_read_csv``, under one set of rules and with every error located
+as ``{path}: line L[, column C]: message``.  The module imports numpy and the
+standard library only, so a command loads the schemas without the pipeline.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import sys
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -108,9 +111,124 @@ def _pairwise_table(pairwise: Sequence[PairwiseComparison]) -> _Table:
                   significant_5pct=p_value < 0.05, significant_1pct=p_value < 0.01)
 
 
-def _data_rows(reader):
-    """``(line, row)`` for every data row after the header; blank rows are
-    skipped but still counted."""
-    for line_no, row in enumerate(reader, start=2):
-        if any(map(str.strip, row)):
-            yield line_no, row
+def _located(path, line: int, column, message: str) -> ValueError:
+    return ValueError(f"{path}: line {line}, column {column!r}: {message}")
+
+
+@contextlib.contextmanager
+def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]], TextIO]]:
+    """Open the CSV input ``path`` under the package's reading rules; yields
+    its header, its ``(line, row)`` data rows, and the text stream just past
+    the header, which a bulk parser may read instead of the rows.
+
+    The text is UTF-8, and a byte-order mark is skipped.  The header's names
+    are stripped, and a file with no header or with a repeated name is an
+    error.  Data rows are numbered by line from 2; blank rows are skipped
+    but still counted, and a row whose cell count differs from the header's
+    is an error naming its first missing or extra column.  Bytes that are
+    not UTF-8 are an error at the line of the first of them, wherever the
+    stream is read.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader, [])]
+            if not header:
+                raise ValueError(f"{path}: line 1: empty file, expected a header row")
+            for k, name in enumerate(header):
+                if name in header[:k]:
+                    raise _located(path, 1, name, "duplicate column name")
+
+            def rows():
+                for line, row in enumerate(reader, start=2):
+                    if not any(map(str.strip, row)):
+                        continue
+                    if len(row) != len(header):
+                        column = header[len(row)] if len(row) < len(header) else len(header) + 1
+                        raise _located(path, line, column,
+                                       f"row has {len(row)} cells, header has {len(header)}")
+                    yield line, row
+
+            yield header, rows(), fh
+    except UnicodeDecodeError:
+        # Only this error path reads the file again.  A newline byte is never
+        # part of a UTF-8 character, so each line decodes alone, and a line
+        # loses bytes to "ignore" exactly when it holds a bad one.
+        with open(path, "rb") as raw:
+            line = next(k for k, text in enumerate(raw, start=1)
+                        if text.decode("utf-8", "ignore").encode() != text)
+        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
+
+
+def _parsed(cells, parse) -> list:
+    """``parse`` of each cell up to the first one it refuses, which is
+    therefore at the length of the result."""
+    values = []
+    with contextlib.suppress(ValueError):
+        values.extend(map(parse, cells))
+    return values
+
+
+class _Columns:
+    """A CSV input read whole by :func:`_read_csv` and checked a column at a
+    time: ``cells`` maps each name to its column of text, and row ``k`` is
+    on line ``lines[k]``.  Each rule keeps the first row it refuses;
+    :meth:`check` raises the one on the earliest line, rules in the order
+    they ran.  Reading stops at a ragged row, which is raised only when no
+    line above it has a defect.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.lines: list[int] = []
+        self._found: list[tuple[int, str, str]] = []  # (row, column, message)
+        self._ragged = None
+        table = []
+        with _read_csv(path) as (self.header, rows, _):
+            try:
+                for line, row in rows:
+                    self.lines.append(line)
+                    table.append(row)
+            except UnicodeDecodeError:
+                raise  # _read_csv locates it
+            except ValueError as exc:
+                self._ragged = exc
+        self.cells = dict(zip(self.header, zip(*table))) if table else dict.fromkeys(self.header, ())
+
+    def rule(self, bad, column: str, message: Callable[[int], str]) -> None:
+        """Keep the first row flagged in ``bad``, described by ``message(row)``."""
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            self._found.append((int(hits[0]), column, message(int(hits[0]))))
+
+    def ints(self, column: str) -> list[int]:
+        """The cells of ``column`` as ints, up to the first that is not one."""
+        cells = self.cells[column]
+        values = _parsed(cells, int)
+        self.rule(np.arange(len(cells)) == len(values), column,
+                  lambda k: f"{cells[k].strip()!r} is not an integer")
+        return values
+
+    def floats(self, column: str) -> np.ndarray:
+        """The cells of ``column`` as floats, up to the first that is not
+        one; each that is not a finite number is a defect."""
+        cells = self.cells[column]
+        values = np.array(_parsed(cells, float), dtype=np.float64)
+        self.rule(np.append(~np.isfinite(values), values.size < len(cells)), column,
+                  lambda k: f"{cells[k].strip()!r} is not a finite number")
+        return values
+
+    def repeats(self, keys, column: str, message: Callable[[int, int], str]) -> None:
+        """A key seen on an earlier row is a defect, described by
+        ``message(row, line of the key's first row)``."""
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        if len(first) < len(keys):
+            self.rule([first[key] < k for k, key in enumerate(keys)], column,
+                      lambda k: message(k, self.lines[first[keys[k]]]))
+
+    def check(self) -> None:
+        if self._found:
+            k, column, message = min(self._found, key=lambda defect: defect[0])
+            raise _located(self.path, self.lines[k], column, message)
+        if self._ragged is not None:
+            raise self._ragged

@@ -22,8 +22,6 @@ statistics and the table writer but not the encoder or the kernel.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -49,69 +47,6 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _located(path: str, line: int, column, message: str) -> ValueError:
-    return ValueError(f"{path}: line {line}, column {column!r}: {message}")
-
-
-def _read_table(path: str):
-    """The stripped header of a UTF-8 CSV file and its ``(line, row)`` data
-    rows, blank rows skipped.  Each defect is a ValueError naming the path
-    and the line: bytes that are not UTF-8, an empty file, a repeated column
-    name, and a row whose cell count differs from the header's (naming the
-    first missing or extra column).  A byte-order mark is skipped.
-    """
-    import csv
-    import io
-    from pathlib import Path
-
-    from ._tables import _data_rows
-
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line = raw[:exc.start].count(b"\n") + 1
-        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = [h.strip() for h in next(reader, [])]
-    if not header:
-        raise ValueError(f"{path}: line 1: empty file, expected a header row")
-    for k, name in enumerate(header):
-        if name in header[:k]:
-            raise _located(path, 1, name, "duplicate column name")
-
-    def rows():
-        for line, row in _data_rows(reader):
-            if len(row) != len(header):
-                column = header[len(row)] if len(row) < len(header) else len(header) + 1
-                raise _located(path, line, column,
-                               f"row has {len(row)} cells, header has {len(header)}")
-            yield line, row
-
-    return header, rows()
-
-
-def _cell(path: str, line: int, column: str, text: str) -> float:
-    """The cell as a finite float; an error naming the cell otherwise."""
-    text = text.strip()
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise _located(path, line, column, f"{text!r} is not a finite number")
-    return value
-
-
-def _parsed(cells, parse) -> list:
-    """``parse`` of each cell up to the first one it refuses, which is
-    therefore at the length of the result."""
-    values = []
-    with contextlib.suppress(ValueError):
-        values.extend(map(parse, cells))
-    return values
-
-
 _WINDOW_COLUMNS = ("asset", "window_index", "start_offset", "entropy", "complexity")
 
 
@@ -119,67 +54,42 @@ def _load_windows(path: str) -> dict[str, RollingResult]:
     """Rebuild per-asset rolling results from the analyze output schema.
 
     The header must name every column of ``_WINDOW_COLUMNS``; other columns
-    are ignored.  Besides the defects :func:`_read_table` reports, each of
-    these is an error naming its line and column, in this order along a
-    row: an empty asset label, a window index or start offset that is not
-    an integer in ``[0, 2**63)``, an entropy or complexity that is not
-    finite or off the plane, and a window listed twice.  Each column is
+    are ignored.  Besides the defects of the shared reader (``_tables``),
+    each of these is an error naming its line and column, in this order
+    along a row: an empty asset label, a window index or start offset that
+    is not an integer in ``[0, 2**63)``, an entropy or complexity that is
+    not finite or off the plane, and a window listed twice.  Each column is
     converted and checked whole, and the defect on the earliest line is
     reported.  Then each asset's window starts must advance by one constant
     stride.
     """
     import numpy as np
 
+    from ._tables import _Columns, _located
     from .rolling import RollingResult
     from .special import _off_plane
 
-    header, rows = _read_table(path)
-    if any(c not in header for c in _WINDOW_COLUMNS):
+    table = _Columns(path)
+    if any(c not in table.header for c in _WINDOW_COLUMNS):
         raise ValueError(f"{path}: line 1: expected columns "
-                         f"{sorted(_WINDOW_COLUMNS)}, got {header}")
-    lines, table, ragged = [], [], None
-    try:
-        for line, row in rows:
-            lines.append(line)
-            table.append(row)
-    except ValueError as exc:  # a ragged row; a line above it may hold a defect too
-        ragged = exc
-    if not table:
-        raise ragged or ValueError(f"{path}: line 1: header but no window rows")
-    n, cells = len(table), dict(zip(header, zip(*table)))
-    found = []  # (row, column, message) of each rule's first defect, in rule order
-
-    def rule(bad, column, message):
-        hits = np.flatnonzero(bad)
-        if hits.size:
-            found.append((int(hits[0]), column, message(int(hits[0]))))
-
-    rule([not a.strip() for a in cells["asset"]], "asset", lambda k: "empty asset label")
-    ints = {c: _parsed(cells[c], int) for c in ("window_index", "start_offset")}
-    for c, v in ints.items():
-        rule(np.arange(n) == len(v), c, lambda k: f"{cells[c][k].strip()!r} is not an integer")
+                         f"{sorted(_WINDOW_COLUMNS)}, got {table.header}")
+    if not table.lines:
+        table.check()
+        raise ValueError(f"{path}: line 1: header but no window rows")
+    cells = table.cells
+    table.rule([not a.strip() for a in cells["asset"]], "asset", lambda k: "empty asset label")
+    ints = {c: table.ints(c) for c in ("window_index", "start_offset")}
     for c, v in ints.items():
         big = np.array(v, dtype=object)
-        rule((big < 0) | (big >= 2**63), c, lambda k: f"{v[k]} is outside [0, 2**63)")
-    floats = {}
-    for c in ("entropy", "complexity"):
-        v = floats[c] = np.array(_parsed(cells[c], float), dtype=np.float64)
-        rule(np.append(~np.isfinite(v), v.size < n), c,
-             lambda k: f"{cells[c][k].strip()!r} is not a finite number")
+        table.rule((big < 0) | (big >= 2**63), c, lambda k: f"{v[k]} is outside [0, 2**63)")
+    floats = {c: table.floats(c) for c in ("entropy", "complexity")}
     m = min(v.size for v in floats.values())
     for c, off, why in _off_plane(floats["entropy"][:m], floats["complexity"][:m]):
-        rule(off, c, lambda k: why.format(floats[c][k].item()))
+        table.rule(off, c, lambda k: why.format(floats[c][k].item()))
     pairs = list(zip(cells["asset"], ints["window_index"]))
-    first = dict(zip(reversed(pairs), range(len(pairs) - 1, -1, -1)))
-    if len(first) < len(pairs):
-        rule([first[p] < k for k, p in enumerate(pairs)], "window_index",
-             lambda k: f"window {pairs[k][1]} of asset {pairs[k][0]!r} "
-                       f"already on line {lines[first[pairs[k]]]}")
-    if found:
-        k, column, message = min(found, key=lambda defect: defect[0])
-        raise _located(path, lines[k], column, message)
-    if ragged is not None:
-        raise ragged
+    table.repeats(pairs, "window_index", lambda k, line: f"window {pairs[k][1]} of asset "
+                                                         f"{pairs[k][0]!r} already on line {line}")
+    table.check()
 
     # Rows by asset in order of first appearance, by window index within one.
     codes: dict[str, int] = {}
@@ -193,7 +103,7 @@ def _load_windows(path: str) -> dict[str, RollingResult]:
         bad = np.flatnonzero((strides <= 0) | (strides != strides[:1]))
         if bad.size:
             k = int(bad[0]) + 1
-            raise _located(path, lines[at[k]], "start_offset",
+            raise _located(path, table.lines[at[k]], "start_offset",
                            f"asset {asset!r} window starts must advance by a constant "
                            f"positive stride; {starts[k]} follows {starts[k - 1]}, "
                            f"the first stride is {strides[0]}")
@@ -205,30 +115,24 @@ def _load_windows(path: str) -> dict[str, RollingResult]:
 
 def _load_metrics(path: str) -> dict[str, dict[str, float]]:
     """Per-metric ``{asset: value}`` from a CSV with an ``asset`` column and
-    one column per metric, in header order.  Besides the defects
-    :func:`_read_table` reports, an empty asset label, a metric that is not
-    a finite number and an asset listed twice are errors naming their line
-    and column.
+    one column per metric, in header order.  Besides the defects of the
+    shared reader (``_tables``), an empty asset label, an asset listed twice
+    and a metric that is not a finite number are errors naming their line
+    and column, the defect on the earliest line reported.
     """
-    header, rows = _read_table(path)
-    if "asset" not in header:
-        raise ValueError(f"{path}: line 1: expected an 'asset' column, got {header}")
-    columns = [(k, name) for k, name in enumerate(header) if name != "asset"]
-    if not columns:
+    from ._tables import _Columns
+
+    table = _Columns(path)
+    if "asset" not in table.header:
+        raise ValueError(f"{path}: line 1: expected an 'asset' column, got {table.header}")
+    names = [name for name in table.header if name != "asset"]
+    if not names:
         raise ValueError(f"{path}: line 1: no metric columns besides 'asset'")
-    at = header.index("asset")
-    metrics: dict[str, dict[str, float]] = {name: {} for _, name in columns}
-    first_line: dict[str, int] = {}
-    for line, row in rows:
-        asset = row[at]
-        if not asset.strip():
-            raise _located(path, line, "asset", "empty asset label")
-        if asset in first_line:
-            raise _located(path, line, "asset",
-                           f"asset {asset!r} already on line {first_line[asset]}")
-        first_line[asset] = line
-        for k, name in columns:
-            metrics[name][asset] = _cell(path, line, name, row[k])
+    assets = table.cells["asset"]
+    table.rule([not a.strip() for a in assets], "asset", lambda k: "empty asset label")
+    table.repeats(assets, "asset", lambda k, line: f"asset {assets[k]!r} already on line {line}")
+    metrics = {name: dict(zip(assets, table.floats(name).tolist())) for name in names}
+    table.check()
     return metrics
 
 

@@ -2,8 +2,10 @@
 
 The on-disk format is a headed CSV whose first column is a timestamp
 (ISO-8601 or plain number) and whose remaining columns are one numeric
-series per asset.  A file of plain numbers is read in one ``np.loadtxt``
-pass; the row reader handles everything else: ISO-8601 timestamps, gaps for
+series per asset, read under the package's one set of CSV reading rules
+(``_tables._read_csv``).  A file of plain numbers is read in one
+``np.loadtxt`` pass that continues from the reader's open stream; the row
+reader handles everything else: ISO-8601 timestamps, gaps for
 ``forward_fill``, cells only ``float`` accepts (``1_0``, non-ASCII digits),
 and every defect, which it reports with its line.  The input alone picks the
 path, and both give the same dataset bit for bit.  Loading holds at most the
@@ -16,8 +18,8 @@ Every CSV written back out is one ``_Table`` of ``_tables``, written by its
 
 from __future__ import annotations
 
-import csv
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -28,8 +30,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import PLOT_KINDS, __version__
-from ._tables import (_bounds_table, _clouds_table, _data_rows, _pairwise_table,
-                      _ranking_table, _records, _table, _Table, _text, _write)
+from ._tables import (_bounds_table, _clouds_table, _located, _pairwise_table,
+                      _ranking_table, _read_csv, _records, _table, _Table, _text, _write)
 from .bounds import BoundCurve, lower_bound_curve, upper_bound_curve
 from .patterns import OrdinalConfig, TimeSeries, _grid_violation, _on_grid
 from .rolling import RollingResult, WindowParams, rolling_quantifiers
@@ -106,7 +108,7 @@ class Dataset:
         return len(next(iter(self.series.values())))
 
 
-def _parse_timestamp(cell: str, line: int) -> float:
+def _parse_timestamp(cell: str) -> float:
     text = cell.strip()
     try:
         value = float(text)
@@ -116,26 +118,20 @@ def _parse_timestamp(cell: str, line: int) -> float:
         try:
             dt = datetime.fromisoformat(text)
         except ValueError:
-            raise ValueError(
-                f"line {line}: timestamp {cell!r} is neither numeric nor ISO-8601"
-            ) from None
+            raise ValueError(f"timestamp {cell!r} is neither numeric nor ISO-8601") from None
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)  # naive timestamps read as UTC
         return dt.timestamp()
     if not math.isfinite(value):
-        raise ValueError(f"line {line}: timestamp {cell!r} is not finite")
+        raise ValueError(f"timestamp {cell!r} is not finite")
     return value
 
 
 def _grid_error(path: Path, ts: np.ndarray, index: int, rule: str) -> ValueError:
     """Name the line of data row ``index``, found by reading the file again
     so that loading keeps no per-row line numbers."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for k, (line_no, row) in enumerate(_data_rows(reader)):
-            if k == index:
-                break
+    with _read_csv(path) as (_, rows, _):
+        line_no, row = next(itertools.islice(rows, index, None))
     step, first = _text(np.array([ts[index] - ts[index - 1], ts[1] - ts[0]]))
     return ValueError(
         f"{path}: line {line_no}: timestamps must be {rule}; {row[0].strip()!r} comes "
@@ -172,42 +168,31 @@ def _read_numeric(fh, n_cols: int, used: list[int]) -> list[np.ndarray] | None:
     return [np.ascontiguousarray(table[:, j]) for j in used]
 
 
-def _read_rows(path: Path, n_cols: int, col_idx: dict[str, int],
-               forward_fill: bool):
+def _read_rows(path: Path, col_idx: dict[str, int], forward_fill: bool):
     """Row-by-row reader: every located error, ISO-8601 timestamps and
     forward filling.  Returns timestamps, per-asset values and fill counts."""
     timestamps: list[float] = []
     values: dict[str, list[float]] = {a: [] for a in col_idx}
     fill_counts = {a: 0 for a in col_idx}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for line_no, row in _data_rows(reader):
-            if len(row) != n_cols:
-                raise ValueError(
-                    f"{path}: line {line_no} has {len(row)} cells, header has {n_cols}"
-                )
-            timestamps.append(_parse_timestamp(row[0], line_no))
+    with _read_csv(path) as (header, rows, _):
+        for line_no, row in rows:
+            try:
+                timestamps.append(_parse_timestamp(row[0]))
+            except ValueError as exc:
+                raise _located(path, line_no, header[0], str(exc)) from None
             for asset, idx in col_idx.items():
                 cell = row[idx].strip()
-                parsed: float | None
                 try:
                     parsed = float(cell)
-                    if not math.isfinite(parsed):
-                        parsed = None
                 except ValueError:
-                    parsed = None
-                if parsed is None:
+                    parsed = math.nan
+                if not math.isfinite(parsed):
                     if not forward_fill:
-                        raise ValueError(
-                            f"{path}: line {line_no}, column {asset!r}: "
-                            f"missing or non-numeric value {cell!r}"
-                        )
+                        raise _located(path, line_no, asset,
+                                       f"missing or non-numeric value {cell!r}")
                     if not values[asset]:
-                        raise ValueError(
-                            f"{path}: line {line_no}, column {asset!r}: "
-                            "cannot forward-fill before any valid value"
-                        )
+                        raise _located(path, line_no, asset,
+                                       "cannot forward-fill before any valid value")
                     parsed = values[asset][-1]
                     fill_counts[asset] += 1
                 values[asset].append(parsed)
@@ -234,23 +219,19 @@ def load_dataset(path, assets: Sequence[str] | None = None,
     Every other file (ISO-8601 timestamps, gaps to fill, cells such as
     ``1_0`` that ``float`` accepts but loadtxt does not, any defect to
     report) goes through the row reader.  Both give the same dataset, bit for
-    bit, and the same errors.  ``Dataset.digest`` is the sha256 of the file,
-    streamed a block at a time.
+    bit, and the same errors.  Both read through ``_tables._read_csv``, so
+    encoding, header, blank and ragged rows follow the rules of every CSV
+    input.  ``Dataset.digest`` is the sha256 of the file, streamed a block
+    at a time.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such dataset file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
+    with _read_csv(path) as (header, _, stream):
         if len(header) < 2:
-            raise ValueError(f"{path}: header must name a timestamp and at least one asset")
-        ts_label, *columns = [h.strip() for h in header]
-        if len(set(columns)) != len(columns):
-            raise ValueError(f"{path}: duplicate column names in header")
+            raise ValueError(
+                f"{path}: line 1: header must name a timestamp and at least one asset")
+        ts_label, *columns = header
         selected = list(columns) if assets is None else list(assets)
         if len(set(selected)) != len(selected):
             raise ValueError(f"{path}: duplicate requested columns: {selected}")
@@ -258,10 +239,10 @@ def load_dataset(path, assets: Sequence[str] | None = None,
         if missing:
             raise ValueError(f"{path}: requested columns not in header: {missing}")
         col_idx = {a: columns.index(a) + 1 for a in selected}
-        numeric = _read_numeric(fh, len(header), [0, *col_idx.values()])
+        numeric = _read_numeric(stream, len(header), [0, *col_idx.values()])
 
     if numeric is None:
-        ts, values, fill_counts = _read_rows(path, len(header), col_idx, forward_fill)
+        ts, values, fill_counts = _read_rows(path, col_idx, forward_fill)
     else:
         ts, *value_columns = numeric
         values = dict(zip(col_idx, value_columns))

@@ -7,9 +7,8 @@ exactly in distribution by circulant embedding of its autocovariance
 
 (Davies-Harte, Biometrika 74:95, 1987).  The minimal embedding is
 nonnegative definite for every Hurst exponent, so an inadmissible one is an
-error, not a case to fall back from.  Exact sequential conditional sampling
-via the Levinson-Durbin recursion (Hosking's method) remains available on
-request as an independent route.  Cumulative sums of fGn give fBm paths.
+error, not a case to fall back from.  Cumulative sums of fGn give fBm
+paths.
 
 ``baseline_cloud`` summarizes the plane positions of many independent paths,
 the reference crosses drawn alongside empirical trajectories.  All paths of a
@@ -140,51 +139,16 @@ def _fgn_circulant(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.fft.fft(w)[:, :n].real
 
 
-def _fgn_conditional(gamma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Hosking's sequential exact method, O(n^2).
-
-    Each sample is drawn from its exact Gaussian conditional given all
-    previous ones; the prediction coefficients are updated by the
-    Levinson-Durbin recursion.
-    """
-    n = gamma.size - 1
-    z = rng.standard_normal(n)
-    x = np.empty(n)
-    x[0] = math.sqrt(gamma[0]) * z[0]
-    phi = np.empty(n)  # phi[:t] are the order-t prediction coefficients
-    var = gamma[0]
-    for t in range(1, n):
-        kappa = (gamma[t] - phi[:t - 1] @ gamma[t - 1:0:-1]) / var
-        # RHS is materialized before assignment; the reversed view aliases phi[:t-1].
-        phi[:t - 1] = phi[:t - 1] - kappa * phi[:t - 1][::-1]
-        phi[t - 1] = kappa
-        var *= 1.0 - kappa * kappa
-        x[t] = phi[:t] @ x[t - 1::-1] + math.sqrt(var) * z[t]
-    return x
-
-
-def generate_fgn(spec: FbmSpec, method: str = "auto") -> TimeSeries:
-    """Fractional Gaussian noise of ``spec.length`` samples.
-
-    ``method`` selects the synthesis route: ``"circulant"`` (Davies-Harte;
-    ``"auto"`` is the same route, since the embedding is always admissible)
-    or ``"conditional"`` (Hosking).  Both routes are exact in distribution
-    and consume the generator stream differently, so the same seed gives
-    different — equally valid — paths per method.
-    """
-    if method not in ("auto", "circulant", "conditional"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "conditional":
-        gamma = fgn_autocovariance(spec.hurst, np.arange(spec.length + 1))
-        return TimeSeries(_fgn_conditional(gamma, np.random.default_rng(spec.seed)))
+def generate_fgn(spec: FbmSpec) -> TimeSeries:
+    """Fractional Gaussian noise of ``spec.length`` samples (Davies-Harte)."""
     lam = _circulant_eigenvalues(spec.hurst, spec.length)
     return TimeSeries(_fgn_circulant(lam, _standard_normals([spec.seed], lam.size))[0])
 
 
-def generate_fbm(spec: FbmSpec, method: str = "auto") -> TimeSeries:
+def generate_fbm(spec: FbmSpec) -> TimeSeries:
     """Fractional Brownian motion path: cumulative sum of fGn, starting at
     the first increment (the implicit ``X_0 = 0`` is not emitted)."""
-    return TimeSeries(np.cumsum(generate_fgn(spec, method=method).values))
+    return TimeSeries(np.cumsum(generate_fgn(spec).values))
 
 
 def baseline_cloud(hurst: float, sims: int, length: int,

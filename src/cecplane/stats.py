@@ -14,6 +14,7 @@ summation order, and p-values come from the local incomplete-beta routines
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, permutations
 from typing import Iterable, Mapping, Sequence
@@ -181,20 +182,11 @@ def rank_assets(summaries: Sequence[AssetSummary]) -> list[RankingEntry]:
     labels = [s.asset for s in summaries]
     if len(set(labels)) != len(labels):
         raise ValueError("asset labels must be distinct")
-    decorated = sorted(
-        ((efficiency_distance(s), s.asset) for s in summaries), key=lambda t: t[0]
-    )
-    entries: list[RankingEntry] = []
-    i = 0
-    while i < len(decorated):
-        j = i
-        while j + 1 < len(decorated) and decorated[j + 1][0] == decorated[i][0]:
-            j += 1
-        avg_rank = 0.5 * (i + j) + 1.0
-        for distance, asset in decorated[i:j + 1]:
-            entries.append(RankingEntry(asset, distance, avg_rank, tied=j > i))
-        i = j + 1
-    return entries
+    distances = [efficiency_distance(s) for s in summaries]
+    ranks = average_ranks(distances).tolist()
+    group_size = Counter(distances)
+    return [RankingEntry(labels[k], distances[k], ranks[k], group_size[distances[k]] > 1)
+            for k in sorted(range(len(distances)), key=distances.__getitem__)]
 
 
 def _as_groups(groups) -> list[tuple[str, np.ndarray]]:

@@ -10,6 +10,8 @@ clarity rather than speed:
 * :func:`argsort_encode_starts` is the stable-argsort Lehmer encoder;
 * :func:`fbm_d3_probabilities` is the closed form of the D = 3 pattern
   probabilities of fractional Brownian motion;
+* :func:`fgn_conditional` is Hosking's sequential sampler of fractional
+  Gaussian noise, a second exact route beside the package's circulant one;
 * :func:`_fmt` formats one output cell at a time, the reference for the
   package's column formatter.
 
@@ -105,6 +107,30 @@ def fbm_d3_probabilities(hurst: float) -> np.ndarray:
     probs = np.full(6, (1.0 - 2.0 * monotone) / 4.0)
     probs[[0, 5]] = monotone
     return probs
+
+
+def fgn_conditional(gamma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Hosking's sequential exact method, O(n^2), for the fGn whose
+    autocovariance at lags ``0..n`` is ``gamma``.
+
+    Each sample is drawn from its exact Gaussian conditional given all
+    previous ones; the prediction coefficients are updated by the
+    Levinson-Durbin recursion.
+    """
+    n = gamma.size - 1
+    z = rng.standard_normal(n)
+    x = np.empty(n)
+    x[0] = math.sqrt(gamma[0]) * z[0]
+    phi = np.empty(n)  # phi[:t] are the order-t prediction coefficients
+    var = gamma[0]
+    for t in range(1, n):
+        kappa = (gamma[t] - phi[:t - 1] @ gamma[t - 1:0:-1]) / var
+        # RHS is materialized before assignment; the reversed view aliases phi[:t-1].
+        phi[:t - 1] = phi[:t - 1] - kappa * phi[:t - 1][::-1]
+        phi[t - 1] = kappa
+        var *= 1.0 - kappa * kappa
+        x[t] = phi[:t] @ x[t - 1::-1] + math.sqrt(var) * z[t]
+    return x
 
 
 def _fmt(value) -> str:

@@ -244,7 +244,7 @@ def test_c7_fbm_baselines():
 
     n = 1_000_000
     hurst = 0.7
-    x = generate_fgn(FbmSpec(hurst, n, 2026), method="circulant").values
+    x = generate_fgn(FbmSpec(hurst, n, 2026)).values
     xc = x - x.mean()
     lags = np.arange(6)
     gamma = fgn_autocovariance(hurst, lags)

@@ -531,6 +531,29 @@ class TestLoadMetrics:
                                      "asset 'AAA' already on line 2")
 
 
+class TestBadBytes:
+    """A byte that is not UTF-8 is reported the same way in both CLI inputs."""
+
+    def test_windows_and_metric_files_name_the_line(self, workspace, tmp_path, capsys):
+        _, _, out = workspace
+        windows = tmp_path / "windows.csv"
+        lines = (out / "windows.csv").read_bytes().splitlines(keepends=True)
+        windows.write_bytes(b"".join(lines[:2]) + b"\xff" + b"".join(lines[2:]))
+        metric = tmp_path / "metrics.csv"
+        metric.write_bytes(b"asset,mcap\nAAA,1\n\xffBBB,2\nCCC,3\n")
+        messages = {}
+        for path, argv in [(windows, ["rank", "--input", str(windows)]),
+                           (metric, ["spearman", "--input", str(out / "windows.csv"),
+                                     "--metric", str(metric)])]:
+            rc, stdout, err = run_main(capsys, argv)
+            assert rc == 1 and stdout == ""
+            record = json.loads(err)
+            assert record["error"] == "ValueError"
+            messages[path] = record["message"]
+        assert messages == {path: f"{path}: line 3: not UTF-8 text"
+                            for path in (windows, metric)}
+
+
 class TestSpearman:
     def test_correlation_table(self, workspace, capsys, tmp_path):
         _, _, out = workspace

@@ -221,7 +221,53 @@ class TestLoadErrors:
         assert len(lines) == 1
         record = json.loads(lines[0])
         assert record["error"] == "ValueError"
-        assert "line 3 has 2 cells, header has 3" in record["message"]
+        assert record["message"] == f"{p}: line 3, column 'eth': row has 2 cells, header has 3"
+
+
+class TestReadingRules:
+    """The dataset is read under the same rules as every other CSV input."""
+
+    def test_byte_order_mark_skipped_on_both_paths(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\ufefftimestamp,btc\n0,1.0\n300,2.0\n")
+        assert load_dataset(p).timestamp_label == "timestamp"
+        loaded = _row_reader_outcome(p)
+        assert loaded[0] == "loaded" and loaded[2] == "timestamp"
+
+    def test_bad_timestamp_names_path_line_and_column(self, tmp_path):
+        p = write_lines(tmp_path / "d.csv", ["timestamp,btc", "xx,1.0"])
+        with pytest.raises(ValueError) as exc:
+            load_dataset(p)
+        assert str(exc.value).startswith(f"{p}: line 2, column 'timestamp': ")
+
+    # line 3 is read with the header; line 5000 is past the first block the
+    # text stream decodes, so the one-pass read meets it first
+    @pytest.mark.parametrize("bad_line", [3, 5000])
+    def test_bad_byte_names_its_line(self, tmp_path, bad_line):
+        lines = [b"timestamp,btc"] + [b"%d,1.5" % (300 * i) for i in range(bad_line)]
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b"1.5", b"\xff1.5")
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        message = f"{p}: line {bad_line}: not UTF-8 text"
+        with pytest.raises(ValueError) as exc:
+            load_dataset(p)
+        assert str(exc.value) == message
+        assert _row_reader_outcome(p) == ("raised", "ValueError", message)
+
+    def test_bad_byte_is_one_json_line(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"timestamp,btc\n0,1.0\n300,\xe92.0\n600,3.0\n")
+        rc = cli_main(["analyze", "--input", str(p), "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 1 and len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError",
+                                        "message": f"{p}: line 3: not UTF-8 text"}
+
+    def test_repeated_timestamp_name_is_located(self, tmp_path):
+        p = write_lines(tmp_path / "d.csv", ["t,t,x", "0,1.0,2.0", "300,1.5,2.5"])
+        with pytest.raises(ValueError) as exc:
+            load_dataset(p)
+        assert str(exc.value) == f"{p}: line 1, column 't': duplicate column name"
 
 
 def _outcome(path, **kwargs):

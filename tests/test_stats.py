@@ -4,6 +4,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cecplane import (
     AnovaResult,
@@ -118,6 +120,23 @@ class TestRankAssets:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rank_assets([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.7, 0.8, 0.9, 1.0]),
+                              st.sampled_from([0.0, 0.05, 0.1])),
+                    min_size=1, max_size=12))
+    def test_ties_match_rankdata(self, points):
+        # a few plane positions, so equal distances are common
+        summaries = [mk_summary(f"a{k}", h, c) for k, (h, c) in enumerate(points)]
+        distances = [efficiency_distance(s) for s in summaries]
+        ranking = rank_assets(summaries)
+        position = [int(e.asset[1:]) for e in ranking]
+        assert position == sorted(range(len(points)), key=distances.__getitem__)
+        expected = scipy.stats.rankdata(distances, method="average")
+        assert [e.rank for e in ranking] == [expected[k] for k in position]
+        assert [e.distance for e in ranking] == [distances[k] for k in position]
+        assert [e.tied for e in ranking] == [distances.count(distances[k]) > 1
+                                             for k in position]
 
 
 class TestOneWayAnova:
