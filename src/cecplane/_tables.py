@@ -6,8 +6,10 @@ envelopes, plot data, the CLI's stdout tables — is one ``_Table`` (a header
 plus typed columns), formatted a column at a time by ``_text`` and written by
 ``_write``, so a rerun with the same inputs and seed is byte-identical.
 Every CSV read in — the dataset, ``windows.csv``, a ``--metric`` file — is
-opened by ``_read_csv``, under one set of rules and with every error located
-as ``{path}: line L[, column C]: message``.  The module imports numpy and the
+opened by ``_read_csv``, under one set of rules, and checked in the one pass
+that reads its rows: the first defect in reading order is the one reported,
+located at the physical line its record starts on as
+``{path}: line L[, column C]: message``.  The module imports numpy and the
 standard library only, so a command loads the schemas without the pipeline.
 """
 
@@ -15,8 +17,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import sys
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -115,6 +118,21 @@ def _located(path, line: int, column, message: str) -> ValueError:
     return ValueError(f"{path}: line {line}, column {column!r}: {message}")
 
 
+def _cell(path, line: int, column: str, text: str, kind: type[int] | type[float]):
+    """The cell ``text`` as an int in ``[0, 2**63)`` or a finite float, as
+    ``kind`` says; anything else is an error at its line and column."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if kind is int and value is not None and not 0 <= value < 2**63:
+        raise _located(path, line, column, f"{value} is outside [0, 2**63)")
+    if value is None or not math.isfinite(value):
+        what = "an integer" if kind is int else "a finite number"
+        raise _located(path, line, column, f"{text.strip()!r} is not {what}")
+    return value
+
+
 @contextlib.contextmanager
 def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]], TextIO]]:
     """Open the CSV input ``path`` under the package's reading rules; yields
@@ -123,11 +141,11 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
 
     The text is UTF-8, and a byte-order mark is skipped.  The header's names
     are stripped, and a file with no header or with a repeated name is an
-    error.  Data rows are numbered by line from 2; blank rows are skipped
-    but still counted, and a row whose cell count differs from the header's
-    is an error naming its first missing or extra column.  Bytes that are
-    not UTF-8 are an error at the line of the first of them, wherever the
-    stream is read.
+    error.  A data row is numbered by the physical line its record starts
+    on, so a quoted cell that spans lines and a skipped blank row both count;
+    a row whose cell count differs from the header's is an error naming its
+    first missing or extra column.  Bytes that are not UTF-8 are an error at
+    the line of the first of them, wherever the stream is read.
     """
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -140,7 +158,9 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
                     raise _located(path, 1, name, "duplicate column name")
 
             def rows():
-                for line, row in enumerate(reader, start=2):
+                start = reader.line_num + 1
+                for row in reader:
+                    line, start = start, reader.line_num + 1
                     if not any(map(str.strip, row)):
                         continue
                     if len(row) != len(header):
@@ -158,77 +178,3 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
             line = next(k for k, text in enumerate(raw, start=1)
                         if text.decode("utf-8", "ignore").encode() != text)
         raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
-
-
-def _parsed(cells, parse) -> list:
-    """``parse`` of each cell up to the first one it refuses, which is
-    therefore at the length of the result."""
-    values = []
-    with contextlib.suppress(ValueError):
-        values.extend(map(parse, cells))
-    return values
-
-
-class _Columns:
-    """A CSV input read whole by :func:`_read_csv` and checked a column at a
-    time: ``cells`` maps each name to its column of text, and row ``k`` is
-    on line ``lines[k]``.  Each rule keeps the first row it refuses;
-    :meth:`check` raises the one on the earliest line, rules in the order
-    they ran.  Reading stops at a ragged row, which is raised only when no
-    line above it has a defect.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self.lines: list[int] = []
-        self._found: list[tuple[int, str, str]] = []  # (row, column, message)
-        self._ragged = None
-        table = []
-        with _read_csv(path) as (self.header, rows, _):
-            try:
-                for line, row in rows:
-                    self.lines.append(line)
-                    table.append(row)
-            except UnicodeDecodeError:
-                raise  # _read_csv locates it
-            except ValueError as exc:
-                self._ragged = exc
-        self.cells = dict(zip(self.header, zip(*table))) if table else dict.fromkeys(self.header, ())
-
-    def rule(self, bad, column: str, message: Callable[[int], str]) -> None:
-        """Keep the first row flagged in ``bad``, described by ``message(row)``."""
-        hits = np.flatnonzero(bad)
-        if hits.size:
-            self._found.append((int(hits[0]), column, message(int(hits[0]))))
-
-    def ints(self, column: str) -> list[int]:
-        """The cells of ``column`` as ints, up to the first that is not one."""
-        cells = self.cells[column]
-        values = _parsed(cells, int)
-        self.rule(np.arange(len(cells)) == len(values), column,
-                  lambda k: f"{cells[k].strip()!r} is not an integer")
-        return values
-
-    def floats(self, column: str) -> np.ndarray:
-        """The cells of ``column`` as floats, up to the first that is not
-        one; each that is not a finite number is a defect."""
-        cells = self.cells[column]
-        values = np.array(_parsed(cells, float), dtype=np.float64)
-        self.rule(np.append(~np.isfinite(values), values.size < len(cells)), column,
-                  lambda k: f"{cells[k].strip()!r} is not a finite number")
-        return values
-
-    def repeats(self, keys, column: str, message: Callable[[int, int], str]) -> None:
-        """A key seen on an earlier row is a defect, described by
-        ``message(row, line of the key's first row)``."""
-        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-        if len(first) < len(keys):
-            self.rule([first[key] < k for k, key in enumerate(keys)], column,
-                      lambda k: message(k, self.lines[first[keys[k]]]))
-
-    def check(self) -> None:
-        if self._found:
-            k, column, message = min(self._found, key=lambda defect: defect[0])
-            raise _located(self.path, self.lines[k], column, message)
-        if self._ragged is not None:
-            raise self._ragged

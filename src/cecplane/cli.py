@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from . import PLOT_KINDS, __version__
@@ -54,90 +55,98 @@ def _load_windows(path: str) -> dict[str, RollingResult]:
     """Rebuild per-asset rolling results from the analyze output schema.
 
     The header must name every column of ``_WINDOW_COLUMNS``; other columns
-    are ignored.  Besides the defects of the shared reader (``_tables``),
-    each of these is an error naming its line and column, in this order
-    along a row: an empty asset label, a window index or start offset that
-    is not an integer in ``[0, 2**63)``, an entropy or complexity that is
-    not finite or off the plane, and a window listed twice.  Each column is
-    converted and checked whole, and the defect on the earliest line is
-    reported.  Then each asset's window starts must advance by one constant
-    stride.
+    are ignored.  Rows are checked as they are read, under the shared
+    reader's rules (``_tables``), and the first defect met is raised.  Along
+    a row these are errors naming the line and column, in this order: an
+    empty asset label; a window index, then a start offset, that is not an
+    integer in ``[0, 2**63)``; an entropy, then a complexity, that is not a
+    finite number, then off the plane; a window listed twice.  Then each
+    asset's window starts, by window index, must advance by one constant
+    stride.  Assets keep their order of first appearance.
     """
     import numpy as np
 
-    from ._tables import _Columns, _located
+    from ._tables import _cell, _located, _read_csv
     from .rolling import RollingResult
     from .special import _off_plane
 
-    table = _Columns(path)
-    if any(c not in table.header for c in _WINDOW_COLUMNS):
-        raise ValueError(f"{path}: line 1: expected columns "
-                         f"{sorted(_WINDOW_COLUMNS)}, got {table.header}")
-    if not table.lines:
-        table.check()
+    windows: dict[str, dict[int, tuple]] = {}  # asset -> {index: (line, start, H, C)}
+    with _read_csv(path) as (header, rows, _):
+        if any(c not in header for c in _WINDOW_COLUMNS):
+            raise ValueError(f"{path}: line 1: expected columns "
+                             f"{sorted(_WINDOW_COLUMNS)}, got {header}")
+        cells = itemgetter(*map(header.index, _WINDOW_COLUMNS))
+        for line, row in rows:
+            asset, index, start, entropy, complexity = cells(row)
+            if not asset.strip():
+                raise _located(path, line, "asset", "empty asset label")
+            index = _cell(path, line, "window_index", index, int)
+            start = _cell(path, line, "start_offset", start, int)
+            point = (_cell(path, line, "entropy", entropy, float),
+                     _cell(path, line, "complexity", complexity, float))
+            for value, (c, off, why) in zip(point, _off_plane(*point)):
+                if off:
+                    raise _located(path, line, c, why.format(value))
+            seen = windows.setdefault(asset, {})
+            if index in seen:
+                raise _located(path, line, "window_index", f"window {index} of asset "
+                               f"{asset!r} already on line {seen[index][0]}")
+            seen[index] = (line, start, *point)
+    if not windows:
         raise ValueError(f"{path}: line 1: header but no window rows")
-    cells = table.cells
-    table.rule([not a.strip() for a in cells["asset"]], "asset", lambda k: "empty asset label")
-    ints = {c: table.ints(c) for c in ("window_index", "start_offset")}
-    for c, v in ints.items():
-        big = np.array(v, dtype=object)
-        table.rule((big < 0) | (big >= 2**63), c, lambda k: f"{v[k]} is outside [0, 2**63)")
-    floats = {c: table.floats(c) for c in ("entropy", "complexity")}
-    m = min(v.size for v in floats.values())
-    for c, off, why in _off_plane(floats["entropy"][:m], floats["complexity"][:m]):
-        table.rule(off, c, lambda k: why.format(floats[c][k].item()))
-    pairs = list(zip(cells["asset"], ints["window_index"]))
-    table.repeats(pairs, "window_index", lambda k, line: f"window {pairs[k][1]} of asset "
-                                                         f"{pairs[k][0]!r} already on line {line}")
-    table.check()
-
-    # Rows by asset in order of first appearance, by window index within one.
-    codes: dict[str, int] = {}
-    code = np.array([codes.setdefault(a, len(codes)) for a in cells["asset"]])
-    order = np.lexsort((np.array(ints["window_index"], dtype=np.int64), code))
-    all_starts = np.array(ints["start_offset"], dtype=np.int64)
     results = {}
-    for asset, at in zip(codes, np.split(order, np.cumsum(np.bincount(code))[:-1])):
-        starts = all_starts[at]
+    for asset, seen in windows.items():
+        lines, starts, entropies, complexities = zip(*(seen[k] for k in sorted(seen)))
         strides = np.diff(starts)
         bad = np.flatnonzero((strides <= 0) | (strides != strides[:1]))
         if bad.size:
             k = int(bad[0]) + 1
-            raise _located(path, table.lines[at[k]], "start_offset",
+            raise _located(path, lines[k], "start_offset",
                            f"asset {asset!r} window starts must advance by a constant "
                            f"positive stride; {starts[k]} follows {starts[k - 1]}, "
                            f"the first stride is {strides[0]}")
         # samples_per_window is not recorded in the file format
-        results[asset] = RollingResult(asset, starts, floats["entropy"][at],
-                                       floats["complexity"][at], samples_per_window=0)
+        results[asset] = RollingResult(asset, starts, entropies, complexities,
+                                       samples_per_window=0)
     return results
 
 
 def _load_metrics(path: str) -> dict[str, dict[str, float]]:
     """Per-metric ``{asset: value}`` from a CSV with an ``asset`` column and
-    one column per metric, in header order.  Besides the defects of the
-    shared reader (``_tables``), an empty asset label, an asset listed twice
-    and a metric that is not a finite number are errors naming their line
-    and column, the defect on the earliest line reported.
+    one column per metric, in header order.  Rows are checked as they are
+    read, under the shared reader's rules (``_tables``), and the first
+    defect met is raised.  Along a row these are errors naming the line and
+    column, in this order: an empty asset label, an asset listed twice, and
+    a metric that is not a finite number, in header order.
     """
-    from ._tables import _Columns
+    from ._tables import _cell, _located, _read_csv
 
-    table = _Columns(path)
-    if "asset" not in table.header:
-        raise ValueError(f"{path}: line 1: expected an 'asset' column, got {table.header}")
-    names = [name for name in table.header if name != "asset"]
-    if not names:
-        raise ValueError(f"{path}: line 1: no metric columns besides 'asset'")
-    assets = table.cells["asset"]
-    table.rule([not a.strip() for a in assets], "asset", lambda k: "empty asset label")
-    table.repeats(assets, "asset", lambda k, line: f"asset {assets[k]!r} already on line {line}")
-    metrics = {name: dict(zip(assets, table.floats(name).tolist())) for name in names}
-    table.check()
+    with _read_csv(path) as (header, rows, _):
+        if "asset" not in header:
+            raise ValueError(f"{path}: line 1: expected an 'asset' column, got {header}")
+        names = [name for name in header if name != "asset"]
+        if not names:
+            raise ValueError(f"{path}: line 1: no metric columns besides 'asset'")
+        lines: dict[str, int] = {}
+        metrics: dict[str, dict[str, float]] = {name: {} for name in names}
+        for line, row in rows:
+            cells = dict(zip(header, row))
+            asset = cells["asset"]
+            if not asset.strip():
+                raise _located(path, line, "asset", "empty asset label")
+            if asset in lines:
+                raise _located(path, line, "asset",
+                               f"asset {asset!r} already on line {lines[asset]}")
+            lines[asset] = line
+            for name in names:
+                metrics[name][asset] = _cell(path, line, name, cells[name], float)
     return metrics
 
 
 def _cmd_analyze(args) -> int:
-    from .dataio import RunConfig, _write_tree, load_dataset, run_pipeline
+    from pathlib import Path
+
+    from .dataio import RunConfig, _tree_tables, _write_tree, load_dataset, run_pipeline
     from .patterns import OrdinalConfig
     from .rolling import WindowParams
 
@@ -160,7 +169,16 @@ def _cmd_analyze(args) -> int:
     kinds = args.plots or []
     if kinds == ["all"]:  # every kind this run can show
         kinds = [k for k in PLOT_KINDS if bundle.pairwise or k != "anova-intervals"]
-    for path in _write_tree(bundle, args.out, kinds):
+    tables, plots = _tree_tables(bundle, kinds)
+    # The manifest hashes every file in the directory, so a file this run
+    # does not write would enter it as if the run had made it.
+    out = Path(args.out)
+    stale = sorted({p.name for p in out.glob("*") if p.is_file()}
+                   - {*tables, *plots, "manifest.json"})
+    if stale:
+        raise FileExistsError(f"{out}: output directory holds files this run does not "
+                              f"write: {', '.join(stale)}; use a new or empty directory")
+    for path in _write_tree(bundle, out, tables, plots):
         print(path)
     return 0
 

@@ -493,10 +493,11 @@ def _plot_table(bundle: AnalysisBundle, kind: str,
     raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
 
 
-def _write_tree(bundle: AnalysisBundle, out_dir, kinds: Sequence[str]) -> list[Path]:
-    """Write the result tables, the plot data of ``kinds`` and, last, the
-    manifest; returns the paths, plot data last.  Every table is built before
-    the first write, so a plot kind that cannot be made leaves no file."""
+def _tree_tables(bundle: AnalysisBundle,
+                 kinds: Sequence[str]) -> tuple[dict[str, _Table], dict[str, _Table]]:
+    """The result tables and the plot data of ``kinds``, by file name.  Every
+    table is built before the first write, so a plot kind that cannot be made
+    leaves no file."""
     windows = _windows_table(bundle.rolling).formatted()
     tables = {"windows.csv": windows, "summaries.csv": _summaries_table(bundle),
               "ranking.csv": _ranking_table(bundle.ranking)}
@@ -506,7 +507,13 @@ def _write_tree(bundle: AnalysisBundle, out_dir, kinds: Sequence[str]) -> list[P
     tables["bounds.csv"] = _bounds_table(bundle.lower, bundle.upper)
     if bundle.clouds:
         tables["fbm_clouds.csv"] = _clouds_table(bundle.clouds)
-    plots = dict(_plot_table(bundle, kind, windows) for kind in kinds)
+    return tables, dict(_plot_table(bundle, kind, windows) for kind in kinds)
+
+
+def _write_tree(bundle: AnalysisBundle, out_dir, tables: dict[str, _Table],
+                plots: dict[str, _Table]) -> list[Path]:
+    """Write ``tables``, then ``plots`` and, last, the manifest; returns the
+    paths, plot data last."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, table in {**tables, **plots}.items():
@@ -535,7 +542,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
     directory, so plot data emitted beforehand is covered too.  It contains
     no wall-clock data, so identical runs produce identical trees.
     """
-    return _write_tree(bundle, out_dir, ())
+    return _write_tree(bundle, out_dir, *_tree_tables(bundle, ()))
 
 
 def emit_plot_data(bundle: AnalysisBundle, kind: str, out_dir) -> Path:

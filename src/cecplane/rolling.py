@@ -107,7 +107,9 @@ def _window_counts(values: np.ndarray, config: OrdinalConfig, starts: np.ndarray
     from .patterns import _encode_starts
 
     m = config.num_patterns
-    edges = np.union1d(starts, starts + per_window)
+    # A repeated edge bounds an empty block, which adds nothing to its row,
+    # and searchsorted picks the first of equal edges, so no dedupe is needed.
+    edges = np.sort(np.concatenate((starts, starts + per_window)))
     keys = _encode_starts(values, config)[edges[0]:edges[-1]]
     keys += np.repeat(np.arange(m, edges.size * m, m, dtype=np.int64), np.diff(edges))
     before = np.bincount(keys, minlength=edges.size * m).reshape(edges.size, m)

@@ -352,7 +352,10 @@ def spearman_rho(x, y) -> SpearmanResult:
     return SpearmanResult(rho=rho, p_value=p, n=n)
 
 
-def spearman_permutation_p(x, y, chunk: int = 50_000) -> float:
+_PERMUTATION_BLOCK = 50_000  # pairings scored per matrix product
+
+
+def spearman_permutation_p(x, y) -> float:
     """Exact two-sided permutation p-value for Spearman's rho.
 
     Enumerates all n! pairings of ``y`` against ``x`` (guarded to n <= 10),
@@ -367,7 +370,7 @@ def spearman_permutation_p(x, y, chunk: int = 50_000) -> float:
     hits = 0
     total = math.factorial(n)
     while True:
-        block = list(islice(perms, chunk))
+        block = list(islice(perms, _PERMUTATION_BLOCK))
         if not block:
             break
         covs = dy[np.asarray(block)] @ dx

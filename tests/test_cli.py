@@ -183,6 +183,27 @@ class TestAnalyze:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["files"]) == names - {"manifest.json"}
 
+    def test_stale_output_directory_refused(self, capsys, tmp_path):
+        data = tmp_path / "prices.csv"
+        write_dataset(make_synthetic_dataset([f"S{i:02d}" for i in range(12)], 420, seed=3),
+                      data)
+        out = tmp_path / "run"
+        argv = ["analyze", "--input", str(data), "--out", str(out), "--window", "360",
+                "--step", "30", "--plots", "all"]
+        assert run_main(capsys, argv)[0] == 0
+        tree = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+        # one asset writes no ANOVA files, so the first run's would be left over
+        rc, stdout, err = run_main(capsys, argv + ["--assets", "S01"])
+        assert rc == 1 and stdout == ""
+        record = json.loads(err)
+        assert record["error"] == "FileExistsError"
+        assert "anova.csv, pairwise_anova.csv, plot_anova_intervals.csv;" in record["message"]
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == tree
+        # the same command again rewrites the same files, byte for byte
+        assert run_main(capsys, argv)[0] == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            name: content for name, (content, _) in tree.items()}
+
     def test_one_asset_anova_intervals_rejected(self, workspace, capsys, tmp_path):
         _, data, _ = workspace
         out = tmp_path / "solo"
@@ -374,6 +395,10 @@ class TestLoadWindows:
         ("AAA,0,%s,,0.5,0.1\n" % ("9" * 25), "line 2, column 'start_offset'"),
         ("AAA,0,0,,0.5,0.1,7\n", "line 2, column 7"),
         (",0,0,,0.5,0.1\n", "line 2, column 'asset'"),
+        # the first defect in reading order: an earlier line before a ragged
+        # row, and along a row the plane check before the duplicate check
+        ("AAA,0,0,,1.5,0.1\nAAA,1,60,,0.5\n", "line 2, column 'entropy'"),
+        ("AAA,0,0,,0.5,0.1\nAAA,0,0,,1.5,0.1\n", "line 3, column 'entropy'"),
     ])
     def test_errors_name_line_and_column(self, tmp_path, body, where):
         path = tmp_path / "windows.csv"
@@ -507,6 +532,7 @@ class TestLoadMetrics:
         ("AAA,1\n\nAAA,9\n", "line 4, column 'asset'"),
         ("AAA,1,5\n", "line 2, column 3"),
         (" ,1\n", "line 2, column 'asset'"),
+        ('AAA,"1\n"\nBBB,2,9\n', "line 4, column 3"),  # a quoted cell spans lines 2-3
     ])
     def test_errors_name_line_and_column(self, tmp_path, body, where):
         path = tmp_path / "metrics.csv"
@@ -624,7 +650,9 @@ def loaded_modules(*argv) -> set[str]:
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.splitlines()[-1].split())
+    modules = set(proc.stderr.splitlines()[-1].split())
+    assert "numpy.ma" not in modules  # no command needs masked arrays
+    return modules
 
 
 class TestImportContract:
@@ -647,6 +675,14 @@ class TestImportContract:
         assert {"cecplane.stats", "cecplane.rolling", "cecplane.special"} <= modules
         for name in ("patterns", "quantifiers", "bounds", "fbm", "dataio"):
             assert f"cecplane.{name}" not in modules
+
+    def test_analyze_loads_fbm_only_for_clouds(self, workspace, tmp_path):
+        _, data, _ = workspace
+        modules = loaded_modules("analyze", "--input", data, "--out", tmp_path / "run",
+                                 "--plots", "all")
+        for name in ("patterns", "quantifiers", "bounds", "rolling", "stats", "dataio"):
+            assert f"cecplane.{name}" in modules
+        assert "cecplane.fbm" not in modules
 
     @pytest.mark.parametrize("argv,absent", [
         (["bounds", "--dim", "3", "--resolution", "20"], ["fbm", "dataio", "stats", "rolling"]),

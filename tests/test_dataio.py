@@ -224,6 +224,30 @@ class TestLoadErrors:
         assert record["message"] == f"{p}: line 3, column 'eth': row has 2 cells, header has 3"
 
 
+@st.composite
+def multi_line_inputs(draw):
+    """A clean dataset whose quoted cells may span lines, the same file with
+    the value in column ``b`` of one record made ``x``, and the byte offset at
+    which that record starts."""
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    cells = st.sampled_from(["1.5", '"1.5{0}"', '"{0}2.5"', '" 3{0}{0}"', '"4"'])
+    records = [[str(300 * i), *(draw(cells).format(eol) for _ in "ab")]
+               for i in range(draw(st.integers(1, 6)))]
+    blanks = draw(st.lists(st.integers(0, 1), min_size=len(records), max_size=len(records)))
+    bad = draw(st.integers(0, len(records) - 1))
+    texts = []
+    for b_cell in (None, "x"):
+        text, offset = "timestamp,a,b" + eol, None
+        for k, record in enumerate(records):
+            text += eol * blanks[k]
+            if k == bad:
+                offset = len(text.encode())
+                record = record[:2] + [b_cell or record[2]]
+            text += ",".join(record) + eol
+        texts.append(text.encode())
+    return texts[0], texts[1], offset
+
+
 class TestReadingRules:
     """The dataset is read under the same rules as every other CSV input."""
 
@@ -268,6 +292,30 @@ class TestReadingRules:
         with pytest.raises(ValueError) as exc:
             load_dataset(p)
         assert str(exc.value) == f"{p}: line 1, column 't': duplicate column name"
+
+    def test_multi_line_cell_keeps_physical_lines(self, tmp_path):
+        p = write_lines(tmp_path / "d.csv", ["timestamp,btc", "0,1.0", '300,"2.0', '"', "600,x"])
+        with pytest.raises(ValueError) as exc:
+            load_dataset(p)
+        assert str(exc.value).startswith(f"{p}: line 5, column 'btc': ")
+
+    @settings(max_examples=100, deadline=None)
+    @given(multi_line_inputs())
+    def test_lines_are_physical(self, case):
+        """A defect is reported at the line its record starts on, counted in
+        newline bytes, and a bad byte put there is reported at the same line."""
+        data, defective, offset = case
+        line = data.count(b"\n", 0, offset) + 1
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "d.csv"
+            p.write_bytes(defective)
+            with pytest.raises(ValueError) as exc:
+                load_dataset(p)
+            assert str(exc.value).startswith(f"{p}: line {line}, column 'b': "), str(exc.value)
+            p.write_bytes(data[:offset] + b"\xff" + data[offset:])
+            with pytest.raises(ValueError) as exc:
+                load_dataset(p)
+            assert str(exc.value) == f"{p}: line {line}: not UTF-8 text"
 
 
 def _outcome(path, **kwargs):
