@@ -9,8 +9,8 @@ Every CSV read in — the dataset, ``windows.csv``, a ``--metric`` file — is
 opened by ``_read_csv``, under one set of rules, and checked in the one pass
 that reads its rows: the first defect in reading order is the one reported,
 located at the physical line its record starts on as
-``{path}: line L[, column C]: message``.  The module imports numpy and the
-standard library only, so a command loads the schemas without the pipeline.
+``{path}: line L[, column C]: message``.  The module imports the standard
+library only, so a command loads the schemas without numpy or the pipeline.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import contextlib
 import csv
 import math
 import sys
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, TextIO
-
-import numpy as np
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .bounds import BoundCurve
@@ -30,27 +29,34 @@ if TYPE_CHECKING:
 
 
 def _text(column) -> list[str]:
-    """The cells of one column as text, the column's type decided once:
-    ``true``/``false`` for bools, ``str`` for ints, and for floats the
+    """The cells of one column as text.  A column of str is text already.
+    Otherwise the column becomes one list (``tolist()`` for an array) and
+    its type is decided once, over that list: ``true``/``false`` when every
+    cell is a bool, ``str`` when every cell is an int, else floats, as the
     shortest round-trip ``repr``, or integer text for an integral float
     (finite, ``|v| < 2**53``, ``v == trunc(v)``), so ``-0.0`` reads ``0``.
     """
-    values = np.asarray(column)
-    if values.dtype.kind == "b":
-        return ["true" if v else "false" for v in values.tolist()]
-    if values.dtype.kind != "f":
-        return list(map(str, values.tolist()))
-    text = list(map(float.__repr__, values.tolist()))
-    integral = np.isfinite(values) & (np.abs(values) < 2.0**53) & (values == np.trunc(values))
-    for k, v in zip(np.flatnonzero(integral).tolist(), values[integral].astype(np.int64).tolist()):
-        text[k] = str(v)
+    values = column.tolist() if hasattr(column, "tolist") else column
+    if values and isinstance(values[0], str):
+        return values
+    kinds = set(map(type, values))
+    if kinds <= {bool}:
+        return ["true" if v else "false" for v in values]
+    if kinds <= {int, bool}:
+        return list(map(str, map(int, values)))
+    if kinds != {float}:
+        values = list(map(float, values))
+    text = list(map(float.__repr__, values))
+    for k in compress(range(len(values)), map(float.is_integer, values)):
+        if abs(values[k]) < 2.0**53:
+            text[k] = str(int(values[k]))
     return text
 
 
 class _Table(NamedTuple):
-    """One output table: a header and its columns.  A column is a numpy
-    array of bools, ints or floats, or a list of str written as it stands:
-    labels, or text that :func:`_text` already made."""
+    """One output table: a header and its columns.  A column is a list (or
+    a pipeline's numpy array) of bools, ints or floats, or a list of str
+    written as it stands: labels, or text that :func:`_text` already made."""
 
     header: tuple[str, ...]
     columns: tuple
@@ -59,8 +65,7 @@ class _Table(NamedTuple):
         return _Table(names, tuple(self.columns[self.header.index(n)] for n in names))
 
     def formatted(self) -> "_Table":
-        return self._replace(columns=tuple(c if isinstance(c, list) else _text(c)
-                                           for c in self.columns))
+        return self._replace(columns=tuple(map(_text, self.columns)))
 
 
 def _table(**columns) -> _Table:
@@ -79,9 +84,7 @@ def _write(table: _Table, path) -> None:
 
 def _records(records, *names: str) -> _Table:
     """One row per record, one column per attribute in ``names``."""
-    columns = [[getattr(r, name) for r in records] for name in names]
-    return _Table(names, tuple(c if c and isinstance(c[0], str) else np.asarray(c)
-                               for c in columns))
+    return _Table(names, tuple([getattr(r, name) for r in records] for name in names))
 
 
 def _ranking_table(entries: Sequence[RankingEntry]) -> _Table:
@@ -94,12 +97,12 @@ def _bounds_table(lower: BoundCurve, upper: BoundCurve) -> _Table:
 
 def _clouds_table(clouds: Sequence[BaselineCloud]) -> _Table:
     return _table(
-        hurst=np.array([c.hurst for c in clouds]),
-        mean_entropy=np.array([c.mean_point.entropy for c in clouds]),
-        mean_complexity=np.array([c.mean_point.complexity for c in clouds]),
-        std_entropy=np.array([c.std_entropy for c in clouds]),
-        std_complexity=np.array([c.std_complexity for c in clouds]),
-        sims=np.array([c.sims for c in clouds]),
+        hurst=[c.hurst for c in clouds],
+        mean_entropy=[c.mean_point.entropy for c in clouds],
+        mean_complexity=[c.mean_point.complexity for c in clouds],
+        std_entropy=[c.std_entropy for c in clouds],
+        std_complexity=[c.std_complexity for c in clouds],
+        sims=[c.sims for c in clouds],
     )
 
 
@@ -107,11 +110,11 @@ def _pairwise_table(pairwise: Sequence[PairwiseComparison]) -> _Table:
     """One row per asset and metric; ``pairwise`` must not be empty."""
     rows = [(c.asset, c.baseline, metric, diff, anova.f_stat, anova.p_value)
             for c in pairwise for metric, anova, diff in c.by_metric()]
-    asset, baseline, metric, diff, f_stat, p_value = zip(*rows)
-    p_value = np.array(p_value)
-    return _table(asset=list(asset), baseline=list(baseline), metric=list(metric),
-                  mean_diff=np.array(diff), f_stat=np.array(f_stat), p_value=p_value,
-                  significant_5pct=p_value < 0.05, significant_1pct=p_value < 0.01)
+    asset, baseline, metric, diff, f_stat, p_value = map(list, zip(*rows))
+    return _table(asset=asset, baseline=baseline, metric=metric, mean_diff=diff,
+                  f_stat=f_stat, p_value=p_value,
+                  significant_5pct=[p < 0.05 for p in p_value],
+                  significant_1pct=[p < 0.01 for p in p_value])
 
 
 def _located(path, line: int, column, message: str) -> ValueError:
@@ -133,11 +136,60 @@ def _cell(path, line: int, column: str, text: str, kind: type[int] | type[float]
     return value
 
 
+def _not_utf8(path) -> ValueError:
+    """The error for a file with bytes that are not UTF-8, at the line of the
+    first of them.  A newline byte is never part of a UTF-8 character, so
+    each line decodes alone, and a line loses bytes to "ignore" exactly when
+    it holds a bad one."""
+    with open(path, "rb") as raw:
+        line = next(k for k, text in enumerate(raw, start=1)
+                    if text.decode("utf-8", "ignore").encode() != text)
+    return ValueError(f"{path}: line {line}: not UTF-8 text")
+
+
+def _checked_lines(path) -> Iterator[str]:
+    """The lines of ``path`` up to the first that holds a byte that is not
+    UTF-8, then the error that locates it.  Only a read that met such a
+    byte opens the file this way: the lines before it decode as they would
+    have, so the records they hold are read, and checked, before the error."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        for text in fh:
+            try:
+                text.encode()
+            except UnicodeEncodeError:  # an escaped byte
+                raise _not_utf8(path) from None
+            yield text
+
+
+def _data_rows(path, header: list[str], reader, start: int) -> Iterator[tuple[int, list[str]]]:
+    """The ``(line, row)`` data rows ``reader`` holds from the record that
+    starts on line ``start``, checked against ``header``.  If a block of the
+    file does not decode, the records ahead of the bad byte are read again
+    from :func:`_checked_lines`, so a defect in one of them is met first."""
+    try:
+        for row in reader:
+            line, start = start, reader.line_num + 1
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != len(header):
+                column = header[len(row)] if len(row) < len(header) else len(header) + 1
+                raise _located(path, line, column,
+                               f"row has {len(row)} cells, header has {len(header)}")
+            yield line, row
+    except UnicodeDecodeError:
+        with contextlib.closing(_checked_lines(path)) as lines:
+            reader = csv.reader(lines)
+            while reader.line_num < start - 1:  # the records already read
+                next(reader)
+            yield from _data_rows(path, header, reader, start)
+
+
 @contextlib.contextmanager
-def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]], TextIO]]:
+def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]],
+                                      Iterable[str]]]:
     """Open the CSV input ``path`` under the package's reading rules; yields
-    its header, its ``(line, row)`` data rows, and the text stream just past
-    the header, which a bulk parser may read instead of the rows.
+    its header, its ``(line, row)`` data rows, and its text just past the
+    header, which a bulk parser may read instead of the rows.
 
     The text is UTF-8, and a byte-order mark is skipped.  The header's names
     are stripped, and a file with no header or with a repeated name is an
@@ -145,36 +197,28 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
     on, so a quoted cell that spans lines and a skipped blank row both count;
     a row whose cell count differs from the header's is an error naming its
     first missing or extra column.  Bytes that are not UTF-8 are an error at
-    the line of the first of them, wherever the stream is read.
+    the line of the first of them, wherever the text is read, and the rows
+    ahead of that line are read first, so the first defect in reading order
+    is the one reported whatever the size of the blocks the file is decoded
+    in.  Only a read that meets such a byte does more than the row pass.
     """
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = [h.strip() for h in next(reader, [])]
+        with contextlib.ExitStack() as stack:
+            text: Iterable[str] = stack.enter_context(
+                open(path, encoding="utf-8-sig", newline=""))
+            reader = csv.reader(text)
+            try:
+                first = next(reader, [])
+            except UnicodeDecodeError:  # the first block holds a bad byte
+                text = stack.enter_context(contextlib.closing(_checked_lines(path)))
+                reader = csv.reader(text)
+                first = next(reader, [])
+            header = [h.strip() for h in first]
             if not header:
                 raise ValueError(f"{path}: line 1: empty file, expected a header row")
             for k, name in enumerate(header):
                 if name in header[:k]:
                     raise _located(path, 1, name, "duplicate column name")
-
-            def rows():
-                start = reader.line_num + 1
-                for row in reader:
-                    line, start = start, reader.line_num + 1
-                    if not any(map(str.strip, row)):
-                        continue
-                    if len(row) != len(header):
-                        column = header[len(row)] if len(row) < len(header) else len(header) + 1
-                        raise _located(path, line, column,
-                                       f"row has {len(row)} cells, header has {len(header)}")
-                    yield line, row
-
-            yield header, rows(), fh
+            yield header, _data_rows(path, header, reader, reader.line_num + 1), text
     except UnicodeDecodeError:
-        # Only this error path reads the file again.  A newline byte is never
-        # part of a UTF-8 character, so each line decodes alone, and a line
-        # loses bytes to "ignore" exactly when it holds a bad one.
-        with open(path, "rb") as raw:
-            line = next(k for k, text in enumerate(raw, start=1)
-                        if text.decode("utf-8", "ignore").encode() != text)
-        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
+        raise _not_utf8(path) from None

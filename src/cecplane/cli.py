@@ -16,7 +16,8 @@ and stdout stay deterministic.
 
 Each handler imports the modules it runs, so ``--version`` loads neither
 numpy nor the pipeline, and ``rank``, ``anova`` and ``spearman`` load the
-statistics and the table writer but not the encoder or the kernel.
+statistics, the CSV reader and the table writer, which run on the standard
+library alone: the read commands load no numpy.
 """
 
 from __future__ import annotations
@@ -24,12 +25,9 @@ from __future__ import annotations
 import argparse
 import sys
 from operator import itemgetter
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from . import PLOT_KINDS, __version__
-
-if TYPE_CHECKING:
-    from .rolling import RollingResult
 
 __all__ = ["main"]
 
@@ -51,8 +49,18 @@ def _float_list(text: str) -> list[float]:
 _WINDOW_COLUMNS = ("asset", "window_index", "start_offset", "entropy", "complexity")
 
 
-def _load_windows(path: str) -> dict[str, RollingResult]:
-    """Rebuild per-asset rolling results from the analyze output schema.
+class _Windows(NamedTuple):
+    """One asset's windows read back from ``windows.csv``, in window order:
+    the fields of a ``RollingResult`` that the statistics read."""
+
+    asset: str
+    window_starts: tuple[int, ...]
+    entropies: tuple[float, ...]
+    complexities: tuple[float, ...]
+
+
+def _load_windows(path: str) -> dict[str, _Windows]:
+    """Rebuild each asset's windows from the analyze output schema.
 
     The header must name every column of ``_WINDOW_COLUMNS``; other columns
     are ignored.  Rows are checked as they are read, under the shared
@@ -64,10 +72,7 @@ def _load_windows(path: str) -> dict[str, RollingResult]:
     asset's window starts, by window index, must advance by one constant
     stride.  Assets keep their order of first appearance.
     """
-    import numpy as np
-
     from ._tables import _cell, _located, _read_csv
-    from .rolling import RollingResult
     from .special import _off_plane
 
     windows: dict[str, dict[int, tuple]] = {}  # asset -> {index: (line, start, H, C)}
@@ -97,17 +102,14 @@ def _load_windows(path: str) -> dict[str, RollingResult]:
     results = {}
     for asset, seen in windows.items():
         lines, starts, entropies, complexities = zip(*(seen[k] for k in sorted(seen)))
-        strides = np.diff(starts)
-        bad = np.flatnonzero((strides <= 0) | (strides != strides[:1]))
-        if bad.size:
-            k = int(bad[0]) + 1
-            raise _located(path, lines[k], "start_offset",
-                           f"asset {asset!r} window starts must advance by a constant "
-                           f"positive stride; {starts[k]} follows {starts[k - 1]}, "
-                           f"the first stride is {strides[0]}")
-        # samples_per_window is not recorded in the file format
-        results[asset] = RollingResult(asset, starts, entropies, complexities,
-                                       samples_per_window=0)
+        strides = [b - a for a, b in zip(starts, starts[1:])]
+        for k, stride in enumerate(strides, start=1):
+            if stride <= 0 or stride != strides[0]:
+                raise _located(path, lines[k], "start_offset",
+                               f"asset {asset!r} window starts must advance by a constant "
+                               f"positive stride; {starts[k]} follows {starts[k - 1]}, "
+                               f"the first stride is {strides[0]}")
+        results[asset] = _Windows(asset, starts, entropies, complexities)
     return results
 
 
@@ -235,9 +237,7 @@ def _cmd_anova(args) -> int:
             one_way_anova([(a, getattr(results[a], column)) for a in labels]))
     baseline = args.baseline if args.baseline is not None else labels[0]
     pairwise = _pairwise_table(pairwise_anova_vs_baseline(results, baseline))
-    payload["pairwise"] = [dict(zip(pairwise.header, row))
-                           for row in zip(*(c if isinstance(c, list) else c.tolist()
-                                            for c in pairwise.columns))]
+    payload["pairwise"] = [dict(zip(pairwise.header, row)) for row in zip(*pairwise.columns)]
     payload["caveat"] = ("window overlap unknown when reading from file; "
                          "p-values are descriptive")
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -6,9 +6,11 @@ distance, higher efficiency, better (smaller) rank.  One-way ANOVA compares
 window-level quantifiers across assets or against a designated baseline;
 Spearman's rho relates the efficiency ordering to external size metrics.
 
-All reductions run through ``math.fsum`` so results do not depend on
-summation order, and p-values come from the local incomplete-beta routines
-(see ``special``), keeping the runtime dependency surface at numpy alone.
+All reductions run through ``math.fsum`` over Python lists, so results do
+not depend on summation order, and p-values come from the local
+incomplete-beta routines (see ``special``).  The module loads no numpy: a
+``RollingResult``'s arrays and the tuples the CLI reads back from
+``windows.csv`` both enter through one conversion to a list of floats.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, permutations
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .rolling import RollingResult
 from .special import f_sf, student_t_sf_two_sided
+
+if TYPE_CHECKING:
+    from .rolling import RollingResult
 
 __all__ = [
     "AssetSummary",
@@ -148,10 +150,25 @@ def _sample_std(values: Sequence[float], mean: float) -> float:
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
 
 
+def _floats(values, error: str) -> list[float]:
+    """``values`` as a list of floats, converted once (``tolist()`` for an
+    array); ``ValueError(error)`` when it is not a one-dimensional sequence
+    of numbers."""
+    try:
+        return list(map(float, values.tolist() if hasattr(values, "tolist") else values))
+    except TypeError:
+        raise ValueError(error) from None
+
+
+def _coordinates(result: RollingResult) -> tuple[list[float], list[float]]:
+    """The ``entropies`` and ``complexities`` of a result as float lists."""
+    return (_floats(result.entropies, "entropies must be a one-dimensional sequence"),
+            _floats(result.complexities, "complexities must be a one-dimensional sequence"))
+
+
 def summarize(result: RollingResult) -> AssetSummary:
     """Componentwise mean and sample (n-1) standard deviation of the windows."""
-    hs = result.entropies.tolist()
-    cs = result.complexities.tolist()
+    hs, cs = _coordinates(result)
     if not hs:
         raise ValueError("rolling result contains no windows")
     mh, mc = _mean(hs), _mean(cs)
@@ -183,25 +200,26 @@ def rank_assets(summaries: Sequence[AssetSummary]) -> list[RankingEntry]:
     if len(set(labels)) != len(labels):
         raise ValueError("asset labels must be distinct")
     distances = [efficiency_distance(s) for s in summaries]
-    ranks = average_ranks(distances).tolist()
+    ranks = average_ranks(distances)
     group_size = Counter(distances)
     return [RankingEntry(labels[k], distances[k], ranks[k], group_size[distances[k]] > 1)
             for k in sorted(range(len(distances)), key=distances.__getitem__)]
 
 
-def _as_groups(groups) -> list[tuple[str, np.ndarray]]:
+def _as_groups(groups) -> list[tuple[str, list[float]]]:
     if isinstance(groups, Mapping):
         items: Iterable = groups.items()
     else:
         items = groups
     out = []
     for label, values in items:
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError(f"group {label!r} needs at least 2 one-dimensional observations")
-        if not np.isfinite(arr).all():
+        error = f"group {label!r} needs at least 2 one-dimensional observations"
+        vals = _floats(values, error)
+        if len(vals) < 2:
+            raise ValueError(error)
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"group {label!r} contains non-finite values")
-        out.append((str(label), arr))
+        out.append((str(label), vals))
     if len(out) < 2:
         raise ValueError("ANOVA needs at least two groups")
     return out
@@ -213,7 +231,7 @@ def one_way_anova(groups) -> AnovaResult:
     ``groups`` is a mapping of label to observations (or an iterable of such
     pairs).  The p-value is the F upper tail at (df_between, df_within).
     """
-    parsed = [(label, arr.tolist()) for label, arr in _as_groups(groups)]
+    parsed = _as_groups(groups)
     all_values = [v for _, vals in parsed for v in vals]
     n_total = len(all_values)
     k = len(parsed)
@@ -276,14 +294,11 @@ def pairwise_anova_vs_baseline(results: Mapping[str, RollingResult],
     """
     if baseline not in results:
         raise ValueError(f"baseline asset {baseline!r} not among results")
-    base = results[baseline]
-    base_h = base.entropies.tolist()
-    base_c = base.complexities.tolist()
+    columns = {asset: _coordinates(result) for asset, result in results.items()}
+    base_h, base_c = columns[baseline]
     comparisons = []
     for asset in sorted(a for a in results if a != baseline):
-        res = results[asset]
-        hs = res.entropies.tolist()
-        cs = res.complexities.tolist()
+        hs, cs = columns[asset]
         comparisons.append(PairwiseComparison(
             asset=asset,
             baseline=baseline,
@@ -295,42 +310,42 @@ def pairwise_anova_vs_baseline(results: Mapping[str, RollingResult],
     return comparisons
 
 
-def average_ranks(values) -> np.ndarray:
+def average_ranks(values) -> list[float]:
     """1-based ranks with tied values sharing their average rank."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("ranking expects a one-dimensional sequence")
-    if not np.isfinite(arr).all():
+    xs = _floats(values, "ranking expects a one-dimensional sequence")
+    if not all(map(math.isfinite, xs)):
         raise ValueError("ranking expects finite values")
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.size)
+    order = sorted(range(len(xs)), key=xs.__getitem__)  # stable
+    ranks = [0.0] * len(xs)
     i = 0
-    while i < arr.size:
+    while i < len(xs):
         j = i
-        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
+        while j + 1 < len(xs) and xs[order[j + 1]] == xs[order[i]]:
             j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        for k in order[i:j + 1]:
+            ranks[k] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
 
 
-def _rank_moments(x, y) -> tuple[np.ndarray, np.ndarray, float, float, float, int]:
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValueError("x and y must be equal-length one-dimensional sequences")
-    n = xa.size
+def _rank_moments(x, y) -> tuple[list[float], list[float], float, float, float, int]:
+    error = "x and y must be equal-length one-dimensional sequences"
+    xs, ys = _floats(x, error), _floats(y, error)
+    if len(xs) != len(ys):
+        raise ValueError(error)
+    n = len(xs)
     if n < 3:
         raise ValueError(f"need at least 3 pairs, got {n}")
-    dx = average_ranks(xa)
-    dy = average_ranks(ya)
-    dx = dx - _mean(dx.tolist())
-    dy = dy - _mean(dy.tolist())
-    sxx = math.fsum((v * v for v in dx.tolist()))
-    syy = math.fsum((v * v for v in dy.tolist()))
+    dx = average_ranks(xs)
+    dy = average_ranks(ys)
+    mx, my = _mean(dx), _mean(dy)
+    dx = [v - mx for v in dx]
+    dy = [v - my for v in dy]
+    sxx = math.fsum(v * v for v in dx)
+    syy = math.fsum(v * v for v in dy)
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("a variable with all values tied has zero rank variance")
-    sxy = math.fsum((a * b for a, b in zip(dx.tolist(), dy.tolist())))
+    sxy = math.fsum(a * b for a, b in zip(dx, dy))
     return dx, dy, sxx, syy, sxy, n
 
 
@@ -361,7 +376,10 @@ def spearman_permutation_p(x, y) -> float:
     Enumerates all n! pairings of ``y`` against ``x`` (guarded to n <= 10),
     counting those whose |rho| reaches the observed one.  Rank denominators
     are permutation-invariant, so the comparison reduces to rank covariances.
+    No command calls it, so it alone loads numpy, for the matrix products.
     """
+    import numpy as np
+
     dx, dy, _, _, sxy, n = _rank_moments(x, y)
     if n > 10:
         raise ValueError(f"exact enumeration is limited to n <= 10, got {n}")
@@ -369,6 +387,7 @@ def spearman_permutation_p(x, y) -> float:
     perms = permutations(range(n))
     hits = 0
     total = math.factorial(n)
+    dx, dy = np.asarray(dx), np.asarray(dy)
     while True:
         block = list(islice(perms, _PERMUTATION_BLOCK))
         if not block:

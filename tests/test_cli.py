@@ -355,12 +355,13 @@ def _load_windows_outcome(path: Path):
     loaded = {}
     for asset, res in results.items():
         assert res.asset == asset
-        strides = set(np.diff(res.window_starts).tolist())
+        starts, entropies, complexities = (
+            np.asarray(v) for v in (res.window_starts, res.entropies, res.complexities))
+        strides = set(np.diff(starts).tolist())
         assert len(strides) <= 1 and all(s > 0 for s in strides)
-        assert ((res.entropies >= 0) & (res.entropies <= 1)).all()
-        assert (res.complexities >= 0).all()
-        loaded[asset] = list(zip(res.window_starts.tolist(),
-                                 res.entropies.tolist(), res.complexities.tolist()))
+        assert ((entropies >= 0) & (entropies <= 1)).all()
+        assert (complexities >= 0).all()
+        loaded[asset] = list(zip(starts.tolist(), entropies.tolist(), complexities.tolist()))
     return loaded
 
 
@@ -411,14 +412,13 @@ class TestLoadWindows:
         _, data, out = workspace
         results = _load_windows(str(out / "windows.csv"))
         assert sorted(results) == ["AAA", "BBB", "CCC"]
-        assert all(r.window_starts.tolist() == [0, 120, 240, 360, 480]
-                   for r in results.values())
+        assert all(r.window_starts == (0, 120, 240, 360, 480) for r in results.values())
         # the same config as the workspace's analyze run, in process
         bundle = run_pipeline(RunConfig(window=WindowParams(360, 120), seed=5),
                               load_dataset(data))
         for asset, res in bundle.rolling.items():
             for name in ("window_starts", "entropies", "complexities"):
-                assert (getattr(results[asset], name).tobytes()
+                assert (np.asarray(getattr(results[asset], name)).tobytes()
                         == getattr(res, name).tobytes())
 
     def test_cli_reports_one_json_line(self, tmp_path, capsys):
@@ -579,6 +579,28 @@ class TestBadBytes:
         assert messages == {path: f"{path}: line 3: not UTF-8 text"
                             for path in (windows, metric)}
 
+    # 2,000 rows of 11 bytes carry what follows them past the first block
+    # the text stream decodes; what precedes them is read with the header.
+    FILLER = b"".join(b"X%04d,1.5\n" % k for k in range(2000))
+
+    @pytest.mark.parametrize("body,where", [
+        (b"AAA,abc\nBBB,\xff2\n", "line 2, column 'mcap'"),
+        (b"AAA,abc\n" + FILLER + b"BBB,\xff2\n", "line 2, column 'mcap'"),
+        (FILLER + b"AAA,abc\nBBB,\xff2\n", "line 2002, column 'mcap'"),
+        (FILLER + b"AAA,1\n\nAAA,\xff2\n", "line 2004: not UTF-8 text"),
+        (FILLER + b'AAA,"1\n\xff"\n', "line 2003: not UTF-8 text"),
+        (b"\xffasset,mcap\nAAA,abc\n", "line 1: not UTF-8 text"),
+    ], ids=["same-first-block", "blocks-apart", "same-later-block", "after-blank-row",
+            "inside-quoted-cell", "in-header"])
+    def test_defect_ahead_of_a_bad_byte_comes_first(self, tmp_path, body, where):
+        """The first defect in reading order is reported, whichever block of
+        the file the bad byte is decoded in."""
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(body if body.startswith(b"\xff") else b"asset,mcap\n" + body)
+        with pytest.raises(ValueError) as exc:
+            _load_metrics(str(path))
+        assert str(exc.value).startswith(f"{path}: {where}")
+
 
 class TestSpearman:
     def test_correlation_table(self, workspace, capsys, tmp_path):
@@ -655,6 +677,26 @@ def loaded_modules(*argv) -> set[str]:
     return modules
 
 
+# Runs the CLI on its arguments in an interpreter where importing numpy fails.
+NUMPY_BLOCKED = """
+import sys
+sys.modules["numpy"] = None
+from cecplane.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def read_command_argv(workspace, tmp_path, command) -> list:
+    """``rank``, ``anova`` or ``spearman`` on the workspace's windows.csv."""
+    _, _, out = workspace
+    argv = [command, "--input", out / "windows.csv"]
+    if command == "spearman":
+        metric = tmp_path / "metric.csv"
+        metric.write_text("asset,mcap\nAAA,1\nBBB,3\nCCC,2\n")
+        argv += ["--metric", metric]
+    return argv
+
+
 class TestImportContract:
     """Each command imports only the modules it runs."""
 
@@ -665,16 +707,25 @@ class TestImportContract:
 
     @pytest.mark.parametrize("command", ["rank", "anova", "spearman"])
     def test_read_commands_skip_encoder_kernel_and_pipeline(self, workspace, tmp_path, command):
-        _, _, out = workspace
-        argv = [command, "--input", out / "windows.csv"]
-        if command == "spearman":
-            metric = tmp_path / "metric.csv"
-            metric.write_text("asset,mcap\nAAA,1\nBBB,3\nCCC,2\n")
-            argv += ["--metric", metric]
-        modules = loaded_modules(*argv)
-        assert {"cecplane.stats", "cecplane.rolling", "cecplane.special"} <= modules
-        for name in ("patterns", "quantifiers", "bounds", "fbm", "dataio"):
+        """The read commands load neither numpy nor any module that needs it."""
+        modules = loaded_modules(*read_command_argv(workspace, tmp_path, command))
+        assert {"cecplane.stats", "cecplane.special", "cecplane._tables"} <= modules
+        assert "numpy" not in modules and "numpy.ma" not in modules
+        for name in ("patterns", "quantifiers", "bounds", "fbm", "rolling", "dataio"):
             assert f"cecplane.{name}" not in modules
+
+    @pytest.mark.parametrize("command", ["rank", "anova", "spearman"])
+    def test_read_commands_run_with_numpy_blocked(self, workspace, tmp_path, command):
+        argv = list(map(str, read_command_argv(workspace, tmp_path, command)))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        normal = subprocess.run([sys.executable, "-m", "cecplane.cli", *argv],
+                                capture_output=True, env=env)
+        blocked = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED, *argv],
+                                 capture_output=True, env=env)
+        assert normal.returncode == 0, normal.stderr
+        assert blocked.returncode == 0, blocked.stderr
+        assert blocked.stderr == b""
+        assert blocked.stdout == normal.stdout != b""
 
     def test_analyze_loads_fbm_only_for_clouds(self, workspace, tmp_path):
         _, data, _ = workspace

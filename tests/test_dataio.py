@@ -278,6 +278,13 @@ class TestReadingRules:
         assert str(exc.value) == message
         assert _row_reader_outcome(p) == ("raised", "ValueError", message)
 
+    def test_defect_ahead_of_a_bad_byte_comes_first(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"timestamp,btc\n0,1.0\n300,x\n600,\xff3.0\n")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(p)
+        assert str(exc.value).startswith(f"{p}: line 3, column 'btc': ")
+
     def test_bad_byte_is_one_json_line(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
         p.write_bytes(b"timestamp,btc\n0,1.0\n300,\xe92.0\n600,3.0\n")

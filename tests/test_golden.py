@@ -1,4 +1,5 @@
-"""Golden output trees: the sha256 of every file ``analyze --plots all`` writes.
+"""Golden outputs: the sha256 of every file ``analyze --plots all`` writes,
+and of what ``rank``, ``anova`` and ``spearman`` write from a fixed input.
 
 Run-versus-run equality (criterion 9) cannot see a change that moves every
 number the same way in both runs; these frozen hashes can.  A change that
@@ -7,10 +8,13 @@ moves output bytes on purpose re-freezes them only together with the maximum
 
 Frozen with numpy 2.4.6 on CPython 3.11 (x86-64).  Another numpy or libm
 may round a transcendental differently in the last digit; the comparison is
-exact on purpose, so such a platform shows up here first.
+exact on purpose, so such a platform shows up here first.  The read-command
+hashes involve no numpy: their inputs are made with the standard library,
+and those commands load none.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -70,3 +74,52 @@ def test_analyze_tree_matches_frozen_hashes(case, tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.iterdir())}
     assert got == expected
+
+
+def _read_side_inputs(root):
+    """A 12-asset ``windows.csv`` and a ``--metric`` file, made with the
+    standard library alone (floats written with ``repr``), so the frozen
+    hashes below depend on the read commands and on nothing that makes
+    their inputs.  Asset W11 repeats W03's windows, so two distances tie."""
+    rng = random.Random(2019)
+    labels = [f"W{i:02d}" for i in range(12)]
+    windows = {}
+    for asset in labels:
+        level, stride = rng.uniform(0.55, 0.99), rng.choice((60, 120, 360))
+        points = []
+        for k in range(rng.randint(15, 40)):
+            h = min(1.0, max(0.0, rng.gauss(level, 0.03)))
+            c = max(0.0, (1.0 - h) * rng.uniform(0.2, 0.6))
+            points.append((k, k * stride, h, c))
+        windows[asset] = points
+    windows["W11"] = windows["W03"]
+    windows["W07"][0] = (0, 0, 1.0, 0.0)  # integral floats in the file
+    rows = [(a, *p) for a, points in windows.items() for p in points]
+    rng.shuffle(rows)
+    lines = ["asset,window_index,start_offset,end_timestamp,entropy,complexity"]
+    lines += [f"{a},{k},{s},,{h!r},{c!r}" for a, k, s, h, c in rows]
+    (root / "windows.csv").write_text("\n".join(lines) + "\n")
+    metric = ["asset,mcap,volume"]
+    for asset in [*labels[1:], "ZZZ"]:  # W00 has no size; ZZZ has no windows
+        metric.append(f"{asset},{rng.lognormvariate(20, 2)!r},{rng.choice((1.5, 2.0, 7.25))!r}")
+    (root / "metrics.csv").write_text("\n".join(metric) + "\n")
+
+
+READ_SIDE = {
+    "rank.csv": "20f9aa57ffd27731487fd5364176ca230e15f3920e6df96a4f36c478c1a69ca0",
+    "anova.json": "777cd0381743e6a5a32ac0c36796a03d464c32254cd365406645e2ec1fa8ae9e",
+    "anova_w03.json": "4d91feb33fba1843903e8faded7dd42c63c4be9df3d8e0bc8b36a91afc12a266",
+    "spearman.csv": "78a4359aaaeda34fa689bf4a0c396145517dc6bce92c7a56ae89d2784801ffd1",
+}
+
+
+def test_read_commands_match_frozen_hashes(tmp_path):
+    _read_side_inputs(tmp_path)
+    windows, metric = str(tmp_path / "windows.csv"), str(tmp_path / "metrics.csv")
+    for name, argv in [("rank.csv", ["rank"]), ("anova.json", ["anova"]),
+                       ("anova_w03.json", ["anova", "--baseline", "W03"]),
+                       ("spearman.csv", ["spearman", "--metric", metric])]:
+        assert main([*argv, "--input", windows, "--out", str(tmp_path / name)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in READ_SIDE}
+    assert got == READ_SIDE

@@ -260,7 +260,7 @@ class TestAverageRanks:
                                   scipy.stats.rankdata(values, method="average"))
 
     def test_simple_tie(self):
-        assert average_ranks([10.0, 20.0, 20.0, 30.0]).tolist() == [1.0, 2.5, 2.5, 4.0]
+        assert average_ranks([10.0, 20.0, 20.0, 30.0]) == [1.0, 2.5, 2.5, 4.0]
 
     def test_errors(self):
         with pytest.raises(ValueError):
