@@ -138,12 +138,15 @@ def _cell(path, line: int, column: str, text: str, kind: type[int] | type[float]
 
 def _not_utf8(path) -> ValueError:
     """The error for a file with bytes that are not UTF-8, at the line of the
-    first of them.  A newline byte is never part of a UTF-8 character, so
-    each line decodes alone, and a line loses bytes to "ignore" exactly when
-    it holds a bad one."""
-    with open(path, "rb") as raw:
-        line = next(k for k, text in enumerate(raw, start=1)
-                    if text.decode("utf-8", "ignore").encode() != text)
+    first of them.  Latin-1 maps bytes to characters one to one, so the file
+    splits into the lines the text reader counts (each ending in a line feed,
+    a carriage return or both), each line's bytes intact.  A newline byte is
+    never part of a UTF-8 character, so each line decodes alone, and a line
+    loses bytes to "ignore" exactly when it holds a bad one."""
+    with open(path, encoding="latin-1", newline="") as fh:
+        lines = (text.encode("latin-1") for text in fh)
+        line = next(k for k, raw in enumerate(lines, start=1)
+                    if raw.decode("utf-8", "ignore").encode() != raw)
     return ValueError(f"{path}: line {line}: not UTF-8 text")
 
 

@@ -581,22 +581,24 @@ class TestBadBytes:
 
     # 2,000 rows of 11 bytes carry what follows them past the first block
     # the text stream decodes; what precedes them is read with the header.
+    HEAD = b"asset,mcap\n"
     FILLER = b"".join(b"X%04d,1.5\n" % k for k in range(2000))
 
-    @pytest.mark.parametrize("body,where", [
-        (b"AAA,abc\nBBB,\xff2\n", "line 2, column 'mcap'"),
-        (b"AAA,abc\n" + FILLER + b"BBB,\xff2\n", "line 2, column 'mcap'"),
-        (FILLER + b"AAA,abc\nBBB,\xff2\n", "line 2002, column 'mcap'"),
-        (FILLER + b"AAA,1\n\nAAA,\xff2\n", "line 2004: not UTF-8 text"),
-        (FILLER + b'AAA,"1\n\xff"\n', "line 2003: not UTF-8 text"),
-        (b"\xffasset,mcap\nAAA,abc\n", "line 1: not UTF-8 text"),
+    @pytest.mark.parametrize("data,where", [
+        (HEAD + b"AAA,abc\nBBB,\xff2\n", "line 2, column 'mcap'"),
+        (HEAD + b"AAA,abc\n" + FILLER + b"BBB,\xff2\n", "line 2, column 'mcap'"),
+        (HEAD + FILLER + b"AAA,abc\nBBB,\xff2\n", "line 2002, column 'mcap'"),
+        (HEAD + FILLER + b"AAA,1\n\nAAA,\xff2\n", "line 2004: not UTF-8 text"),
+        (HEAD + FILLER + b'AAA,"1\n\xff"\n', "line 2003: not UTF-8 text"),
+        (b"\xff" + HEAD + b"AAA,abc\n", "line 1: not UTF-8 text"),
+        (b"asset,mcap\rAAA,1\rBBB,\xff2\r", "line 3: not UTF-8 text"),
     ], ids=["same-first-block", "blocks-apart", "same-later-block", "after-blank-row",
-            "inside-quoted-cell", "in-header"])
-    def test_defect_ahead_of_a_bad_byte_comes_first(self, tmp_path, body, where):
+            "inside-quoted-cell", "in-header", "cr-line-ends"])
+    def test_defect_ahead_of_a_bad_byte_comes_first(self, tmp_path, data, where):
         """The first defect in reading order is reported, whichever block of
-        the file the bad byte is decoded in."""
+        the file the bad byte is decoded in, at the line the reader counts."""
         path = tmp_path / "metrics.csv"
-        path.write_bytes(body if body.startswith(b"\xff") else b"asset,mcap\n" + body)
+        path.write_bytes(data)
         with pytest.raises(ValueError) as exc:
             _load_metrics(str(path))
         assert str(exc.value).startswith(f"{path}: {where}")
