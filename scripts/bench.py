@@ -8,8 +8,8 @@ Usage, from the root of the git checkout::
 Each commit is extracted with ``git archive`` into its own temporary
 directory, so the working tree is never touched.  For every workload and
 every seed of the fixed list, the commit's own ``perfbench/run.py --trace 0``
-runs once on each side, and the side that runs first alternates from seed to
-seed.  The JSON file holds, per workload and commit:
+runs once on each side, for the ``run_seconds`` that ``BENCHMARK.json``
+fixes, and the side that runs first alternates from seed to seed.  The JSON file holds, per workload and commit:
 
 - the median and quartiles over the seeds of each end-to-end metric
   (``setup_s``, ``run_s``, ``downstream_s``, ``peak_rss_mb``), which
@@ -110,10 +110,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="the parent commit")
     parser.add_argument("--head", default="HEAD", help="the commit of the change")
     parser.add_argument("--out", required=True, help="BENCH JSON file to write")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
-    seconds = args.seconds or json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
     report = {"environment": environment(commits["base"], commits["head"]),
               "seconds": seconds, "seeds": list(SEEDS), "workloads": {}}

@@ -136,31 +136,20 @@ def _cell(path, line: int, column: str, text: str, kind: type[int] | type[float]
     return value
 
 
-def _not_utf8(path) -> ValueError:
-    """The error for a file with bytes that are not UTF-8, at the line of the
-    first of them.  Latin-1 maps bytes to characters one to one, so the file
-    splits into the lines the text reader counts (each ending in a line feed,
-    a carriage return or both), each line's bytes intact.  A newline byte is
-    never part of a UTF-8 character, so each line decodes alone, and a line
-    loses bytes to "ignore" exactly when it holds a bad one."""
-    with open(path, encoding="latin-1", newline="") as fh:
-        lines = (text.encode("latin-1") for text in fh)
-        line = next(k for k, raw in enumerate(lines, start=1)
-                    if raw.decode("utf-8", "ignore").encode() != raw)
-    return ValueError(f"{path}: line {line}: not UTF-8 text")
-
-
 def _checked_lines(path) -> Iterator[str]:
     """The lines of ``path`` up to the first that holds a byte that is not
-    UTF-8, then the error that locates it.  Only a read that met such a
-    byte opens the file this way: the lines before it decode as they would
+    UTF-8, then the error that locates it.  The lines are split as the CSV
+    reader counts them (at a line feed, a carriage return or both), and a
+    newline byte is never part of a UTF-8 character, so the line that holds
+    the escaped byte is the line of the bad byte.  Only a read that met such
+    a byte opens the file this way: the lines before it decode as they would
     have, so the records they hold are read, and checked, before the error."""
     with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        for text in fh:
+        for line, text in enumerate(fh, start=1):
             try:
                 text.encode()
             except UnicodeEncodeError:  # an escaped byte
-                raise _not_utf8(path) from None
+                raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
             yield text
 
 
@@ -223,5 +212,7 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
                 if name in header[:k]:
                     raise _located(path, 1, name, "duplicate column name")
             yield header, _data_rows(path, header, reader, reader.line_num + 1), text
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    except UnicodeDecodeError:  # a bulk read of the text met a bad byte
+        for _ in _checked_lines(path):  # raises at the line of the first
+            pass
+        raise

@@ -23,6 +23,7 @@ from cecplane import (
     run_pipeline,
     write_dataset,
 )
+from cecplane._tables import _read_csv
 from cecplane.cli import _load_metrics, _load_windows, main
 
 
@@ -579,7 +580,8 @@ class TestBadBytes:
         assert messages == {path: f"{path}: line 3: not UTF-8 text"
                             for path in (windows, metric)}
 
-    # 2,000 rows of 11 bytes carry what follows them past the first block
+    # 2,000 rows of 10 bytes (20,000 bytes, well past the 8 KiB decode
+    # block) carry what follows them past the first block
     # the text stream decodes; what precedes them is read with the header.
     HEAD = b"asset,mcap\n"
     FILLER = b"".join(b"X%04d,1.5\n" % k for k in range(2000))
@@ -602,6 +604,17 @@ class TestBadBytes:
         with pytest.raises(ValueError) as exc:
             _load_metrics(str(path))
         assert str(exc.value).startswith(f"{path}: {where}")
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r"], ids=["lf", "cr"])
+    def test_bulk_read_of_the_text_names_the_line(self, tmp_path, end):
+        """A bulk parser that reads the text past the header and meets the
+        bad byte gets the error at the line the row pass would name."""
+        path = tmp_path / "metrics.csv"
+        path.write_bytes((self.HEAD + self.FILLER + b"BBB,\xff2\n").replace(b"\n", end))
+        with pytest.raises(ValueError) as exc:
+            with _read_csv(path) as (_, _, text):
+                text.read()
+        assert str(exc.value) == f"{path}: line 2002: not UTF-8 text"
 
 
 class TestSpearman:
