@@ -17,7 +17,8 @@ and stdout stay deterministic.
 Each handler imports the modules it runs, so ``--version`` loads neither
 numpy nor the pipeline, and ``rank``, ``anova`` and ``spearman`` load the
 statistics, the CSV reader and the table writer, which run on the standard
-library alone: the read commands load no numpy.
+library alone: the read commands load no numpy, and, the statistics records
+being NamedTuples, no ``dataclasses`` either.
 """
 
 from __future__ import annotations
@@ -221,7 +222,6 @@ def _cmd_rank(args) -> int:
 
 def _cmd_anova(args) -> int:
     import json
-    from dataclasses import asdict
     from pathlib import Path
 
     from ._tables import _pairwise_table
@@ -233,8 +233,8 @@ def _cmd_anova(args) -> int:
     labels = sorted(results)
     payload = {}
     for metric, column in (("entropy", "entropies"), ("complexity", "complexities")):
-        payload[metric] = asdict(
-            one_way_anova([(a, getattr(results[a], column)) for a in labels]))
+        payload[metric] = one_way_anova(
+            [(a, getattr(results[a], column)) for a in labels])._asdict()
     baseline = args.baseline if args.baseline is not None else labels[0]
     pairwise = _pairwise_table(pairwise_anova_vs_baseline(results, baseline))
     payload["pairwise"] = [dict(zip(pairwise.header, row)) for row in zip(*pairwise.columns)]

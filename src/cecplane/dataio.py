@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -464,7 +464,7 @@ def _summaries_table(bundle: AnalysisBundle) -> _Table:
 def _anova_table(bundle: AnalysisBundle) -> _Table:
     """The all-asset ANOVA of each metric, one ``AnovaResult`` field a column."""
     results = {"entropy": bundle.anova_entropy, "complexity": bundle.anova_complexity}
-    anova = _records(results.values(), *(f.name for f in fields(AnovaResult)))
+    anova = _records(results.values(), *AnovaResult._fields)
     caveat = "overlapping-windows" if bundle.caveats else ""
     return _Table(("metric", *anova.header, "caveat"),
                   (list(results), *anova.columns, [caveat] * len(results)))

@@ -13,8 +13,8 @@ paths.
 ``baseline_cloud`` summarizes the plane positions of many independent paths,
 the reference crosses drawn alongside empirical trajectories.  All paths of a
 cloud share the circulant eigenvalues, computed once; each path draws its
-normals from its own seed, and fixed-size blocks of paths go through one
-batched FFT, encode, count and plane-point kernel call.
+normals from its own seed, and blocks of a few paths (one at D >= 8) go
+through one batched FFT, encode, count and plane-point kernel call.
 """
 
 from __future__ import annotations
@@ -40,11 +40,16 @@ __all__ = [
 # largest) are treated as rounding noise and clipped to zero.
 _EIG_RTOL = 1e-12
 
-# Paths synthesized and scored together in baseline_cloud.  A small fixed
-# block keeps peak RSS flat: on `cecplane fbm` over 5 x 500 paths of 360,
-# 8 paths per block peak at the RSS of one path at a time (36.9 MB), 32 at
-# 38.4 MB, and a whole 500-path cloud at once at 61 MB.
+# Paths synthesized and scored together in baseline_cloud.  A small block
+# keeps peak RSS flat: on `cecplane fbm` over 5 x 500 paths of 360, 8 paths
+# per block peak at the RSS of one path at a time (36.9 MB), 32 at 38.4 MB,
+# and a whole 500-path cloud at once at 61 MB.  Each path of a block holds a
+# row of D! pattern counts, which the plane-point kernel copies, so the block
+# also keeps its paths x D! within _COUNTS_PER_BLOCK: 8 paths up to D = 7,
+# one path from D = 8 (at D = 9, 8 paths peaked at 111 MiB traced, one at
+# 14 MiB).
 _PATHS_PER_BLOCK = 8
+_COUNTS_PER_BLOCK = 8 * math.factorial(7)
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,8 @@ def baseline_cloud(hurst: float, sims: int, length: int,
     """
     if sims < 1:
         raise ValueError(f"sims must be >= 1, got {sims}")
-    FbmSpec(hurst, length, 0)  # validates hurst and length once for every path
+    # validates hurst, length and seed once for every path
+    spec = FbmSpec(hurst, length, int(seed) if isinstance(seed, np.integer) else seed)
     n_windows = config.windows_in(length)
     if n_windows < 1:
         raise ValueError(
@@ -171,17 +177,18 @@ def baseline_cloud(hurst: float, sims: int, length: int,
             f"delay={config.delay}"
         )
     lam = _circulant_eigenvalues(hurst, length)
-    child_seeds = np.random.SeedSequence(seed).generate_state(sims, dtype=np.uint64)
+    child_seeds = np.random.SeedSequence(spec.seed).generate_state(sims, dtype=np.uint64)
     entropies = np.empty(sims)
     complexities = np.empty(sims)
-    for lo in range(0, sims, _PATHS_PER_BLOCK):
-        seeds = child_seeds[lo:lo + _PATHS_PER_BLOCK]
+    block = max(1, min(_PATHS_PER_BLOCK, _COUNTS_PER_BLOCK // config.num_patterns))
+    for lo in range(0, sims, block):
+        seeds = child_seeds[lo:lo + block]
         paths = np.cumsum(_fgn_circulant(lam, _standard_normals(seeds, lam.size)), axis=1)
         counts = _pattern_counts(np.arange(seeds.size)[:, np.newaxis],
                                  _encode_starts(paths, config),
                                  seeds.size, config.num_patterns)
-        block = slice(lo, lo + seeds.size)
-        entropies[block], _, complexities[block] = _plane_points(counts / n_windows)
+        rows = slice(lo, lo + seeds.size)
+        entropies[rows], _, complexities[rows] = _plane_points(counts / n_windows)
     return BaselineCloud(
         hurst=hurst,
         mean_point=CecpPoint(float(entropies.mean()), float(complexities.mean())),

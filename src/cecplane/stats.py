@@ -11,15 +11,20 @@ not depend on summation order, and p-values come from the local
 incomplete-beta routines (see ``special``).  The module loads no numpy: a
 ``RollingResult``'s arrays and the tuples the CLI reads back from
 ``windows.csv`` both enter through one conversion to a list of floats.
+
+The result records are ``NamedTuple``s, so a read command loads neither
+``dataclasses`` nor what it imports.  Each record checks its values when it
+is made, whether by a call, ``_make`` or ``_replace``; like any tuple, a
+record compares equal to a plain tuple of the same values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice, permutations
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .special import f_sf, student_t_sf_two_sided
 
@@ -43,8 +48,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AssetSummary:
+def _checked(cls):
+    """Make every new ``cls`` record pass ``cls._check``.
+
+    A NamedTuple class body may not define ``__new__`` or ``_make``, and the
+    generated ``_make``, which ``_replace`` calls too, builds the tuple
+    without ``__new__``; so both are wrapped here, after the class is made.
+    """
+    new, make = cls.__new__, cls._make.__func__
+
+    @functools.wraps(new)
+    def __new__(klass, *args, **kwargs):
+        record = new(klass, *args, **kwargs)
+        record._check()
+        return record
+
+    @functools.wraps(make)
+    def _make(klass, iterable):
+        record = make(klass, iterable)
+        record._check()
+        return record
+
+    cls.__new__ = __new__
+    cls._make = classmethod(_make)
+    return cls
+
+
+@_checked
+class AssetSummary(NamedTuple):
     """Mean and sample spread of an asset's windowed plane coordinates."""
 
     asset: str
@@ -54,7 +85,7 @@ class AssetSummary:
     std_complexity: float
     window_count: int
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("mean_entropy", "mean_complexity"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -65,8 +96,8 @@ class AssetSummary:
             raise ValueError("window_count must be >= 1")
 
 
-@dataclass(frozen=True)
-class RankingEntry:
+@_checked
+class RankingEntry(NamedTuple):
     """One row of the efficiency ranking.
 
     ``rank`` is a float because tied distances share the average of the rank
@@ -79,15 +110,15 @@ class RankingEntry:
     rank: float
     tied: bool = False
 
-    def __post_init__(self):
+    def _check(self):
         if self.distance < 0:
             raise ValueError("distance must be nonnegative")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
 
 
-@dataclass(frozen=True)
-class AnovaResult:
+@_checked
+class AnovaResult(NamedTuple):
     """Classical one-way fixed-effects decomposition.
 
     ``degenerate`` marks the all-values-identical case where both between-
@@ -107,7 +138,7 @@ class AnovaResult:
     p_value: float
     degenerate: bool = False
 
-    def __post_init__(self):
+    def _check(self):
         if min(self.ss_between, self.ss_within, self.ss_total) < 0:
             raise ValueError("sums of squares must be nonnegative")
         if self.df_between < 1 or self.df_within < 1:
@@ -122,15 +153,15 @@ class AnovaResult:
         return self.df_between + self.df_within
 
 
-@dataclass(frozen=True)
-class SpearmanResult:
+@_checked
+class SpearmanResult(NamedTuple):
     """Rank correlation with its two-sided t-approximation p-value."""
 
     rho: float
     p_value: float
     n: int
 
-    def __post_init__(self):
+    def _check(self):
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho {self.rho} outside [-1, 1]")
         if not 0.0 <= self.p_value <= 1.0:
@@ -264,8 +295,7 @@ def one_way_anova(groups) -> AnovaResult:
                        p_value=f_sf(f_stat, df_between, df_within))
 
 
-@dataclass(frozen=True)
-class PairwiseComparison:
+class PairwiseComparison(NamedTuple):
     """Two-group ANOVA of one asset against the baseline, per quantifier."""
 
     asset: str

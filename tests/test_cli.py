@@ -112,6 +112,18 @@ class TestFbm:
         assert rc == 1
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("command", ["fbm", "analyze"])
+    def test_negative_seed_is_named(self, workspace, capsys, tmp_path, command):
+        _, data, _ = workspace
+        argv = {"fbm": self.ARGS,
+                "analyze": ["analyze", "--input", str(data), "--out", str(tmp_path / "run"),
+                            "--window", "360", "--step", "120",
+                            "--fbm-hurst", "0.5", "--sims", "4"]}[command]
+        rc, _, err = run_main(capsys, argv + ["--seed", "-3"])
+        assert rc == 1
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "seed must be a nonnegative integer, got -3"}
+
 
 class TestAnalyze:
     def test_outputs_and_listing(self, workspace, capsys):
@@ -722,10 +734,12 @@ class TestImportContract:
 
     @pytest.mark.parametrize("command", ["rank", "anova", "spearman"])
     def test_read_commands_skip_encoder_kernel_and_pipeline(self, workspace, tmp_path, command):
-        """The read commands load neither numpy nor any module that needs it."""
+        """The read commands load neither numpy nor any module that needs it,
+        and neither ``dataclasses`` nor the ``inspect`` it imports."""
         modules = loaded_modules(*read_command_argv(workspace, tmp_path, command))
         assert {"cecplane.stats", "cecplane.special", "cecplane._tables"} <= modules
         assert "numpy" not in modules and "numpy.ma" not in modules
+        assert "dataclasses" not in modules and "inspect" not in modules
         for name in ("patterns", "quantifiers", "bounds", "fbm", "rolling", "dataio"):
             assert f"cecplane.{name}" not in modules
 

@@ -182,6 +182,18 @@ class TestBaselineCloud:
         assert abs(cloud.std_entropy - h.std()) <= 1e-14
         assert abs(cloud.std_complexity - c.std()) <= 1e-14
 
+    def test_capped_blocks_match_per_path_loop(self):
+        # at dim 8 a block holds one path, so 10 paths take 10 blocks
+        config = OrdinalConfig(8, 1)
+        seeds = np.random.SeedSequence(4).generate_state(10, dtype=np.uint64)
+        points = [cecp_point(extract_pattern_distribution(
+            generate_fbm(FbmSpec(0.6, 300, int(s))), config)) for s in seeds]
+        cloud = baseline_cloud(0.6, 10, 300, config, seed=4)
+        assert abs(cloud.mean_point.entropy - np.mean([p.entropy for p in points])) <= 1e-14
+        assert abs(cloud.mean_point.complexity - np.mean([p.complexity for p in points])) <= 1e-14
+        assert abs(cloud.std_entropy - np.std([p.entropy for p in points])) <= 1e-14
+        assert abs(cloud.std_complexity - np.std([p.complexity for p in points])) <= 1e-14
+
     def test_validation(self):
         with pytest.raises(ValueError):
             baseline_cloud(0.5, 0, 256, self.CONFIG, seed=1)
@@ -191,6 +203,14 @@ class TestBaselineCloud:
             baseline_cloud(0.5, 4, 3, self.CONFIG, seed=1)  # no full window
         with pytest.raises(ValueError):
             BaselineCloud(0.5, CecpPoint(0.5, 0.1), -0.1, 0.0, 4)
+
+    def test_seed_checked_and_numpy_integers_accepted(self):
+        cloud = baseline_cloud(0.7, 4, 256, self.CONFIG, seed=3)
+        for seed in (np.int64(3), np.uint64(3)):
+            assert baseline_cloud(0.7, 4, 256, self.CONFIG, seed=seed) == cloud
+        for seed in (-3, np.int64(-3)):
+            with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -3"):
+                baseline_cloud(0.7, 4, 256, self.CONFIG, seed=seed)
 
 
 def test_circulant_embedding_admissible_everywhere():

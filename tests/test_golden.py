@@ -1,5 +1,6 @@
 """Golden outputs: the sha256 of every file ``analyze --plots all`` writes,
-and of what ``rank``, ``anova`` and ``spearman`` write from a fixed input.
+of what ``rank``, ``anova`` and ``spearman`` write from a fixed input, and
+of the tables ``fbm`` and ``bounds`` generate.
 
 Run-versus-run equality (criterion 9) cannot see a change that moves every
 number the same way in both runs; these frozen hashes can.  A change that
@@ -10,7 +11,8 @@ Frozen with numpy 2.4.6 on CPython 3.11 (x86-64).  Another numpy or libm
 may round a transcendental differently in the last digit; the comparison is
 exact on purpose, so such a platform shows up here first.  The read-command
 hashes involve no numpy: their inputs are made with the standard library,
-and those commands load none.
+and those commands load none.  The ``fbm`` and ``bounds`` hashes carry the
+same numpy and libm note as the analyze trees.
 """
 
 import hashlib
@@ -123,3 +125,24 @@ def test_read_commands_match_frozen_hashes(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in READ_SIDE}
     assert got == READ_SIDE
+
+
+# One cloud per Hurst exponent; the dim 8 case scores paths of D! = 40,320
+# states, where a block of paths is bounded by its count matrix.
+GENERATORS = {
+    "fbm_dim4.csv": (["fbm", "--hurst", "0.3,0.5,0.7", "--sims", "40", "--length", "360",
+                      "--dim", "4", "--seed", "7"],
+                     "f2974bcc5056823429274990d4e45c7f3a01909a5933c3f717d255149dacef6c"),
+    "fbm_dim8.csv": (["fbm", "--hurst", "0.25,0.8", "--sims", "12", "--length", "400",
+                      "--dim", "8", "--tau", "2", "--seed", "11"],
+                     "7017cffbb8fd285fa0f9ac18e7db232c658a50c396abe77d2d0a827fe016eba0"),
+    "bounds_dim5.csv": (["bounds", "--dim", "5", "--resolution", "300"],
+                        "44a57f77216841b124a104ae2802b4a6e5e2a4de15e83c93dc61bb97707a1d2a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_generators_match_frozen_hashes(name, tmp_path):
+    argv, expected = GENERATORS[name]
+    assert main([*argv, "--out", str(tmp_path / name)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected

@@ -16,7 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cecplane import OrdinalConfig, TimeSeries, WindowParams, load_dataset, rolling_quantifiers
+from cecplane import (OrdinalConfig, TimeSeries, WindowParams, baseline_cloud, load_dataset,
+                      rolling_quantifiers)
 from cecplane.dataio import _HASH_BLOCK, _sha256_file
 
 
@@ -58,6 +59,21 @@ class TestTimeSeriesMemory:
         timestamps = np.arange(values.size, dtype=np.float64) * 300.0
         peak = traced_peak(TimeSeries, values, timestamps)
         assert peak < 2.0 * timestamps.nbytes
+
+
+
+class TestFbmMemory:
+    @pytest.mark.parametrize("dim", [8, 9])
+    def test_peak_is_a_few_count_rows_of_one_path(self, dim):
+        """16 paths of 360 at dim 8 and 9 (D! = 40,320 and 362,880 states):
+        the paths are scored one at a time, and the peak is 5.1 and 5.0
+        float rows of D! (1.6 and 13.9 MiB), the counts and the kernel's
+        copies of them.  The bound, 8 rows, leaves 57%.  Scoring 8 paths
+        a block at these dims peaked at 40 rows (12.3 and 111.5 MiB)."""
+        config = OrdinalConfig(dim, 1)
+        baseline_cloud(0.7, 1, 360, config, seed=1)  # numpy's one-time set-up
+        peak = traced_peak(baseline_cloud, 0.7, 16, 360, config, seed=1)
+        assert peak < 8 * config.num_patterns * 8
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from cecplane import (
     AnovaResult,
     AssetSummary,
+    RankingEntry,
     RollingResult,
+    SpearmanResult,
     efficiency_distance,
     one_way_anova,
     pairwise_anova_vs_baseline,
@@ -337,3 +339,48 @@ class TestSpearmanPermutation:
         x = list(map(float, range(11)))
         with pytest.raises(ValueError):
             spearman_permutation_p(x, x)
+
+
+
+class TestRecords:
+    """The result records are NamedTuples that check their values whenever
+    one is made."""
+
+    # name: (a valid record, a change that breaks it, the error it raises)
+    CASES = {
+        "AssetSummary": (AssetSummary("a", 0.5, 0.1, 0.0, 0.0, 5),
+                         {"mean_entropy": 1.2}, "mean_entropy must lie in"),
+        "RankingEntry": (RankingEntry("a", 0.1, 1.0), {"rank": 0.5}, "rank must be >= 1"),
+        "AnovaResult": (AnovaResult(1.0, 1.0, 2.0, 1, 4, 1.0, 1.0, 1.0, 0.5),
+                        {"p_value": 1.5}, "p-value 1.5 outside"),
+        "SpearmanResult": (SpearmanResult(0.5, 0.2, 5), {"n": 2}, "n must be >= 3"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_way_of_making_one_runs_the_checks(self, name):
+        record, change, message = self.CASES[name]
+        kind = type(record)
+        values = {**record._asdict(), **change}
+        with pytest.raises(ValueError, match=message):
+            kind(**values)
+        with pytest.raises(ValueError, match=message):
+            kind(*values.values())
+        with pytest.raises(ValueError, match=message):
+            kind._make(values.values())
+        with pytest.raises(ValueError, match=message):
+            record._replace(**change)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_tuple_protocol(self, name):
+        record = self.CASES[name][0]
+        kind = type(record)
+        assert kind._make(record) == record == tuple(record)
+        assert type(kind._make(record)) is kind and type(record._replace()) is kind
+        assert tuple(record._asdict()) == kind._fields
+        with pytest.raises(TypeError):
+            kind._make(tuple(record)[:-1])
+
+    def test_defaults_and_derived_fields(self):
+        assert RankingEntry("a", 0.1, 1.0).tied is False
+        anova = AnovaResult(1.0, 1.0, 2.0, 1, 4, 1.0, 1.0, 1.0, 0.5)
+        assert anova.degenerate is False and anova.df_total == 5
