@@ -61,7 +61,6 @@ class TestTimeSeriesMemory:
         assert peak < 2.0 * timestamps.nbytes
 
 
-
 class TestFbmMemory:
     @pytest.mark.parametrize("dim", [8, 9])
     def test_peak_is_a_few_count_rows_of_one_path(self, dim):

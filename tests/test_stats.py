@@ -379,8 +379,3 @@ class TestRecords:
         assert tuple(record._asdict()) == kind._fields
         with pytest.raises(TypeError):
             kind._make(tuple(record)[:-1])
-
-    def test_defaults_and_derived_fields(self):
-        assert RankingEntry("a", 0.1, 1.0).tied is False
-        anova = AnovaResult(1.0, 1.0, 2.0, 1, 4, 1.0, 1.0, 1.0, 0.5)
-        assert anova.degenerate is False and anova.df_total == 5
