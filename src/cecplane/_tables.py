@@ -6,9 +6,11 @@ envelopes, plot data, the CLI's stdout tables — is one ``_Table`` (a header
 plus typed columns), formatted a column at a time by ``_text`` and written by
 ``_write``, so a rerun with the same inputs and seed is byte-identical.
 Every CSV read in — the dataset, ``windows.csv``, a ``--metric`` file — is
-opened by ``_read_csv``, under one set of rules, and checked in the one pass
-that reads its rows: the first defect in reading order is the one reported,
-located at the physical line its record starts on as
+opened once by ``_read_csv``, under one set of rules, and checked in the one
+pass that reads its rows.  The text is decoded once, with bytes that are not
+UTF-8 escaped, so such a byte is one more defect of its row.  The first
+defect in reading order is the one reported, located at the physical line
+its record starts on (a bad byte: the line of the byte) as
 ``{path}: line L[, column C]: message``.  The module imports the standard
 library only, so a command loads the schemas without numpy or the pipeline.
 """
@@ -136,44 +138,35 @@ def _cell(path, line: int, column: str, text: str, kind: type[int] | type[float]
     return value
 
 
-def _checked_lines(path) -> Iterator[str]:
-    """The lines of ``path`` up to the first that holds a byte that is not
-    UTF-8, then the error that locates it.  The lines are split as the CSV
-    reader counts them (at a line feed, a carriage return or both), and a
-    newline byte is never part of a UTF-8 character, so the line that holds
-    the escaped byte is the line of the bad byte.  Only a read that met such
-    a byte opens the file this way: the lines before it decode as they would
-    have, so the records they hold are read, and checked, before the error."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        for line, text in enumerate(fh, start=1):
-            try:
-                text.encode()
-            except UnicodeEncodeError:  # an escaped byte
-                raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
-            yield text
-
-
-def _data_rows(path, header: list[str], reader, start: int) -> Iterator[tuple[int, list[str]]]:
-    """The ``(line, row)`` data rows ``reader`` holds from the record that
-    starts on line ``start``, checked against ``header``.  If a block of the
-    file does not decode, the records ahead of the bad byte are read again
-    from :func:`_checked_lines`, so a defect in one of them is met first."""
+def _check_text(path, line: int, row: list[str]) -> None:
+    """Raise at the line of the first byte that is not UTF-8 (read as an
+    escaped surrogate) in ``row``, the record starting on ``line``: that
+    line plus the line ends (``\\r\\n``, ``\\n``, ``\\r``) ahead of it in the row."""
+    text = ",".join(row)
+    if text.isascii():
+        return
     try:
-        for row in reader:
-            line, start = start, reader.line_num + 1
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) != len(header):
-                column = header[len(row)] if len(row) < len(header) else len(header) + 1
-                raise _located(path, line, column,
-                               f"row has {len(row)} cells, header has {len(header)}")
-            yield line, row
-    except UnicodeDecodeError:
-        with contextlib.closing(_checked_lines(path)) as lines:
-            reader = csv.reader(lines)
-            while reader.line_num < start - 1:  # the records already read
-                next(reader)
-            yield from _data_rows(path, header, reader, start)
+        text.encode()
+    except UnicodeEncodeError as exc:
+        head = text[:exc.start]
+        line += head.count("\n") + head.count("\r") - head.count("\r\n")
+        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
+
+
+def _data_rows(path, header: list[str], reader) -> Iterator[tuple[int, list[str]]]:
+    """The ``(line, row)`` data rows ``reader`` holds past the header,
+    checked against ``header``."""
+    start = reader.line_num + 1
+    for row in reader:
+        line, start = start, reader.line_num + 1
+        _check_text(path, line, row)
+        if not any(map(str.strip, row)):
+            continue
+        if len(row) != len(header):
+            column = header[len(row)] if len(row) < len(header) else len(header) + 1
+            raise _located(path, line, column,
+                           f"row has {len(row)} cells, header has {len(header)}")
+        yield line, row
 
 
 @contextlib.contextmanager
@@ -188,31 +181,20 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
     error.  A data row is numbered by the physical line its record starts
     on, so a quoted cell that spans lines and a skipped blank row both count;
     a row whose cell count differs from the header's is an error naming its
-    first missing or extra column.  Bytes that are not UTF-8 are an error at
-    the line of the first of them, wherever the text is read, and the rows
-    ahead of that line are read first, so the first defect in reading order
-    is the one reported whatever the size of the blocks the file is decoded
-    in.  Only a read that meets such a byte does more than the row pass.
+    first missing or extra column.  The file is opened once, with its bytes
+    that are not UTF-8 escaped, so no read of it raises while decoding: a
+    bulk parser refuses an escaped byte like any cell that is not a number,
+    and the row pass reports it, ahead of a blank or ragged row, at the line
+    of the byte, so the first defect in reading order is the one reported.
     """
-    try:
-        with contextlib.ExitStack() as stack:
-            text: Iterable[str] = stack.enter_context(
-                open(path, encoding="utf-8-sig", newline=""))
-            reader = csv.reader(text)
-            try:
-                first = next(reader, [])
-            except UnicodeDecodeError:  # the first block holds a bad byte
-                text = stack.enter_context(contextlib.closing(_checked_lines(path)))
-                reader = csv.reader(text)
-                first = next(reader, [])
-            header = [h.strip() for h in first]
-            if not header:
-                raise ValueError(f"{path}: line 1: empty file, expected a header row")
-            for k, name in enumerate(header):
-                if name in header[:k]:
-                    raise _located(path, 1, name, "duplicate column name")
-            yield header, _data_rows(path, header, reader, reader.line_num + 1), text
-    except UnicodeDecodeError:  # a bulk read of the text met a bad byte
-        for _ in _checked_lines(path):  # raises at the line of the first
-            pass
-        raise
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
+        reader = csv.reader(text)
+        first = next(reader, [])
+        _check_text(path, 1, first)
+        header = [h.strip() for h in first]
+        if not header:
+            raise ValueError(f"{path}: line 1: empty file, expected a header row")
+        for k, name in enumerate(header):
+            if name in header[:k]:
+                raise _located(path, 1, name, "duplicate column name")
+        yield header, _data_rows(path, header, reader), text

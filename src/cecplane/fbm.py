@@ -20,12 +20,13 @@ through one batched FFT, encode, count and plane-point kernel call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .patterns import OrdinalConfig, TimeSeries, _encode_starts, _pattern_counts
-from .quantifiers import CecpPoint, _plane_points
+from .quantifiers import _COUNTS_PER_BLOCK, CecpPoint, _plane_points
 
 __all__ = [
     "FbmSpec",
@@ -44,17 +45,15 @@ _EIG_RTOL = 1e-12
 # keeps peak RSS flat: on `cecplane fbm` over 5 x 500 paths of 360, 8 paths
 # per block peak at the RSS of one path at a time (36.9 MB), 32 at 38.4 MB,
 # and a whole 500-path cloud at once at 61 MB.  Each path of a block holds a
-# row of D! pattern counts, which the plane-point kernel copies, so the block
-# also keeps its paths x D! within _COUNTS_PER_BLOCK: 8 paths up to D = 7,
-# one path from D = 8 (at D = 9, 8 paths peaked at 111 MiB traced, one at
-# 14 MiB).
+# row of D! pattern counts, so the block also keeps its paths x D! within
+# _COUNTS_PER_BLOCK: 8 paths up to D = 7, one path from D = 8 (at D = 9, 8
+# paths peaked at 111 MiB traced, one at 14 MiB).
 _PATHS_PER_BLOCK = 8
-_COUNTS_PER_BLOCK = 8 * math.factorial(7)
 
 
 @dataclass(frozen=True)
 class FbmSpec:
-    """Hurst exponent, path length, and seed for one reproducible path."""
+    """Hurst exponent, path length, and seed (any integer, stored as int)."""
 
     hurst: float
     length: int
@@ -65,8 +64,13 @@ class FbmSpec:
             raise ValueError(f"hurst must lie strictly inside (0, 1), got {self.hurst!r}")
         if not isinstance(self.length, int) or self.length < 2:
             raise ValueError(f"length must be an integer >= 2, got {self.length!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        try:
+            seed = int(operator.index(self.seed))  # a numpy integer too
+        except TypeError:
+            seed = self.seed
+        if not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,7 @@ def baseline_cloud(hurst: float, sims: int, length: int,
     if sims < 1:
         raise ValueError(f"sims must be >= 1, got {sims}")
     # validates hurst, length and seed once for every path
-    spec = FbmSpec(hurst, length, int(seed) if isinstance(seed, np.integer) else seed)
+    spec = FbmSpec(hurst, length, seed)
     n_windows = config.windows_in(length)
     if n_windows < 1:
         raise ValueError(

@@ -83,6 +83,12 @@ def q0_constant(m: int) -> float:
     return -2.0 / peak
 
 
+# The rows x D! counts a caller passes _plane_points at once, which the
+# kernel copies a few times: fBm paths per block in baseline_cloud, window
+# edges per block in rolling_quantifiers (8 rows up to D = 7).
+_COUNTS_PER_BLOCK = 8 * math.factorial(7)
+
+
 def _plane_points(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(H, Q, C)`` arrays for every row of a ``(rows, M)`` probability matrix.
 

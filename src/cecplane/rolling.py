@@ -9,15 +9,16 @@ trajectory of a series on the complexity-entropy plane, which a
 The series is encoded once: the code at stream position ``t`` depends only
 on samples ``t .. t + (dim-1)*delay``, which lie inside window ``k`` exactly
 when ``t`` is one of the window's ``size - (dim-1)*delay`` admissible
-starts.  The window start and end positions cut the code stream into
-blocks; one ``bincount`` counts every block's patterns, a cumulative sum
-over blocks gives the counts before each edge, and each window's dense count
-vector is the difference at its end and start edges (the successive-pattern
-idea of Unakafova & Keller, Entropy 15:4392, 2013, without a per-window
-loop).  All windows then go through the plane-point kernel at once.  The
-counts, hence the points, are bit-identical to standalone per-window
-extraction.  The encoder and the kernel load when a series is rolled, so
-reading results back from a file loads neither.
+starts.  The windows are scored a block at a time, the block's edges x D!
+within the fBm clouds' cap.  In a block, the window start and end positions
+cut the code stream into pieces; one ``bincount`` counts every piece's
+patterns, a cumulative sum over pieces gives the counts before each edge,
+and each window's dense count vector is the difference at its end and start
+edges (the successive-pattern idea of Unakafova & Keller, Entropy 15:4392,
+2013, without a per-window loop); the block's windows then go through the
+plane-point kernel at once.  The counts, hence the points, are bit-identical
+to standalone per-window extraction.  The encoder and the kernel load when
+a series is rolled, so reading results back from a file loads neither.
 """
 
 from __future__ import annotations
@@ -91,27 +92,25 @@ def window_count(series_len: int, params: WindowParams) -> int:
     return (series_len - params.size) // params.step + 1
 
 
-def _window_counts(values: np.ndarray, config: OrdinalConfig, starts: np.ndarray,
+def _window_counts(codes: np.ndarray, m: int, starts: np.ndarray,
                    per_window: int) -> np.ndarray:
-    """``(windows, M)`` pattern counts of the windows whose admissible starts
-    are ``start .. start + per_window - 1``, for increasing ``starts``.
+    """``(windows, m)`` pattern counts of the windows whose admissible starts
+    are ``start .. start + per_window - 1``, for increasing ``starts``, from
+    the series' pattern ``codes``.
 
-    The window edges cut the code stream into blocks.  The codes of block
-    ``b`` are overwritten with the bincount keys ``(b + 1) * M + code``, so
-    one bincount counts every block in row ``b + 1`` and leaves row 0 zero.
-    A cumulative sum over the rows, in place, then makes row ``j`` the
-    counts of every code ahead of edge ``j``, and a window's counts are its
-    end row minus its start row, subtracted into the gathered end rows.  The
-    codes are freed before the rows are gathered.
+    The window edges cut the code stream into pieces.  The codes of piece
+    ``b`` become the bincount keys ``(b + 1) * m + code``, in a new array
+    (the windows of the next call overlap these codes), so one bincount
+    counts every piece in row ``b + 1`` and leaves row 0 zero.  A cumulative
+    sum over the rows, in place, then makes row ``j`` the counts of every
+    code ahead of edge ``j``, and a window's counts are its end row minus
+    its start row, subtracted into the gathered end rows.
     """
-    from .patterns import _encode_starts
-
-    m = config.num_patterns
-    # A repeated edge bounds an empty block, which adds nothing to its row,
+    # A repeated edge bounds an empty piece, which adds nothing to its row,
     # and searchsorted picks the first of equal edges, so no dedupe is needed.
     edges = np.sort(np.concatenate((starts, starts + per_window)))
-    keys = _encode_starts(values, config)[edges[0]:edges[-1]]
-    keys += np.repeat(np.arange(m, edges.size * m, m, dtype=np.int64), np.diff(edges))
+    keys = codes[edges[0]:edges[-1]] + np.repeat(
+        np.arange(m, edges.size * m, m, dtype=np.int64), np.diff(edges))
     before = np.bincount(keys, minlength=edges.size * m).reshape(edges.size, m)
     del keys
     np.cumsum(before, axis=0, out=before)
@@ -127,7 +126,8 @@ def rolling_quantifiers(series: TimeSeries, params: WindowParams,
     A constant window is not an error: the tie rule maps it to a single
     pattern, hence to the plane origin (0, 0).
     """
-    from .quantifiers import _plane_points
+    from .patterns import _encode_starts
+    from .quantifiers import _COUNTS_PER_BLOCK, _plane_points
 
     per_window = config.windows_in(params.size)
     if per_window < 1:
@@ -137,8 +137,14 @@ def rolling_quantifiers(series: TimeSeries, params: WindowParams,
         )
     n_windows = window_count(len(series), params)
     starts = np.arange(n_windows, dtype=np.int64) * params.step
-    entropies, _, complexities = _plane_points(
-        _window_counts(series.values, config, starts, per_window) / per_window)
+    codes = _encode_starts(series.values, config)
+    m = config.num_patterns
+    entropies, complexities = np.empty(n_windows), np.empty(n_windows)
+    block = max(1, _COUNTS_PER_BLOCK // (2 * m))  # two edges per window
+    for lo in range(0, n_windows, block):
+        rows = slice(lo, lo + block)
+        entropies[rows], _, complexities[rows] = _plane_points(
+            _window_counts(codes, m, starts[rows], per_window) / per_window)
     ends = None
     if series.timestamps is not None:
         ends = series.timestamps[starts + params.size - 1].copy()

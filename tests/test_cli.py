@@ -606,8 +606,12 @@ class TestBadBytes:
         (HEAD + FILLER + b'AAA,"1\n\xff"\n', "line 2003: not UTF-8 text"),
         (b"\xff" + HEAD + b"AAA,abc\n", "line 1: not UTF-8 text"),
         (b"asset,mcap\rAAA,1\rBBB,\xff2\r", "line 3: not UTF-8 text"),
+        (b'asset,mcap\r\nAAA,"1\r\n\xff2"\r\n', "line 3: not UTF-8 text"),
+        (HEAD + "ÄAA,1\nÄBB,".encode() + b"\xff2\n", "line 3: not UTF-8 text"),
+        (HEAD + b"AAA,1\nBBB,2\xc3", "line 3: not UTF-8 text"),
     ], ids=["same-first-block", "blocks-apart", "same-later-block", "after-blank-row",
-            "inside-quoted-cell", "in-header", "cr-line-ends"])
+            "inside-quoted-cell", "in-header", "cr-line-ends", "crlf-quoted-cell",
+            "after-non-ascii-label", "truncated-at-end"])
     def test_defect_ahead_of_a_bad_byte_comes_first(self, tmp_path, data, where):
         """The first defect in reading order is reported, whichever block of
         the file the bad byte is decoded in, at the line the reader counts."""
@@ -618,14 +622,17 @@ class TestBadBytes:
         assert str(exc.value).startswith(f"{path}: {where}")
 
     @pytest.mark.parametrize("end", [b"\n", b"\r"], ids=["lf", "cr"])
-    def test_bulk_read_of_the_text_names_the_line(self, tmp_path, end):
-        """A bulk parser that reads the text past the header and meets the
-        bad byte gets the error at the line the row pass would name."""
-        path = tmp_path / "metrics.csv"
-        path.write_bytes((self.HEAD + self.FILLER + b"BBB,\xff2\n").replace(b"\n", end))
+    def test_bulk_read_leaves_the_byte_to_the_row_pass(self, tmp_path, end):
+        """A bulk read of the text past the header meets no decode error: the
+        bad byte reads escaped, and the dataset loader, whose bulk parser
+        refuses it, reports it at its line."""
+        rows = b"".join(b"%d,1.5\n" % (300 * k) for k in range(2000))
+        path = tmp_path / "prices.csv"
+        path.write_bytes((b"timestamp,btc\n" + rows + b"600000,\xff2\n").replace(b"\n", end))
+        with _read_csv(path) as (_, _, text):
+            assert "600000,\udcff2" in text.read()
         with pytest.raises(ValueError) as exc:
-            with _read_csv(path) as (_, _, text):
-                text.read()
+            load_dataset(path)
         assert str(exc.value) == f"{path}: line 2002: not UTF-8 text"
 
 

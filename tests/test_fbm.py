@@ -80,6 +80,10 @@ class TestGeneration:
             with pytest.raises(ValueError):
                 FbmSpec(**kwargs)
 
+    def test_spec_takes_numpy_integer_seeds(self):
+        spec = FbmSpec(0.5, 10, np.uint64(3))
+        assert spec == FbmSpec(0.5, 10, 3) and type(spec.seed) is int
+
 
 def sample_cov_matrix(draw, paths, n):
     """Empirical covariance of the first ``n`` coordinates over many paths."""
@@ -167,13 +171,13 @@ class TestBaselineCloud:
         lam = _circulant_eigenvalues(0.7, 360)
         paths = np.cumsum(_fgn_circulant(lam, _standard_normals(seeds, lam.size)), axis=1)
         for path, seed in zip(paths, seeds):
-            assert np.array_equal(path, generate_fbm(FbmSpec(0.7, 360, int(seed))).values)
+            assert np.array_equal(path, generate_fbm(FbmSpec(0.7, 360, seed)).values)
 
     @pytest.mark.parametrize("hurst,sims", [(0.3, 1), (0.6, 37), (0.9, 64)])
     def test_cloud_matches_per_path_loop(self, hurst, sims):
         seeds = np.random.SeedSequence(21).generate_state(sims, dtype=np.uint64)
         points = [cecp_point(extract_pattern_distribution(
-            generate_fbm(FbmSpec(hurst, 300, int(s))), self.CONFIG)) for s in seeds]
+            generate_fbm(FbmSpec(hurst, 300, s)), self.CONFIG)) for s in seeds]
         h = np.array([p.entropy for p in points])
         c = np.array([p.complexity for p in points])
         cloud = baseline_cloud(hurst, sims, 300, self.CONFIG, seed=21)
@@ -187,7 +191,7 @@ class TestBaselineCloud:
         config = OrdinalConfig(8, 1)
         seeds = np.random.SeedSequence(4).generate_state(10, dtype=np.uint64)
         points = [cecp_point(extract_pattern_distribution(
-            generate_fbm(FbmSpec(0.6, 300, int(s))), config)) for s in seeds]
+            generate_fbm(FbmSpec(0.6, 300, s)), config)) for s in seeds]
         cloud = baseline_cloud(0.6, 10, 300, config, seed=4)
         assert abs(cloud.mean_point.entropy - np.mean([p.entropy for p in points])) <= 1e-14
         assert abs(cloud.mean_point.complexity - np.mean([p.complexity for p in points])) <= 1e-14

@@ -47,6 +47,19 @@ class TestRollingMemory:
         peak = traced_peak(rolling_quantifiers, series, params, config)
         assert peak < 6.0 * series.values.nbytes
 
+    def test_count_rows_stay_within_the_block_cap(self):
+        """16,031 samples at dim 8 (D! = 40,320 states), window 360, step
+        60 (262 windows): a block holds one window, and the peak is 4.5 rows
+        of D! (1.37 MiB), the block's two edge rows, its counts and the
+        kernel's copies, beside the series' codes.  The bound, 8 rows,
+        leaves 78%.  Counting every window at once peaked at 1,048 rows
+        (322 MiB)."""
+        series = TimeSeries(np.random.default_rng(8).standard_normal(16_031))
+        params, config = WindowParams(360, 60), OrdinalConfig(8, 1)
+        rolling_quantifiers(series, params, config)  # numpy's one-time set-up
+        peak = traced_peak(rolling_quantifiers, series, params, config)
+        assert peak < 8 * config.num_patterns * 8
+
 
 class TestTimeSeriesMemory:
     def test_grid_check_holds_one_gap_array(self):

@@ -46,7 +46,8 @@ class TestAgainstStandalone:
     """Sliced-stream counting must equal per-window extraction exactly."""
 
     @pytest.mark.parametrize("dim,delay,step",
-                             [(3, 1, 50), (4, 1, 60), (5, 2, 37), (3, 1, 400), (4, 2, 450)])
+                             [(3, 1, 50), (4, 1, 60), (5, 2, 37), (3, 1, 400), (4, 2, 450),
+                              (7, 1, 50)])  # 17 windows, 4 a block at dim 7
     def test_matches_window_by_window(self, rng, dim, delay, step):
         values = rng.standard_normal(1200)
         values[::7] = np.round(values[::7], 1)  # sprinkle ties
