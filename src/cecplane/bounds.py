@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantifiers import CecpPoint, q0_constant
+from .special import _integer
 
 __all__ = [
     "BoundCurve",
@@ -135,11 +136,8 @@ def _bisect_q(target_s: np.ndarray, m: int, n_zeros: int | np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def _validate_args(m: int, resolution: int):
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"M must be an integer >= 2, got {m!r}")
-    if not isinstance(resolution, int) or resolution < 2:
-        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+def _validate_args(m: int, resolution: int) -> tuple[int, int]:
+    return _integer(m, "M", 2), _integer(resolution, "resolution", 2)
 
 
 def lower_bound_curve(m: int, resolution: int) -> BoundCurve:
@@ -149,7 +147,7 @@ def lower_bound_curve(m: int, resolution: int) -> BoundCurve:
     ``q >= 1/2`` and the upper one for ``q <= 1/2``: one curve, returned for
     both, since two solves of it differ in the last bit.
     """
-    _validate_args(m, resolution)
+    m, resolution = _validate_args(m, resolution)
     if m == 2:
         upper = upper_bound_curve(m, resolution)
         return BoundCurve(states=m, kind="lower", entropy=upper.entropy,
@@ -178,7 +176,7 @@ def upper_bound_curve(m: int, resolution: int) -> BoundCurve:
     unambiguous up to rounding.  The family is chosen per grid point, and one
     bisection solves every point within its own family at once.
     """
-    _validate_args(m, resolution)
+    m, resolution = _validate_args(m, resolution)
     h_grid = np.linspace(0.0, 1.0, resolution)
     # k = number of equal nonzero entries of the matching family.
     k_of = np.clip(np.floor(np.exp(h_grid * math.log(m))).astype(int), 1, m - 1)

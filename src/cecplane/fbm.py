@@ -13,8 +13,8 @@ paths.
 ``baseline_cloud`` summarizes the plane positions of many independent paths,
 the reference crosses drawn alongside empirical trajectories.  All paths of a
 cloud share the circulant eigenvalues, computed once; each path draws its
-normals from its own seed, and blocks of a few paths (one at D >= 8) go
-through one batched FFT, encode, count and plane-point kernel call.
+normals from its own seed.  Blocks of a few paths go through one batched
+FFT and encode, and are scored end to end as the windows of one series.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import OrdinalConfig, TimeSeries, _encode_starts, _pattern_counts
-from .quantifiers import _COUNTS_PER_BLOCK, CecpPoint, _plane_points
+from .patterns import OrdinalConfig, TimeSeries, _encode_starts
+from .quantifiers import CecpPoint, _window_points
+from .special import _integer
 
 __all__ = [
     "FbmSpec",
@@ -44,10 +45,7 @@ _EIG_RTOL = 1e-12
 # Paths synthesized and scored together in baseline_cloud.  A small block
 # keeps peak RSS flat: on `cecplane fbm` over 5 x 500 paths of 360, 8 paths
 # per block peak at the RSS of one path at a time (36.9 MB), 32 at 38.4 MB,
-# and a whole 500-path cloud at once at 61 MB.  Each path of a block holds a
-# row of D! pattern counts, so the block also keeps its paths x D! within
-# _COUNTS_PER_BLOCK: 8 paths up to D = 7, one path from D = 8 (at D = 9, 8
-# paths peaked at 111 MiB traced, one at 14 MiB).
+# and a whole 500-path cloud at once at 61 MB.
 _PATHS_PER_BLOCK = 8
 
 
@@ -62,8 +60,7 @@ class FbmSpec:
     def __post_init__(self):
         if not 0.0 < self.hurst < 1.0:
             raise ValueError(f"hurst must lie strictly inside (0, 1), got {self.hurst!r}")
-        if not isinstance(self.length, int) or self.length < 2:
-            raise ValueError(f"length must be an integer >= 2, got {self.length!r}")
+        object.__setattr__(self, "length", _integer(self.length, "length", 2))
         try:
             seed = int(operator.index(self.seed))  # a numpy integer too
         except TypeError:
@@ -170,29 +167,25 @@ def baseline_cloud(hurst: float, sims: int, length: int,
     Standard deviations are population (``ddof=0``): a single simulation has
     spread 0.
     """
-    if sims < 1:
-        raise ValueError(f"sims must be >= 1, got {sims}")
+    sims = _integer(sims, "sims", 1)
     # validates hurst, length and seed once for every path
     spec = FbmSpec(hurst, length, seed)
-    n_windows = config.windows_in(length)
+    n_windows = config.windows_in(spec.length)
     if n_windows < 1:
         raise ValueError(
             f"length {length} admits no ordinal window at dim={config.dim}, "
             f"delay={config.delay}"
         )
-    lam = _circulant_eigenvalues(hurst, length)
+    lam = _circulant_eigenvalues(hurst, spec.length)
     child_seeds = np.random.SeedSequence(spec.seed).generate_state(sims, dtype=np.uint64)
-    entropies = np.empty(sims)
-    complexities = np.empty(sims)
-    block = max(1, min(_PATHS_PER_BLOCK, _COUNTS_PER_BLOCK // config.num_patterns))
-    for lo in range(0, sims, block):
-        seeds = child_seeds[lo:lo + block]
+    entropies, complexities = np.empty(sims), np.empty(sims)
+    for lo in range(0, sims, _PATHS_PER_BLOCK):
+        seeds = child_seeds[lo:lo + _PATHS_PER_BLOCK]
         paths = np.cumsum(_fgn_circulant(lam, _standard_normals(seeds, lam.size)), axis=1)
-        counts = _pattern_counts(np.arange(seeds.size)[:, np.newaxis],
-                                 _encode_starts(paths, config),
-                                 seeds.size, config.num_patterns)
         rows = slice(lo, lo + seeds.size)
-        entropies[rows], _, complexities[rows] = _plane_points(counts / n_windows)
+        entropies[rows], complexities[rows] = _window_points(
+            _encode_starts(paths, config).ravel(), config.num_patterns,
+            np.arange(seeds.size) * n_windows, n_windows)
     return BaselineCloud(
         hurst=hurst,
         mean_point=CecpPoint(float(entropies.mean()), float(complexities.mean())),

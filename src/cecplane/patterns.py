@@ -20,8 +20,9 @@ Conventions used throughout:
 
 Codes flow through the package as int64 arrays, and one ``np.bincount``
 turns them into the dense length-``D!`` count vector a
-:class:`PatternDistribution` holds.  :class:`PatternId` objects are built
-only for :func:`encode_window` and the ``counts`` mapping.
+:class:`PatternDistribution` holds; :func:`_window_counts` makes them for
+many spans of one code stream.  :class:`PatternId` objects are built only
+for :func:`encode_window` and the ``counts`` mapping.
 
 The code follows from order relations alone, with no sort (Unakafova &
 Keller, Entropy 15:4392, 2013).  Write ``x_j`` for the value at lag offset
@@ -41,6 +42,8 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .special import _integer
 
 __all__ = [
     "TimeSeries",
@@ -143,12 +146,10 @@ class OrdinalConfig:
     delay: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
+        object.__setattr__(self, "dim", _integer(self.dim, "dim", 2))
         if self.dim > MAX_DIM:
             raise ValueError(f"dim must be <= {MAX_DIM} so that dim! stays countable exactly")
-        if not isinstance(self.delay, int) or self.delay < 1:
-            raise ValueError(f"delay must be an integer >= 1, got {self.delay!r}")
+        object.__setattr__(self, "delay", _integer(self.delay, "delay", 1))
 
     @property
     def num_patterns(self) -> int:
@@ -310,10 +311,29 @@ def _encode_starts(values: np.ndarray, config: OrdinalConfig) -> np.ndarray:
     return codes
 
 
-def _pattern_counts(rows: np.ndarray, codes: np.ndarray, n_rows: int, m: int) -> np.ndarray:
-    """``(n_rows, m)`` counts of ``codes``, each counted in the row that
-    ``rows`` (broadcast against ``codes``) gives for it."""
-    return np.bincount((rows * m + codes).ravel(), minlength=n_rows * m).reshape(n_rows, m)
+def _window_counts(codes: np.ndarray, m: int, starts: np.ndarray,
+                   per_window: int) -> np.ndarray:
+    """``(windows, m)`` counts of the spans ``codes[s:s + per_window]`` at
+    increasing ``starts``, whether the spans overlap, abut or leave gaps.
+
+    The span edges cut the code stream into pieces (the successive-pattern
+    idea of Unakafova & Keller, Entropy 15:4392, 2013).  The codes of piece
+    ``b`` become new bincount keys ``(b + 1) * m + code``, so one bincount
+    counts every piece in row ``b + 1`` and leaves row 0 zero.  A cumulative
+    sum over the rows, in place, makes row ``j`` the counts ahead of edge
+    ``j``, and a span's counts are its end row minus its start row.
+    """
+    # A repeated edge bounds an empty piece, which adds nothing to its row,
+    # and searchsorted picks the first of equal edges, so no dedupe is needed.
+    edges = np.sort(np.concatenate((starts, starts + per_window)))
+    keys = codes[edges[0]:edges[-1]] + np.repeat(
+        np.arange(m, edges.size * m, m, dtype=np.int64), np.diff(edges))
+    before = np.bincount(keys, minlength=edges.size * m).reshape(edges.size, m)
+    del keys
+    np.cumsum(before, axis=0, out=before)
+    counts = before[np.searchsorted(edges, starts + per_window)]
+    counts -= before[np.searchsorted(edges, starts)]
+    return counts
 
 
 def encode_window(window, config: OrdinalConfig) -> PatternId:

@@ -9,7 +9,7 @@ pair ``(H, C)`` locates the distribution on the complexity-entropy plane
 
 One vectorized kernel, :func:`_plane_points`, computes ``H``, ``Q`` and
 ``C`` for every row of a ``(rows, M)`` probability matrix.  Rolling windows
-and fBm clouds call it with many rows; :func:`cecp_point` and the scalar
+and fBm clouds use :func:`_window_points`; :func:`cecp_point` and the scalar
 functions validate their input once and call it with one row, so a point
 does not depend on its caller.  With ``r = M p``, ``H = 1 - KL(P || U) / ln M``
 and the Jensen-Shannon divergence is a sum of nonnegative per-symbol terms:
@@ -27,7 +27,8 @@ from typing import Union
 
 import numpy as np
 
-from .patterns import OrdinalConfig, PatternDistribution, TimeSeries, extract_pattern_distribution
+from .patterns import (OrdinalConfig, PatternDistribution, TimeSeries, _window_counts,
+                       extract_pattern_distribution)
 from .special import _off_plane
 
 __all__ = [
@@ -83,9 +84,8 @@ def q0_constant(m: int) -> float:
     return -2.0 / peak
 
 
-# The rows x D! counts a caller passes _plane_points at once, which the
-# kernel copies a few times: fBm paths per block in baseline_cloud, window
-# edges per block in rolling_quantifiers (8 rows up to D = 7).
+# The window edges x D! counts _window_points holds in one block, which the
+# kernel copies a few times: 4 windows a block at D = 7, one from D = 8.
 _COUNTS_PER_BLOCK = 8 * math.factorial(7)
 
 
@@ -117,6 +117,20 @@ def _plane_points(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     entropy = np.clip(1.0 - kl / np.log(np.float64(m)), 0.0, 1.0)
     diseq = np.maximum(q0_constant(m) * jsd, 0.0)
     return entropy, diseq, entropy * diseq
+
+
+def _window_points(codes: np.ndarray, m: int, starts: np.ndarray,
+                   per_window: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(H, C)`` of the windows ``codes[s:s + per_window]`` at increasing
+    ``starts`` over ``m`` patterns, counted and scored a block at a time so
+    that the count rows stay within ``_COUNTS_PER_BLOCK``."""
+    entropies, complexities = np.empty(starts.size), np.empty(starts.size)
+    block = max(1, _COUNTS_PER_BLOCK // (2 * m))  # two edges per window
+    for lo in range(0, starts.size, block):
+        rows = slice(lo, lo + block)
+        entropies[rows], _, complexities[rows] = _plane_points(
+            _window_counts(codes, m, starts[rows], per_window) / per_window)
+    return entropies, complexities
 
 
 def _one_row(probs: ProbsLike) -> tuple[int, float, float, float]:

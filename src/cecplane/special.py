@@ -5,12 +5,14 @@ Student-t tail probabilities reduce to it — so it is implemented here
 directly (continued-fraction evaluation with a ``lgamma`` prefactor) instead
 of pulling in a scientific stack at runtime.  The test suite cross-checks
 these routines against independent high-precision oracles.  The plane
-rule shared by ``CecpPoint`` and the ``windows.csv`` reader lives here too.
+rule shared by ``CecpPoint`` and the ``windows.csv`` reader lives here too,
+and so does the integer rule of every count-like argument.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 __all__ = [
     "regularized_incomplete_beta",
@@ -69,6 +71,17 @@ def _off_plane(entropy, complexity):
     return (("entropy", (entropy < -1e-12) | (entropy > 1.0 + 1e-12) | (entropy != entropy),
              "normalized entropy {} outside [0, 1]"),
             ("complexity", complexity < -1e-12, "complexity {} negative"))
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """``value``, any integer type, as an ``int`` of at least ``minimum``."""
+    try:
+        number = int(operator.index(value))
+    except TypeError:
+        number = minimum - 1
+    if number < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return number
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:

@@ -13,11 +13,13 @@ from cecplane.patterns import (
     PatternId,
     TimeSeries,
     _encode_starts,
+    _window_counts,
     encode_window,
     extract_pattern_distribution,
     index_to_permutation,
     permutation_to_index,
 )
+from cecplane.quantifiers import _plane_points, _window_points
 from oracles import argsort_encode_starts, naive_pattern_oracle
 
 CFG3 = OrdinalConfig(3, 1)
@@ -217,6 +219,51 @@ class TestSortFreeEncoder:
             cfg = OrdinalConfig(dim, 2)
             assert np.array_equal(_encode_starts(values, cfg),
                                   argsort_encode_starts(values, cfg))
+
+
+@st.composite
+def window_spans(draw, layout):
+    """Pattern codes over ``m`` symbols and the spans ``codes[s:s + w]`` at
+    ``starts = offset + k * step``: overlapping (``step < w``), abutting
+    (``step == w``, the layout of fBm paths laid end to end) or gapped
+    (``step > w``)."""
+    m = draw(st.sampled_from([2, 6, 24, 120]))
+    per_window = draw(st.integers(2 if layout == "overlap" else 1, 12))
+    step = draw({"overlap": st.integers(1, per_window - 1), "abut": st.just(per_window),
+                 "gap": st.integers(per_window + 1, 2 * per_window + 3)}[layout])
+    starts = draw(st.integers(0, 5)) + step * np.arange(draw(st.integers(1, 10)))
+    length = int(starts[-1]) + per_window + draw(st.integers(0, 5))
+    codes = draw(st.lists(st.integers(0, m - 1), min_size=length, max_size=length))
+    return np.array(codes, dtype=np.int64), m, starts, per_window
+
+
+class TestWindowCounts:
+    """The one span counter and the blocked scorer built on it."""
+
+    @pytest.mark.parametrize("layout", ["overlap", "abut", "gap"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_bincount_of_each_span(self, layout, data):
+        codes, m, starts, per_window = data.draw(window_spans(layout))
+        counts = _window_counts(codes, m, starts, per_window)
+        assert counts.shape == (starts.size, m)
+        for row, s in zip(counts, starts):
+            assert np.array_equal(row, np.bincount(codes[s:s + per_window], minlength=m))
+
+    @pytest.mark.parametrize("dim,step", [(4, 5), (4, 30), (7, 60), (8, 60), (8, 353)])
+    def test_points_match_kernel_one_window_at_a_time(self, rng, dim, step):
+        """Bit for bit: at D = 4 over two blocks of overlapping windows and
+        over abutting ones, at D = 7 over gapped ones, 4 a block, and at
+        D = 8, where a block holds one window."""
+        m = math.factorial(dim)
+        per_window = 353 if dim == 8 else 30
+        starts = np.arange(12 if dim == 8 else 900) * step
+        codes = rng.integers(0, m, int(starts[-1]) + per_window)
+        entropies, complexities = _window_points(codes, m, starts, per_window)
+        for s, h, c in zip(starts, entropies, complexities):
+            counts = np.bincount(codes[s:s + per_window], minlength=m)
+            want_h, _, want_c = _plane_points(counts[np.newaxis, :] / per_window)
+            assert (h, c) == (want_h[0], want_c[0])
 
 
 class TestMonotoneInvariance:

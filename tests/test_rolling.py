@@ -155,6 +155,16 @@ class TestResultStructure:
         given[0] = 0.75
         assert result.entropies.tolist() == [0.25, 0.5]
 
+    def test_end_timestamps_are_a_frozen_float_copy(self):
+        hs, cs = [0.0, 0.5], [0.0, 0.1]
+        result = RollingResult("x", [0, 60], hs, cs, 357, end_timestamps=[359, 419])
+        assert result.end_timestamps.dtype == np.float64
+        assert not result.end_timestamps.flags.writeable
+        given = np.array([359.0, 419.0])
+        result = RollingResult("x", [0, 60], hs, cs, 357, end_timestamps=given)
+        given[0] = -1.0
+        assert result.end_timestamps.tolist() == [359.0, 419.0]
+
 
 def test_array_holding_results_compare_by_identity():
     # numpy fields make a field-wise == ambiguous; these types compare and

@@ -1,9 +1,14 @@
+import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
 import scipy.stats
 
+from cecplane import (FbmSpec, OrdinalConfig, WindowParams, baseline_cloud, lower_bound_curve,
+                      upper_bound_curve)
+from cecplane.dataio import RunConfig
 from cecplane.special import f_sf, regularized_incomplete_beta, student_t_sf_two_sided
 
 mpmath.mp.dps = 50
@@ -91,3 +96,46 @@ class TestStudentTail:
         assert student_t_sf_two_sided(math.inf, 7) == 0.0
         with pytest.raises(ValueError):
             student_t_sf_two_sided(1.0, 0)
+
+
+class TestIntegerRule:
+    """Every count-like argument takes any integer type, numpy's included,
+    stores a plain ``int``, and names itself when given anything else."""
+
+    def test_numpy_integers_build_the_int_built_objects(self):
+        pairs = [
+            (OrdinalConfig(np.int64(4), np.int32(2)), OrdinalConfig(4, 2), ("dim", "delay")),
+            (WindowParams(np.int64(360), np.uint16(60)), WindowParams(360, 60),
+             ("size", "step")),
+            (FbmSpec(0.5, np.int64(10), 1), FbmSpec(0.5, 10, 1), ("length",)),
+            (baseline_cloud(0.5, np.int64(4), 40, OrdinalConfig(3), 1),
+             baseline_cloud(0.5, 4, 40, OrdinalConfig(3), 1), ("sims",)),
+        ]
+        for built, expected, fields in pairs:
+            assert built == expected
+            for field in fields:
+                assert type(getattr(built, field)) is int, field
+        curve = lower_bound_curve(np.int64(24), np.int64(100))
+        assert type(curve.states) is int
+        assert np.array_equal(curve.complexity, lower_bound_curve(24, 100).complexity)
+        config = RunConfig(ordinal=OrdinalConfig(np.int64(5)),
+                           window=WindowParams(np.int64(120), np.int64(30)))
+        assert json.loads(json.dumps(config.as_dict()))["window_size"] == 120
+
+    @pytest.mark.parametrize("call,name,minimum", [
+        (lambda: OrdinalConfig(2.0), "dim", 2),
+        (lambda: OrdinalConfig(4, 1.0), "delay", 1),
+        (lambda: WindowParams(360.0, 60), "size", 2),
+        (lambda: WindowParams(360, "60"), "step", 1),
+        (lambda: FbmSpec(0.5, 10.0, 1), "length", 2),
+        (lambda: lower_bound_curve(24.0, 100), "M", 2),
+        (lambda: upper_bound_curve(24, 100.0), "resolution", 2),
+        (lambda: baseline_cloud(0.5, 2.0, 40, OrdinalConfig(3), 1), "sims", 1),
+    ])
+    def test_non_integer_is_named(self, call, name, minimum):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {minimum}, got "):
+            call()
+
+    def test_below_minimum_keeps_the_message(self):
+        with pytest.raises(ValueError, match=r"^delay must be an integer >= 1, got 0$"):
+            OrdinalConfig(4, 0)
