@@ -146,3 +146,60 @@ def test_generators_match_frozen_hashes(name, tmp_path):
     argv, expected = GENERATORS[name]
     assert main([*argv, "--out", str(tmp_path / name)]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected
+
+
+def _row_reader_input(path):
+    """Three assets on a five-minute ISO-8601 grid, made with the standard
+    library: a random walk written with ``repr``, with empty cells for
+    ``--forward-fill`` to carry over (a run of six in R0, one row where R1
+    and R2 both miss, and a lone cell in R2)."""
+    from datetime import datetime, timedelta
+
+    rng = random.Random(2020)
+    labels = ["R0", "R1", "R2"]
+    levels = [100.0, 50.0, 20.0]
+    start = datetime(2017, 8, 1)
+    lines = ["time," + ",".join(labels)]
+    for k in range(1_500):
+        levels = [x * (1.0 + rng.gauss(0.0, 0.002)) for x in levels]
+        cells = [repr(x) for x in levels]
+        if 700 <= k < 706:
+            cells[0] = ""
+        if k == 901:
+            cells[1] = cells[2] = ""
+        if k == 1_203:
+            cells[2] = " "
+        stamp = (start + timedelta(minutes=5 * k)).isoformat()
+        lines.append(stamp + "," + ",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+
+
+# The row reader (ISO-8601 timestamps, filled gaps, their counts in the
+# manifest), a pattern delay of 2, and the fBm clouds of an analyze run.
+ROW_READER = {
+    "anova.csv": "fe3782269aae1e240441bb9f52eaafb52bdbdaba6afc00c765b79c7f0915fe13",
+    "bounds.csv": "cfe9d7ce13957198454939d61b1c9d907599eee5898e4b451fc1359163479e47",
+    "fbm_clouds.csv": "1549d0b1575283c00e15a1450367d876b0bb74744e87e1e2ec951f5e83a8fd6d",
+    "manifest.json": "573f5886c91400d3653c65c8ca2900693442d37d6cb8ecab113767e63ff0c1c1",
+    "pairwise_anova.csv": "047297716dee0d6c81da777eebf6817c989420712508f04128d9ec331b45340c",
+    "plot_anova_intervals.csv": "f954fb00cedcc2cde4a8ec961418b3ea719dd5426cb8f2a4cbe4faa279c3888c",
+    "plot_cecp_means.csv": "4a2905a026b292479c96dfbc7827ec41eee8478f7c92caa9a8753f5746aeb481",
+    "plot_cecp_scatter.csv": "87a5d2a90d82768c74a2fad91fea38712da5e757ec96dba90ea58327ca96099f",
+    "plot_entropy_evolution.csv": "71a3266d0844d059fa3bed19780155ee7c26720bed88a81d93390d3890d42c47",
+    "ranking.csv": "9744818e589d462272103c0ba921fb9e739e4fdba1845570c00b1054d27be8ea",
+    "summaries.csv": "8df17937fb0ce40c417584dd92a6519de8068f12b973d12cea2fc3c69077ede1",
+    "windows.csv": "e0d8186cbfeab2ea80f52a91e775957b9f64edd3b4a8ebe32bf6690f220b879d",
+}
+
+
+def test_row_reader_tree_matches_frozen_hashes(tmp_path):
+    data = tmp_path / "dataset.csv"
+    _row_reader_input(data)
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(data), "--out", str(out), "--forward-fill",
+                 "--dim", "4", "--tau", "2", "--window", "360", "--step", "60",
+                 "--fbm-hurst", "0.5,0.7", "--sims", "24", "--seed", "42",
+                 "--plots", "all"]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.iterdir())}
+    assert got == ROW_READER
