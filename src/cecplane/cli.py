@@ -200,12 +200,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_fbm(args) -> int:
     from ._tables import _clouds_table, _write
-    from .fbm import baseline_cloud
+    from .fbm import _baseline_clouds
     from .patterns import OrdinalConfig
 
     config = OrdinalConfig(args.dim, args.tau)
-    clouds = [baseline_cloud(hurst, args.sims, args.length, config, args.seed)
-              for hurst in args.hurst]
+    clouds = _baseline_clouds(args.hurst, args.sims, args.length, config, args.seed)
     _write(_clouds_table(clouds), args.out)
     return 0
 

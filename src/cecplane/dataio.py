@@ -419,11 +419,10 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
 
     clouds = ()
     if config.fbm_hursts:
-        from .fbm import baseline_cloud  # only a run with baseline clouds loads fbm
+        from .fbm import _baseline_clouds  # only a run with baseline clouds loads fbm
 
-        clouds = tuple(baseline_cloud(h, config.fbm_sims, config.window.size,
-                                      config.ordinal, config.seed)
-                       for h in config.fbm_hursts)
+        clouds = tuple(_baseline_clouds(config.fbm_hursts, config.fbm_sims,
+                                        config.window.size, config.ordinal, config.seed))
     return AnalysisBundle(
         config=config,
         input_digest=dataset.digest,

@@ -13,8 +13,12 @@ paths.
 ``baseline_cloud`` summarizes the plane positions of many independent paths,
 the reference crosses drawn alongside empirical trajectories.  All paths of a
 cloud share the circulant eigenvalues, computed once; each path draws its
-normals from its own seed.  Blocks of a few paths go through one batched
-FFT and encode, and are scored end to end as the windows of one series.
+normals from its own seed.  Path ``i`` has the same seed in every cloud of
+one call, so ``_baseline_clouds``, which ``baseline_cloud``, ``fbm`` and
+``analyze --fbm-hurst`` all run, draws a block of paths' normals once and
+synthesizes every Hurst exponent from them.  The block's paths of every
+exponent go through one encode and are scored end to end as the windows of
+one series.
 """
 
 from __future__ import annotations
@@ -42,10 +46,11 @@ __all__ = [
 # largest) are treated as rounding noise and clipped to zero.
 _EIG_RTOL = 1e-12
 
-# Paths synthesized and scored together in baseline_cloud.  A small block
-# keeps peak RSS flat: on `cecplane fbm` over 5 x 500 paths of 360, 8 paths
-# per block peak at the RSS of one path at a time (36.9 MB), 32 at 38.4 MB,
-# and a whole 500-path cloud at once at 61 MB.
+# Paths whose normals are drawn together, then synthesized, encoded and
+# scored for every Hurst exponent of the call.  A small block keeps peak RSS
+# flat: on `cecplane fbm` over 5 x 500 paths of 360, 8 paths per block peak
+# at 36.8 MiB, one path at a time at 36.4 MiB, 32 paths at 39.3 MiB, and a
+# whole 500-path cloud at once at 73.3 MiB.
 _PATHS_PER_BLOCK = 8
 
 
@@ -81,8 +86,7 @@ class BaselineCloud:
     sims: int
 
     def __post_init__(self):
-        if self.sims < 1:
-            raise ValueError("sims must be >= 1")
+        object.__setattr__(self, "sims", _integer(self.sims, "sims", 1))
         if self.std_entropy < 0 or self.std_complexity < 0:
             raise ValueError("standard deviations must be nonnegative")
 
@@ -167,29 +171,53 @@ def baseline_cloud(hurst: float, sims: int, length: int,
     Standard deviations are population (``ddof=0``): a single simulation has
     spread 0.
     """
+    return _baseline_clouds((hurst,), sims, length, config, seed)[0]
+
+
+def _baseline_clouds(hursts, sims: int, length: int, config: OrdinalConfig,
+                     seed: int) -> list[BaselineCloud]:
+    """``[baseline_cloud(h, sims, length, config, seed) for h in hursts]``,
+    bit for bit, drawing each path's normals once for every exponent.
+
+    Path ``i`` of every cloud has the same seed, so each block of seeds
+    draws its normals once; every exponent synthesizes its paths from them
+    into one buffer, which is encoded and scored in one call.
+    """
     sims = _integer(sims, "sims", 1)
-    # validates hurst, length and seed once for every path
-    spec = FbmSpec(hurst, length, seed)
-    n_windows = config.windows_in(spec.length)
+    # validates every exponent, the length and the seed before any path
+    specs = [FbmSpec(hurst, length, seed) for hurst in hursts]
+    if not specs:
+        return []
+    length, seed = specs[0].length, specs[0].seed
+    n_windows = config.windows_in(length)
     if n_windows < 1:
         raise ValueError(
             f"length {length} admits no ordinal window at dim={config.dim}, "
             f"delay={config.delay}"
         )
-    lam = _circulant_eigenvalues(hurst, spec.length)
-    child_seeds = np.random.SeedSequence(spec.seed).generate_state(sims, dtype=np.uint64)
-    entropies, complexities = np.empty(sims), np.empty(sims)
+    lams = [_circulant_eigenvalues(spec.hurst, length) for spec in specs]
+    child_seeds = np.random.SeedSequence(seed).generate_state(sims, dtype=np.uint64)
+    entropies, complexities = np.empty((2, len(specs), sims))
+    paths = np.empty((len(specs), _PATHS_PER_BLOCK, length))
     for lo in range(0, sims, _PATHS_PER_BLOCK):
         seeds = child_seeds[lo:lo + _PATHS_PER_BLOCK]
-        paths = np.cumsum(_fgn_circulant(lam, _standard_normals(seeds, lam.size)), axis=1)
+        z = _standard_normals(seeds, 2 * length)
+        block = paths[:, :seeds.size]
+        for lam, out in zip(lams, block):
+            np.cumsum(_fgn_circulant(lam, z), axis=1, out=out)
+        e, c = _window_points(
+            _encode_starts(block, config).ravel(), config.num_patterns,
+            np.arange(len(specs) * seeds.size) * n_windows, n_windows)
         rows = slice(lo, lo + seeds.size)
-        entropies[rows], complexities[rows] = _window_points(
-            _encode_starts(paths, config).ravel(), config.num_patterns,
-            np.arange(seeds.size) * n_windows, n_windows)
-    return BaselineCloud(
-        hurst=hurst,
-        mean_point=CecpPoint(float(entropies.mean()), float(complexities.mean())),
-        std_entropy=float(entropies.std()),
-        std_complexity=float(complexities.std()),
-        sims=sims,
-    )
+        entropies[:, rows] = e.reshape(len(specs), -1)
+        complexities[:, rows] = c.reshape(len(specs), -1)
+    return [
+        BaselineCloud(
+            hurst=spec.hurst,
+            mean_point=CecpPoint(float(h.mean()), float(c.mean())),
+            std_entropy=float(h.std()),
+            std_complexity=float(c.std()),
+            sims=sims,
+        )
+        for spec, h, c in zip(specs, entropies, complexities)
+    ]

@@ -60,6 +60,8 @@ class RollingResult:
     end_timestamps: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "samples_per_window",
+                           _integer(self.samples_per_window, "samples_per_window", 1))
         starts = np.array(self.window_starts, dtype=np.int64)
         for name in ("entropies", "complexities"):
             values = np.array(getattr(self, name), dtype=np.float64)
