@@ -13,12 +13,10 @@ paths.
 ``baseline_cloud`` summarizes the plane positions of many independent paths,
 the reference crosses drawn alongside empirical trajectories.  All paths of a
 cloud share the circulant eigenvalues, computed once; each path draws its
-normals from its own seed.  Path ``i`` has the same seed in every cloud of
-one call, so ``_baseline_clouds``, which ``baseline_cloud``, ``fbm`` and
-``analyze --fbm-hurst`` all run, draws a block of paths' normals once and
-synthesizes every Hurst exponent from them.  The block's paths of every
-exponent go through one encode and are scored end to end as the windows of
-one series.
+normals from its own seed, the same seed in every cloud of one call.  So
+``_baseline_clouds`` draws a block of paths' normals once for every Hurst
+exponent; the block's paths of every exponent go through one encode and are
+scored end to end as the windows of one series.
 """
 
 from __future__ import annotations
@@ -176,18 +174,12 @@ def baseline_cloud(hurst: float, sims: int, length: int,
 
 def _baseline_clouds(hursts, sims: int, length: int, config: OrdinalConfig,
                      seed: int) -> list[BaselineCloud]:
-    """``[baseline_cloud(h, sims, length, config, seed) for h in hursts]``,
-    bit for bit, drawing each path's normals once for every exponent.
-
-    Path ``i`` of every cloud has the same seed, so each block of seeds
-    draws its normals once; every exponent synthesizes its paths from them
-    into one buffer, which is encoded and scored in one call.
-    """
+    """``[baseline_cloud(h, sims, length, config, seed) for h in hursts]``
+    bit for bit, over a non-empty ``hursts``, drawing each block of paths'
+    normals once for every exponent."""
     sims = _integer(sims, "sims", 1)
     # validates every exponent, the length and the seed before any path
     specs = [FbmSpec(hurst, length, seed) for hurst in hursts]
-    if not specs:
-        return []
     length, seed = specs[0].length, specs[0].seed
     n_windows = config.windows_in(length)
     if n_windows < 1:
@@ -211,13 +203,6 @@ def _baseline_clouds(hursts, sims: int, length: int, config: OrdinalConfig,
         rows = slice(lo, lo + seeds.size)
         entropies[:, rows] = e.reshape(len(specs), -1)
         complexities[:, rows] = c.reshape(len(specs), -1)
-    return [
-        BaselineCloud(
-            hurst=spec.hurst,
-            mean_point=CecpPoint(float(h.mean()), float(c.mean())),
-            std_entropy=float(h.std()),
-            std_complexity=float(c.std()),
-            sims=sims,
-        )
-        for spec, h, c in zip(specs, entropies, complexities)
-    ]
+    return [BaselineCloud(spec.hurst, CecpPoint(float(h.mean()), float(c.mean())),
+                          float(h.std()), float(c.std()), sims)
+            for spec, h, c in zip(specs, entropies, complexities)]

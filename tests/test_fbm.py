@@ -16,6 +16,7 @@ from cecplane import (
     generate_fgn,
 )
 from cecplane.fbm import (
+    _baseline_clouds,
     _circulant_eigenvalues,
     _fgn_circulant,
     _standard_normals,
@@ -215,6 +216,29 @@ class TestBaselineCloud:
         for seed in (-3, np.int64(-3)):
             with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -3"):
                 baseline_cloud(0.7, 4, 256, self.CONFIG, seed=seed)
+
+    @pytest.mark.parametrize("hursts", [(0.7,), (0.5, 0.6, 0.7, 0.8, 0.9), (0.3, 0.8, 0.3)],
+                             ids=["one", "five", "repeated"])
+    @pytest.mark.parametrize("sims", [1, 13, 37])
+    def test_clouds_of_one_call_equal_single_clouds(self, hursts, sims):
+        # sims 13 and 37 end in a partial block of 5 paths
+        clouds = _baseline_clouds(hursts, sims, 300, self.CONFIG, seed=9)
+        assert clouds == [baseline_cloud(h, sims, 300, self.CONFIG, seed=9) for h in hursts]
+
+    def test_clouds_of_one_call_equal_single_clouds_at_dim_8(self):
+        # D! = 40,320: the scorer takes one window per count block
+        config, hursts = OrdinalConfig(8, 2), (0.25, 0.5, 0.8)
+        clouds = _baseline_clouds(hursts, 13, 300, config, seed=4)
+        assert clouds == [baseline_cloud(h, 13, 300, config, seed=4) for h in hursts]
+
+    def test_every_exponent_checked_before_any_path(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("normals drawn before every exponent was checked")
+
+        monkeypatch.setattr("cecplane.fbm._standard_normals", no_draw)
+        with pytest.raises(ValueError,
+                           match=r"^hurst must lie strictly inside \(0, 1\), got 1\.5$"):
+            _baseline_clouds((0.5, 1.5), 8, 256, self.CONFIG, seed=1)
 
 
 def test_circulant_embedding_admissible_everywhere():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from cecplane import (FbmSpec, OrdinalConfig, WindowParams, baseline_cloud, lower_bound_curve,
-                      upper_bound_curve)
+from cecplane import (BaselineCloud, CecpPoint, FbmSpec, OrdinalConfig, RollingResult,
+                      WindowParams, baseline_cloud, lower_bound_curve, upper_bound_curve)
 from cecplane.dataio import RunConfig
 from cecplane.special import f_sf, regularized_incomplete_beta, student_t_sf_two_sided
 
@@ -110,11 +110,17 @@ class TestIntegerRule:
             (FbmSpec(0.5, np.int64(10), 1), FbmSpec(0.5, 10, 1), ("length",)),
             (baseline_cloud(0.5, np.int64(4), 40, OrdinalConfig(3), 1),
              baseline_cloud(0.5, 4, 40, OrdinalConfig(3), 1), ("sims",)),
+            (BaselineCloud(0.5, CecpPoint(0.9, 0.1), 0.0, 0.0, np.uint8(4)),
+             BaselineCloud(0.5, CecpPoint(0.9, 0.1), 0.0, 0.0, 4), ("sims",)),
         ]
         for built, expected, fields in pairs:
             assert built == expected
             for field in fields:
                 assert type(getattr(built, field)) is int, field
+        # RollingResult compares by identity, so only its field is compared
+        rolled = RollingResult("x", [0, 60], [0.5, 0.5], [0.1, 0.1], np.int64(357))
+        assert type(rolled.samples_per_window) is int
+        assert rolled.samples_per_window == 357
         curve = lower_bound_curve(np.int64(24), np.int64(100))
         assert type(curve.states) is int
         assert np.array_equal(curve.complexity, lower_bound_curve(24, 100).complexity)
@@ -131,6 +137,9 @@ class TestIntegerRule:
         (lambda: lower_bound_curve(24.0, 100), "M", 2),
         (lambda: upper_bound_curve(24, 100.0), "resolution", 2),
         (lambda: baseline_cloud(0.5, 2.0, 40, OrdinalConfig(3), 1), "sims", 1),
+        (lambda: BaselineCloud(0.5, CecpPoint(0.9, 0.1), 0.0, 0.0, sims=2.5), "sims", 1),
+        (lambda: RollingResult("x", [0, 60], [0.5, 0.5], [0.1, 0.1], samples_per_window=2.5),
+         "samples_per_window", 1),
     ])
     def test_non_integer_is_named(self, call, name, minimum):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {minimum}, got "):
