@@ -137,9 +137,11 @@ class TestIntegerRule:
         (lambda: lower_bound_curve(24.0, 100), "M", 2),
         (lambda: upper_bound_curve(24, 100.0), "resolution", 2),
         (lambda: baseline_cloud(0.5, 2.0, 40, OrdinalConfig(3), 1), "sims", 1),
-        (lambda: BaselineCloud(0.5, CecpPoint(0.9, 0.1), 0.0, 0.0, sims=2.5), "sims", 1),
-        (lambda: RollingResult("x", [0, 60], [0.5, 0.5], [0.1, 0.1], samples_per_window=2.5),
-         "samples_per_window", 1),
+        pytest.param(lambda: BaselineCloud(0.5, CecpPoint(0.9, 0.1), 0.0, 0.0, sims=2.5),
+                     "sims", 1, id="BaselineCloud-sims-1"),
+        pytest.param(lambda: RollingResult("x", [0, 60], [0.5, 0.5], [0.1, 0.1],
+                                           samples_per_window=2.5),
+                     "samples_per_window", 1, id="RollingResult-samples_per_window-1"),
     ])
     def test_non_integer_is_named(self, call, name, minimum):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {minimum}, got "):
