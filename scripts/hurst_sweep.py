@@ -4,18 +4,16 @@
 Prints one row per H with the cloud's mean (entropy, complexity), its spread,
 and where the mean sits relative to the theoretical envelope at that entropy.
 Smoother paths (larger H) drift down in entropy and up in complexity.
+The clouds come from one ``fbm._baseline_clouds`` call, as in ``cecplane
+fbm``, so each path's normals are drawn once for every exponent.
 """
 
 import argparse
 
 import numpy as np
 
-from cecplane import (
-    OrdinalConfig,
-    baseline_cloud,
-    lower_bound_curve,
-    upper_bound_curve,
-)
+from cecplane import OrdinalConfig, lower_bound_curve, upper_bound_curve
+from cecplane.fbm import _baseline_clouds
 
 
 def main() -> None:
@@ -35,8 +33,9 @@ def main() -> None:
 
     print(f"{'H':>4} {'mean_H':>9} {'mean_C':>9} {'std_H':>8} {'std_C':>8} "
           f"{'C_lower':>9} {'C_upper':>9}")
-    for hurst in (float(h) for h in args.hurst.split(",")):
-        cloud = baseline_cloud(hurst, args.sims, args.length, config, args.seed)
+    hursts = [float(h) for h in args.hurst.split(",")]
+    for hurst, cloud in zip(hursts, _baseline_clouds(hursts, args.sims, args.length,
+                                                     config, args.seed)):
         h = cloud.mean_point.entropy
         c_lo = float(np.interp(h, lower.entropy, lower.complexity))
         c_hi = float(np.interp(h, upper.entropy, upper.complexity))

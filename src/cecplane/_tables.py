@@ -7,7 +7,9 @@ plus typed columns), formatted a column at a time by ``_text`` and written by
 ``_write``, so a rerun with the same inputs and seed is byte-identical.
 Every CSV read in — the dataset, ``windows.csv``, a ``--metric`` file — is
 opened once by ``_read_csv``, under one set of rules, and checked in the one
-pass that reads its rows.  The text is decoded once, with bytes that are not
+pass that reads its rows; a large dataset's byte ranges past the first are
+opened again, decoded the same way by ``_decoded``, by the processes that
+parse them.  The text is decoded once, with bytes that are not
 UTF-8 escaped, so such a byte is one more defect of its row.  The first
 defect in reading order is the one reported, located at the physical line
 its record starts on (a bad byte: the line of the byte) as
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 import sys
 from itertools import compress
@@ -169,12 +172,47 @@ def _data_rows(path, header: list[str], reader) -> Iterator[tuple[int, list[str]
         yield line, row
 
 
+class _Head(io.RawIOBase):
+    """The next ``size`` bytes of the raw file ``raw``, then its end."""
+
+    def __init__(self, raw, size: int):
+        self._raw, self._left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        with memoryview(buffer) as view, view[:self._left] as head:
+            size = self._raw.readinto(head)
+        self._left -= size
+        return size
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _decoded(path, start: int = 0, stop: int | None = None, encoding: str = "utf-8"):
+    """The bytes ``[start, stop)`` of the file ``path`` (to its end when
+    ``stop`` is None) as a text stream in ``encoding`` (``utf-8``, or
+    ``utf-8-sig`` to skip a byte-order mark), with bytes that are not UTF-8
+    escaped and line ends kept as they are."""
+    raw = open(path, "rb", buffering=0)
+    raw.seek(start)
+    if stop is not None:
+        raw = _Head(raw, stop - start)
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding=encoding,
+                            errors="surrogateescape", newline="")
+
+
 @contextlib.contextmanager
-def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]],
-                                      Iterable[str]]]:
+def _read_csv(path, stop: int | None = None) -> Iterator[
+        tuple[list[str], Iterator[tuple[int, list[str]]], Iterable[str]]]:
     """Open the CSV input ``path`` under the package's reading rules; yields
     its header, its ``(line, row)`` data rows, and its text just past the
-    header, which a bulk parser may read instead of the rows.
+    header, which a bulk parser may read instead of the rows.  With ``stop``,
+    the file ends for this reader at that byte offset, which must lie past
+    the header.
 
     The text is UTF-8, and a byte-order mark is skipped.  The header's names
     are stripped, and a file with no header or with a repeated name is an
@@ -187,7 +225,7 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
     and the row pass reports it, ahead of a blank or ragged row, at the line
     of the byte, so the first defect in reading order is the one reported.
     """
-    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
+    with _decoded(path, 0, stop, "utf-8-sig") as text:
         reader = csv.reader(text)
         first = next(reader, [])
         _check_text(path, 1, first)

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import signal
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -353,16 +355,20 @@ ODD_CELLS = st.sampled_from([
 ])
 
 
-def _cell(draw, number, noisy):
+UNQUOTED_ODD_CELLS = ODD_CELLS.filter(lambda cell: '"' not in cell)
+
+
+def _cell(draw, number, noisy, quotes):
     if noisy and draw(st.integers(0, 7)) == 0:
-        return draw(ODD_CELLS)
-    return '"%s"' % number if draw(st.integers(0, 5)) == 0 else number
+        return draw(ODD_CELLS if quotes else UNQUOTED_ODD_CELLS)
+    return '"%s"' % number if quotes and draw(st.integers(0, 5)) == 0 else number
 
 
 @st.composite
-def csv_inputs(draw):
+def csv_inputs(draw, quotes=True):
     """A small CSV text with the defects a real export can have, plus the
-    ``load_dataset`` keywords to read it with."""
+    ``load_dataset`` keywords to read it with; without ``quotes``, the text
+    holds no ``"``."""
     columns = ["a", "b", "c"][:draw(st.integers(1, 3))]
     stamp = draw(st.sampled_from([
         lambda i: str(300 * i),
@@ -380,8 +386,8 @@ def csv_inputs(draw):
         if kind == "commas":
             lines.append("," * len(columns))
             continue
-        cells = [_cell(draw, stamp(i), noisy)]
-        cells += [_cell(draw, draw(NUMBER_CELLS), noisy) for _ in columns]
+        cells = [_cell(draw, stamp(i), noisy, quotes)]
+        cells += [_cell(draw, draw(NUMBER_CELLS), noisy, quotes) for _ in columns]
         if kind == "ragged":
             cells = cells[:-1] if draw(st.booleans()) else cells + ["7"]
         lines.append(",".join(cells))
@@ -461,6 +467,147 @@ class TestLoadPaths:
             loaded = _outcome(path, assets=assets, forward_fill=True)
         rows.assert_called_once()
         assert loaded[0] == "loaded" and loaded[4]["b"] == 1
+
+
+def _in_ranges(cpus):
+    """Split a file of any size into up to ``cpus`` byte ranges."""
+    return mock.patch.multiple(dataio, _RANGE_FLOOR=1, _cpus=mock.Mock(return_value=cpus))
+
+
+def _edge_file(path, before: str, after: str) -> int:
+    """Write ``before + after`` to ``path`` so that two ranges meet where
+    ``before`` ends, and return that byte offset.  Zeros go at the ``~`` of
+    one part (after a decimal digit, so no value changes) until ``after`` is
+    two bytes shorter than ``before``: the cut, the first line end at or past
+    the middle byte, is then the last byte of ``before``."""
+    size_before, size_after = (len(s.replace("~", "").encode()) for s in (before, after))
+    before = before.replace("~", "0" * max(size_after + 2 - size_before, 0))
+    after = after.replace("~", "0" * max(size_before - 2 - size_after, 0))
+    path.write_bytes((before + after).encode())
+    return len(before.encode())
+
+
+class TestRanges:
+    """A file split into byte ranges, each parsed by loadtxt in its own
+    process, loads to the same dataset, or the same error, as one pass."""
+
+    # Files without a quote, which alone are split, are half the cases.
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(csv_inputs(), csv_inputs(quotes=False)))
+    def test_fuzz_matches_one_range_and_row_reader(self, cpus, case):
+        text, kwargs = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with _in_ranges(cpus):
+                ranged = _outcome(path, **kwargs)
+            assert ranged == _outcome(path, **kwargs) == _row_reader_outcome(path, **kwargs)
+
+    EDGES = {
+        "crlf": ("timestamp,a\r\n0,1.5~\r\n300,2.5\r\n", "600,3.5~\r\n900,4.5\r\n"),
+        "blank-line-before": ("timestamp,a\n0,1.5~\n300,2.5\n\n", "600,3.5~\n900,4.5\n"),
+        "blank-line-after": ("timestamp,a\n0,1.5~\n300,2.5\n", "\n600,3.5~\n900,4.5\n"),
+        "no-final-line-end": ("timestamp,a\n0,1.5~\n300,2.5\n", "600,3.5~\n900,4.5"),
+        "byte-order-mark": ("\ufefftimestamp,a\n0,1.5~\n300,2.5\n", "600,3.5~\n900,4.5\n"),
+    }
+
+    @pytest.mark.parametrize("before, after", EDGES.values(), ids=EDGES)
+    def test_range_edge(self, tmp_path, before, after):
+        path = tmp_path / "d.csv"
+        edge = _edge_file(path, before, after)
+        with _in_ranges(2), \
+                mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows:
+            assert dataio._cuts(path) == [edge]
+            loaded = _outcome(path)
+        rows.assert_not_called()
+        assert loaded[0] == "loaded" and loaded[5][0][0] == np.array([1.5, 2.5, 3.5, 4.5]).tobytes()
+        assert loaded == _outcome(path) == _row_reader_outcome(path)
+
+    @pytest.mark.parametrize("before, after", [
+        ('"timestamp",a\n0,1.5~\n300,2.5\n', "600,3.5~\n900,4.5\n"),
+        ('timestamp,a\n0,"1.5~"\n300,2.5\n', "600,3.5~\n900,4.5\n"),
+        ("timestamp,a\n0,1.5~\n300,2.5\n", '600,3.5~\n900,"4.5"\n'),
+        ('timestamp,a\n0,1.5~\n300,"2.5\n', '"\n600,3.5~\n900,4.5\n'),  # a cell across the cut
+        ("timestamp,a\r0,1.5~\r300,2.5\r", "600,3.5~\r900,4.5\r"),
+    ], ids=["in-header", "before-cut", "after-cut", "across-cut", "cr-line-ends"])
+    def test_quote_or_no_line_feed_takes_one_range(self, tmp_path, before, after):
+        path = tmp_path / "d.csv"
+        _edge_file(path, before, after)
+        with _in_ranges(2), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert dataio._cuts(path) == []
+            loaded = _outcome(path)
+        fork.assert_not_called()
+        assert loaded[0] == "loaded" and loaded == _row_reader_outcome(path)
+
+    def test_defect_in_a_child_range_is_located(self, tmp_path):
+        """The child refuses its range, and the row reader reports the
+        defect at the line one range reports."""
+        path = tmp_path / "d.csv"
+        edge = _edge_file(path, "timestamp,a\n0,1.5~\n300,2.5\n", "600,3.5~\n900,x\n")
+        with _in_ranges(2):
+            assert dataio._cuts(path) == [edge]
+            ranged = _outcome(path)
+        message = f"{path}: line 5, column 'a': missing or non-numeric value 'x'"
+        assert ranged == _outcome(path) == ("raised", "ValueError", message)
+
+
+class TestRangeChildren:
+    """Every child a load forks is reaped before the load returns or raises."""
+
+    CLEAN = ("timestamp,a\n0,1.5~\n300,2.5\n", "600,3.5~\n900,4.5\n")
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("before, after", [
+        CLEAN,
+        ("timestamp,a\n0,1.5~\n300,2.5\n", "600,3.5~\n900,x\n"),
+        ("timestamp,a\n0,1.5~\n300,x\n", "600,3.5~\n900,4.5\n"),
+    ], ids=["loaded", "child-range-refused", "parent-range-refused"])
+    def test_no_child_left(self, tmp_path, before, after):
+        path = tmp_path / "d.csv"
+        _edge_file(path, before, after)
+        with _in_ranges(2), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            ranged = _outcome(path)
+        fork.assert_called_once()
+        self.assert_no_child()
+        assert ranged == _row_reader_outcome(path)
+
+    def test_no_child_left_after_an_interrupt(self, tmp_path):
+        path = tmp_path / "d.csv"
+        _edge_file(path, *self.CLEAN)
+        parent, parse = os.getpid(), dataio._parse
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return parse(*args)
+
+        with _in_ranges(2), mock.patch.object(dataio, "_parse", interrupted):
+            with pytest.raises(KeyboardInterrupt):
+                load_dataset(path)
+        self.assert_no_child()
+
+    def test_child_that_dies_leaves_the_load_to_the_row_reader(self, tmp_path):
+        path = tmp_path / "d.csv"
+        _edge_file(path, *self.CLEAN)
+        parent, parse = os.getpid(), dataio._parse
+
+        def dies(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return parse(*args)
+
+        with _in_ranges(2), mock.patch.object(dataio, "_parse", dies), \
+                mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows:
+            ranged = _outcome(path)
+        rows.assert_called_once()
+        self.assert_no_child()
+        assert ranged[0] == "loaded" and ranged == _outcome(path)
 
 
 class TestGridCheckedOnce:

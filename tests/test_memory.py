@@ -12,12 +12,14 @@ by far more than its margin.
 import gc
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from cecplane import (OrdinalConfig, TimeSeries, WindowParams, baseline_cloud, load_dataset,
                       rolling_quantifiers)
+from cecplane import dataio
 from cecplane.dataio import _HASH_BLOCK, _sha256_file
 from cecplane.fbm import _baseline_clouds
 
@@ -117,20 +119,25 @@ def numeric_csv(tmp_path_factory):
 
 
 class TestLoadMemory:
-    def test_peak_is_table_plus_columns(self, numeric_csv):
-        """The loadtxt table (2.0 MB) and the copies of the five used
-        columns (2.0 MB) are the peak; the file (4.3 MB) is hashed a block
-        at a time after the table is gone.  Measured: the two arrays plus
-        25 KB.  The bound allows 64 KB over them.  Checking
-        ``np.isfinite(table[:, used])`` in one call measured 274 KB over
-        them (a copy of the used columns beside the table, and its bool
-        mask); reading the whole file to hash it measured 2.35 MB over, the
-        file beside the columns."""
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one-range", "two-ranges"])
+    def test_peak_is_table_plus_columns(self, numeric_csv, cpus):
+        """The loadtxt table (2.0 MB) and the five used columns (2.0 MB) are
+        the peak; the file (4.3 MB) is hashed a block at a time after the
+        table is gone.  Measured with one range: the two arrays plus 31 KB.
+        With two, this process parses half the file while a child parses
+        the other, whose columns it reads into the full columns: half the
+        table plus the columns plus 77 KB.  The bound allows 64 KB over the
+        two arrays.  Checking ``np.isfinite(table[:, used])`` in one call
+        measured 274 KB over them (a copy of the used columns beside the
+        table, and its bool mask); reading the whole file to hash it
+        measured 2.35 MB over, the file beside the columns."""
         path, rows = numeric_csv
-        load_dataset(path)  # numpy's one-time set-up
+        with mock.patch.object(dataio, "_cpus", return_value=cpus):
+            assert len(dataio._cuts(path)) == cpus - 1
+            load_dataset(path)  # numpy's one-time set-up
+            peak = traced_peak(load_dataset, path)
         table = rows * 5 * 8
         columns = rows * 5 * 8
-        peak = traced_peak(load_dataset, path)
         assert peak < table + columns + 64 * 1024
         assert peak < path.stat().st_size + table
 
