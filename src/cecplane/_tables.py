@@ -7,13 +7,13 @@ plus typed columns), formatted a column at a time by ``_text`` and written by
 ``_write``, so a rerun with the same inputs and seed is byte-identical.
 Every CSV read in — the dataset, ``windows.csv``, a ``--metric`` file — is
 opened once by ``_read_csv``, under one set of rules, and checked in the one
-pass that reads its rows; a large dataset's byte ranges past the first are
-opened again, decoded the same way by ``_decoded``, by the processes that
-parse them.  The text is decoded once, with bytes that are not
-UTF-8 escaped, so such a byte is one more defect of its row.  The first
-defect in reading order is the one reported, located at the physical line
-its record starts on (a bad byte: the line of the byte) as
-``{path}: line L[, column C]: message``.  The module imports the standard
+pass that reads its rows; the processes that parse a large dataset's byte
+ranges past the first open it again.  ``_decoded`` decodes each read as
+UTF-8, skipping a byte-order mark only at the file's first byte and escaping
+bytes that are not UTF-8, so such a byte is one more defect of its row.  The
+first defect in reading order is the one reported, located at the physical
+line its record starts on (a bad byte: the line of the byte) by ``_located``
+as ``{path}: line L[, column C]: message``.  The module imports the standard
 library only, so a command loads the schemas without numpy or the pipeline.
 """
 
@@ -123,7 +123,9 @@ def _pairwise_table(pairwise: Sequence[PairwiseComparison]) -> _Table:
 
 
 def _located(path, line: int, column, message: str) -> ValueError:
-    return ValueError(f"{path}: line {line}, column {column!r}: {message}")
+    """The one located error: ``{path}: line L[, column C]: message``."""
+    where = "" if column is None else f", column {column!r}"
+    return ValueError(f"{path}: line {line}{where}: {message}")
 
 
 def _cell(path, line: int, column: str, text: str, kind: type[int] | type[float]):
@@ -153,7 +155,7 @@ def _check_text(path, line: int, row: list[str]) -> None:
     except UnicodeEncodeError as exc:
         head = text[:exc.start]
         line += head.count("\n") + head.count("\r") - head.count("\r\n")
-        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
+        raise _located(path, line, None, "not UTF-8 text") from None
 
 
 def _data_rows(path, header: list[str], reader) -> Iterator[tuple[int, list[str]]]:
@@ -192,17 +194,17 @@ class _Head(io.RawIOBase):
         super().close()
 
 
-def _decoded(path, start: int = 0, stop: int | None = None, encoding: str = "utf-8"):
+def _decoded(path, start: int = 0, stop: int | None = None):
     """The bytes ``[start, stop)`` of the file ``path`` (to its end when
-    ``stop`` is None) as a text stream in ``encoding`` (``utf-8``, or
-    ``utf-8-sig`` to skip a byte-order mark), with bytes that are not UTF-8
-    escaped and line ends kept as they are."""
+    ``stop`` is None) as UTF-8 text, with bytes that are not UTF-8 escaped
+    and line ends kept as they are.  A byte-order mark can only lead the
+    file, so it is skipped when ``start`` is 0 (``utf-8-sig``)."""
     raw = open(path, "rb", buffering=0)
     raw.seek(start)
     if stop is not None:
         raw = _Head(raw, stop - start)
-    return io.TextIOWrapper(io.BufferedReader(raw), encoding=encoding,
-                            errors="surrogateescape", newline="")
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig" if start == 0
+                            else "utf-8", errors="surrogateescape", newline="")
 
 
 @contextlib.contextmanager
@@ -225,13 +227,13 @@ def _read_csv(path, stop: int | None = None) -> Iterator[
     and the row pass reports it, ahead of a blank or ragged row, at the line
     of the byte, so the first defect in reading order is the one reported.
     """
-    with _decoded(path, 0, stop, "utf-8-sig") as text:
+    with _decoded(path, 0, stop) as text:
         reader = csv.reader(text)
         first = next(reader, [])
         _check_text(path, 1, first)
         header = [h.strip() for h in first]
         if not header:
-            raise ValueError(f"{path}: line 1: empty file, expected a header row")
+            raise _located(path, 1, None, "empty file, expected a header row")
         for k, name in enumerate(header):
             if name in header[:k]:
                 raise _located(path, 1, name, "duplicate column name")

@@ -79,8 +79,8 @@ def _load_windows(path: str) -> dict[str, _Windows]:
     windows: dict[str, dict[int, tuple]] = {}  # asset -> {index: (line, start, H, C)}
     with _read_csv(path) as (header, rows, _):
         if any(c not in header for c in _WINDOW_COLUMNS):
-            raise ValueError(f"{path}: line 1: expected columns "
-                             f"{sorted(_WINDOW_COLUMNS)}, got {header}")
+            raise _located(path, 1, None,
+                           f"expected columns {sorted(_WINDOW_COLUMNS)}, got {header}")
         cells = itemgetter(*map(header.index, _WINDOW_COLUMNS))
         for line, row in rows:
             asset, index, start, entropy, complexity = cells(row)
@@ -99,7 +99,7 @@ def _load_windows(path: str) -> dict[str, _Windows]:
                                f"{asset!r} already on line {seen[index][0]}")
             seen[index] = (line, start, *point)
     if not windows:
-        raise ValueError(f"{path}: line 1: header but no window rows")
+        raise _located(path, 1, None, "header but no window rows")
     results = {}
     for asset, seen in windows.items():
         lines, starts, entropies, complexities = zip(*(seen[k] for k in sorted(seen)))
@@ -126,10 +126,10 @@ def _load_metrics(path: str) -> dict[str, dict[str, float]]:
 
     with _read_csv(path) as (header, rows, _):
         if "asset" not in header:
-            raise ValueError(f"{path}: line 1: expected an 'asset' column, got {header}")
+            raise _located(path, 1, None, f"expected an 'asset' column, got {header}")
         names = [name for name in header if name != "asset"]
         if not names:
-            raise ValueError(f"{path}: line 1: no metric columns besides 'asset'")
+            raise _located(path, 1, None, "no metric columns besides 'asset'")
         lines: dict[str, int] = {}
         metrics: dict[str, dict[str, float]] = {name: {} for name in names}
         for line, row in rows:

@@ -7,10 +7,11 @@ series per asset, read under the package's one set of CSV reading rules
 ``np.loadtxt`` in byte ranges cut at line ends, one range per usable CPU
 but none under 1 MiB: this process parses the first range from the reader's
 open stream, and a forked child parses each other range and sends back the
-requested columns through a pipe.  A file that holds a ``"``, has no ``\\n``
+requested columns through a pipe.  One block search, ``_find``, finds the
+line ends to cut at and any ``"``: a file that holds one, has no ``\\n``
 past a cut point, or is read where ``os.fork`` is missing is one range.  If
-loadtxt refuses any range or a child fails, the row reader reads the file;
-it handles everything else: ISO-8601 timestamps, gaps for
+loadtxt refuses any range, or a child fails, which warns, the row reader
+reads the file; it handles everything else: ISO-8601 timestamps, gaps for
 ``forward_fill``, cells only ``float`` accepts (``1_0``, non-ASCII digits),
 and every defect, which it reports with its line.  The input alone picks the
 path, and every path gives the same dataset bit for bit.  Loading holds at
@@ -32,7 +33,7 @@ import signal
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 import numpy as np
 
@@ -140,10 +141,9 @@ def _grid_error(path: Path, ts: np.ndarray, index: int, rule: str) -> ValueError
     with _read_csv(path) as (_, rows, _):
         line_no, row = next(itertools.islice(rows, index, None))
     step, first = _text(np.array([ts[index] - ts[index - 1], ts[1] - ts[0]]))
-    return ValueError(
-        f"{path}: line {line_no}: timestamps must be {rule}; {row[0].strip()!r} comes "
-        f"{step} after the previous row, but the first two rows are {first} apart"
-    )
+    return _located(path, line_no, None,
+                    f"timestamps must be {rule}; {row[0].strip()!r} comes {step} after "
+                    f"the previous row, but the first two rows are {first} apart")
 
 
 # A file is split into byte ranges, each parsed in its own process, only
@@ -164,16 +164,12 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _holds_quote(path: Path) -> bool:
-    with open(path, "rb") as fh:
-        return any(b'"' in chunk for chunk in iter(lambda: fh.read(_SCAN_BLOCK), b""))
-
-
-def _line_end(fh, pos: int) -> int | None:
-    """The offset just past the first ``\\n`` at or after ``pos``, if any."""
+def _find(fh, pos: int, byte: bytes) -> int | None:
+    """The offset just past the first ``byte`` at or after ``pos`` in the
+    binary file ``fh``, searched a ``_SCAN_BLOCK`` at a time, if any."""
     fh.seek(pos)
     while chunk := fh.read(_SCAN_BLOCK):
-        k = chunk.find(b"\n")
+        k = chunk.find(byte)
         if k >= 0:
             return pos + k + 1
         pos += len(chunk)
@@ -192,13 +188,13 @@ def _cuts(path: Path) -> list[int]:
     """
     size = path.stat().st_size
     count = min(_cpus(), size // _RANGE_FLOOR) if hasattr(os, "fork") else 1
-    if count < 2 or _holds_quote(path):
+    if count < 2:
         return []
     with open(path, "rb") as fh:
-        first = _line_end(fh, 0)
-        if first is None:
+        first = _find(fh, 0, b"\n")
+        if first is None or _find(fh, 0, b'"') is not None:
             return []
-        cuts = {_line_end(fh, max(k * size // count, first)) for k in range(1, count)}
+        cuts = {_find(fh, max(k * size // count, first), b"\n") for k in range(1, count)}
     return [] if None in cuts else sorted(cuts - {size})
 
 
@@ -231,11 +227,11 @@ def _parse(text, n_cols: int, used: list[int]) -> np.ndarray | None:
 
 
 def _fork_range(path: Path, start: int, stop: int | None, n_cols: int,
-                used: list[int]) -> tuple[int, int]:
+                used: list[int]) -> tuple[int, BinaryIO]:
     """Start a child that parses the bytes ``[start, stop)`` of ``path``;
-    returns its pid and the read end of its pipe.  The child sends its row
-    count, 8 bytes little-endian, then each used column's floats, or nothing
-    if ``_parse`` refuses its rows, and ends in ``os._exit``."""
+    returns its pid and the buffered read end of its pipe.  The child sends
+    its row count, 8 bytes little-endian (0 if ``_parse`` refuses its rows),
+    then each used column's floats, and ends in ``os._exit``."""
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12 warns that a process holding threads (numpy's OpenBLAS
@@ -247,29 +243,19 @@ def _fork_range(path: Path, start: int, stop: int | None, n_cols: int,
         pid = os.fork()
     if pid:
         os.close(write_fd)
-        return pid, read_fd
+        return pid, open(read_fd, "rb")
     try:  # the child; it never returns into the parent's code
         os.close(read_fd)
         with _decoded(path, start, stop) as text:
             table = _parse(text, n_cols, used)
-        if table is not None:
-            with open(write_fd, "wb") as out:
-                out.write(len(table).to_bytes(8, "little"))
-                for j in used:
-                    out.write(np.ascontiguousarray(table[:, j]))
+        if table is None:
+            table = np.empty((0, n_cols))
+        with open(write_fd, "wb") as out:
+            out.write(len(table).to_bytes(8, "little"))
+            for j in used:
+                out.write(np.ascontiguousarray(table[:, j]))
     finally:
         os._exit(0)
-
-
-def _fill(fd: int, view: memoryview) -> bool:
-    """Read ``len(view)`` bytes from ``fd`` into ``view``; False if the
-    writer closes first."""
-    while view:
-        size = os.readv(fd, [view])
-        if size == 0:
-            return False
-        view = view[size:]
-    return True
 
 
 def _read_numeric(path: Path, text, cuts: list[int], n_cols: int,
@@ -278,22 +264,24 @@ def _read_numeric(path: Path, text, cuts: list[int], n_cols: int,
     or ``None`` when ``_parse`` refuses any range or a child fails.  ``text``
     is the file past its header up to the first cut; the rows from each cut
     to the next are parsed by a child (``_fork_range``) meanwhile, and come
-    back through its pipe straight into the columns.  Each column is
-    allocated once, so the peak is this process's range as a table beside
-    the columns.  Every child is killed, if still running, and reaped before
-    return."""
-    children: list[tuple[int, int]] = []
+    back through its pipe straight into the columns; a buffered read fills
+    its view unless the child failed, which warns.  Each column is allocated
+    once, so the peak is this process's range as a table beside the columns.
+    Every child is killed, if still running, and reaped before return."""
+    children = []  # (start, stop, pid, pipe)
     try:
         try:
             for start, stop in zip(cuts, [*cuts[1:], None]):
-                children.append(_fork_range(path, start, stop, n_cols, used))
+                children.append((start, stop, *_fork_range(path, start, stop, n_cols, used)))
         except OSError:  # no process or pipe to be had: the row reader reads
             return None
         table = _parse(text, n_cols, used)
         counts = []
-        for _, fd in children:
-            head = bytearray(8)
-            counts.append(int.from_bytes(head, "little") if _fill(fd, memoryview(head)) else 0)
+        for start, stop, _, pipe in children:
+            head = pipe.read(8)
+            if len(head) < 8:
+                return _child_failed(path, start, stop)
+            counts.append(int.from_bytes(head, "little"))
         if table is None or 0 in counts:
             return None
         columns = [np.empty(len(table) + sum(counts)) for _ in used]
@@ -301,17 +289,23 @@ def _read_numeric(path: Path, text, cuts: list[int], n_cols: int,
             column[:len(table)] = table[:, j]
         offset = len(table)
         del table
-        for (_, fd), rows in zip(children, counts):
+        for (start, stop, _, pipe), rows in zip(children, counts):
             for column in columns:
-                if not _fill(fd, memoryview(column[offset:offset + rows]).cast("B")):
-                    return None
+                if pipe.readinto(column[offset:offset + rows]) < 8 * rows:
+                    return _child_failed(path, start, stop)
             offset += rows
         return columns
     finally:
-        for pid, fd in children:
-            os.close(fd)
+        for *_, pid, pipe in children:
+            pipe.close()
             os.kill(pid, signal.SIGKILL)  # a child still at work is of no more use
             os.waitpid(pid, 0)
+
+
+def _child_failed(path: Path, start: int, stop: int | None) -> None:
+    """Warn the caller of ``load_dataset`` that a range's child failed."""
+    warnings.warn(f"{path}: the child parsing bytes [{start}, {stop or path.stat().st_size})"
+                  " failed; the row reader reads the file", RuntimeWarning, stacklevel=4)
 
 
 def _read_rows(path: Path, col_idx: dict[str, int], forward_fill: bool):
@@ -363,13 +357,16 @@ def load_dataset(path, assets: Sequence[str] | None = None,
     plain numbers (numeric timestamps, finite values in the timestamp and
     requested columns, no ragged rows) is parsed by ``np.loadtxt``, split
     into ``min(usable CPUs, file bytes // 1 MiB)`` byte ranges cut just past
-    a ``\\n``, each range but the first parsed by a forked child.  A file
-    that holds a ``"`` (a line end might then not end a record), has no
-    ``\\n`` past a cut point, or is read where ``os.fork`` is missing is one
-    range, one pass.  Every other file (ISO-8601 timestamps, gaps to fill,
-    cells such as ``1_0`` that ``float`` accepts but loadtxt does not, any
-    defect to report), and any file with a range that loadtxt refuses or a
-    child that fails, goes through the row reader.  Every way gives the same
+    a ``\\n``, each range but the first parsed by a forked child; ``_find``
+    searches the file for those line ends and for a ``"`` in 64 KiB blocks.
+    A file that holds a ``"`` (a line end might then not end a record), has
+    no ``\\n`` past a cut point, or is read where ``os.fork`` is missing is
+    one range, one pass.  Every other file (ISO-8601 timestamps, gaps to
+    fill, cells such as ``1_0`` that ``float`` accepts but loadtxt does not,
+    any defect to report), and any file with a range that loadtxt refuses or
+    a child that fails, goes through the row reader.  A child that ends
+    before sending all its rows has failed, and a ``RuntimeWarning`` names
+    the file and the child's byte range.  Every way gives the same
     dataset, bit for bit, and the same errors, and every child is reaped
     before this returns or raises.  The header and the first range are read
     through ``_tables._read_csv``, and every other range is decoded as it
@@ -383,8 +380,7 @@ def load_dataset(path, assets: Sequence[str] | None = None,
     cuts = _cuts(path)
     with _read_csv(path, cuts[0] if cuts else None) as (header, _, stream):
         if len(header) < 2:
-            raise ValueError(
-                f"{path}: line 1: header must name a timestamp and at least one asset")
+            raise _located(path, 1, None, "header must name a timestamp and at least one asset")
         ts_label, *columns = header
         selected = list(columns) if assets is None else list(assets)
         if len(set(selected)) != len(selected):

@@ -22,7 +22,6 @@ scored end to end as the windows of one series.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +63,7 @@ class FbmSpec:
         if not 0.0 < self.hurst < 1.0:
             raise ValueError(f"hurst must lie strictly inside (0, 1), got {self.hurst!r}")
         object.__setattr__(self, "length", _integer(self.length, "length", 2))
-        try:
-            seed = int(operator.index(self.seed))  # a numpy integer too
-        except TypeError:
-            seed = self.seed
-        if not isinstance(seed, int) or seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)

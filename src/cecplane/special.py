@@ -74,13 +74,15 @@ def _off_plane(entropy, complexity):
 
 
 def _integer(value, name: str, minimum: int) -> int:
-    """``value``, any integer type, as an ``int`` of at least ``minimum``."""
+    """``value``, any integer type, as an ``int`` of at least ``minimum``;
+    the error names that ``int``, or ``value`` if it is no integer."""
     try:
-        number = int(operator.index(value))
+        value = number = int(operator.index(value))
     except TypeError:
         number = minimum - 1
     if number < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        rule = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return number
 
 

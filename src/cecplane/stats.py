@@ -280,19 +280,15 @@ def one_way_anova(groups) -> AnovaResult:
     df_within = n_total - k
     ms_between = ss_between / df_between
     ms_within = ss_within / df_within
+    # All observations identical: no variation to apportion.
+    degenerate = ms_within == 0.0 == ms_between
     if ms_within == 0.0:
-        if ms_between == 0.0:
-            # All observations identical: no variation to apportion.
-            return AnovaResult(ss_between, ss_within, ss_total, df_between,
-                               df_within, ms_between, ms_within,
-                               f_stat=0.0, p_value=1.0, degenerate=True)
-        return AnovaResult(ss_between, ss_within, ss_total, df_between,
-                           df_within, ms_between, ms_within,
-                           f_stat=math.inf, p_value=0.0)
-    f_stat = ms_between / ms_within
+        f_stat, p_value = (0.0, 1.0) if degenerate else (math.inf, 0.0)
+    else:
+        f_stat = ms_between / ms_within
+        p_value = f_sf(f_stat, df_between, df_within)
     return AnovaResult(ss_between, ss_within, ss_total, df_between, df_within,
-                       ms_between, ms_within, f_stat,
-                       p_value=f_sf(f_stat, df_between, df_within))
+                       ms_between, ms_within, f_stat, p_value, degenerate)
 
 
 class PairwiseComparison(NamedTuple):

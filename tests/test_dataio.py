@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import signal
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -520,6 +522,9 @@ class TestRanges:
         with _in_ranges(2), \
                 mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows:
             assert dataio._cuts(path) == [edge]
+            # the header's line end and any quote lie past the first 2-byte block
+            with mock.patch.object(dataio, "_SCAN_BLOCK", 2):
+                assert dataio._cuts(path) == [edge]
             loaded = _outcome(path)
         rows.assert_not_called()
         assert loaded[0] == "loaded" and loaded[5][0][0] == np.array([1.5, 2.5, 3.5, 4.5]).tobytes()
@@ -537,20 +542,50 @@ class TestRanges:
         _edge_file(path, before, after)
         with _in_ranges(2), mock.patch.object(os, "fork", wraps=os.fork) as fork:
             assert dataio._cuts(path) == []
+            # the header's line end and any quote lie past the first 2-byte block
+            with mock.patch.object(dataio, "_SCAN_BLOCK", 2):
+                assert dataio._cuts(path) == []
             loaded = _outcome(path)
         fork.assert_not_called()
         assert loaded[0] == "loaded" and loaded == _row_reader_outcome(path)
 
     def test_defect_in_a_child_range_is_located(self, tmp_path):
-        """The child refuses its range, and the row reader reports the
-        defect at the line one range reports."""
+        """The child refuses its range, which is no failure and does not
+        warn, and the row reader reports the defect at the line one range
+        reports."""
         path = tmp_path / "d.csv"
         edge = _edge_file(path, "timestamp,a\n0,1.5~\n300,2.5\n", "600,3.5~\n900,x\n")
-        with _in_ranges(2):
+        with _in_ranges(2), warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert dataio._cuts(path) == [edge]
             ranged = _outcome(path)
         message = f"{path}: line 5, column 'a': missing or non-numeric value 'x'"
         assert ranged == _outcome(path) == ("raised", "ValueError", message)
+
+    def test_byte_order_mark_is_skipped_only_at_the_first_byte(self, tmp_path):
+        """A range that starts with a byte-order mark keeps it, so the row it
+        leads is a defect, as it is in one range."""
+        path = tmp_path / "d.csv"
+        edge = _edge_file(path, "timestamp,a\n0,1.5~\n300,2.5\n", "\ufeff600,3.5~\n900,4.5\n")
+        with _in_ranges(2):
+            assert dataio._cuts(path) == [edge]
+            ranged = _outcome(path)
+        message = (f"{path}: line 4, column 'timestamp': "
+                   "timestamp '\\ufeff600' is neither numeric nor ISO-8601")
+        assert ranged == _outcome(path) == ("raised", "ValueError", message)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
+    def test_find_matches_bytes_find(self, tmp_path, block):
+        """``_find`` gives what ``bytes.find`` gives from every start, in
+        blocks of any size, so its search crosses block ends."""
+        data = b'timestamp,a\r\n0,"1.5"\n\n300,2.5'
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with open(path, "rb") as fh, mock.patch.object(dataio, "_SCAN_BLOCK", block):
+            for byte in (b"\n", b'"'):
+                for pos in range(len(data) + 1):
+                    k = data.find(byte, pos)
+                    assert dataio._find(fh, pos, byte) == (None if k < 0 else k + 1)
 
 
 class TestRangeChildren:
@@ -562,6 +597,12 @@ class TestRangeChildren:
     def assert_no_child():
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def failure(path, edge):
+        """The warning of a failed child that parses from byte ``edge`` on."""
+        return (f"{path}: the child parsing bytes [{edge}, {path.stat().st_size}) failed; "
+                "the row reader reads the file")
 
     @pytest.mark.parametrize("before, after", [
         CLEAN,
@@ -594,7 +635,7 @@ class TestRangeChildren:
 
     def test_child_that_dies_leaves_the_load_to_the_row_reader(self, tmp_path):
         path = tmp_path / "d.csv"
-        _edge_file(path, *self.CLEAN)
+        edge = _edge_file(path, *self.CLEAN)
         parent, parse = os.getpid(), dataio._parse
 
         def dies(*args):
@@ -603,11 +644,51 @@ class TestRangeChildren:
             return parse(*args)
 
         with _in_ranges(2), mock.patch.object(dataio, "_parse", dies), \
-                mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows:
+                mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows, \
+                pytest.warns(RuntimeWarning, match=re.escape(self.failure(path, edge))):
             ranged = _outcome(path)
         rows.assert_called_once()
         self.assert_no_child()
         assert ranged[0] == "loaded" and ranged == _outcome(path)
+
+    @pytest.mark.parametrize("fails", ["raises", "short-columns"])
+    def test_failed_child_warns(self, tmp_path, fails):
+        """A child whose ``_parse`` raises sends no row count, and one whose
+        table counts a row more than its columns hold sends too few column
+        bytes: either way the load warns once, naming the file and the
+        child's byte range, and gives the row reader's dataset."""
+        path = tmp_path / "d.csv"
+        edge = _edge_file(path, *self.CLEAN)
+        parent, parse = os.getpid(), dataio._parse
+
+        def failing(*args):
+            if os.getpid() == parent:
+                return parse(*args)
+            if fails == "raises":
+                raise RuntimeError("a defect of the child")
+            return _OneRowShort(parse(*args))
+
+        with _in_ranges(2), mock.patch.object(dataio, "_parse", failing), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ranged = _outcome(path)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, self.failure(path, edge))]
+        self.assert_no_child()
+        assert ranged[0] == "loaded" and ranged == _row_reader_outcome(path)
+
+
+class _OneRowShort:
+    """A parsed table whose row count is one more than its columns hold."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __len__(self):
+        return len(self.table) + 1
+
+    def __getitem__(self, key):
+        return self.table[key]
 
 
 class TestGridCheckedOnce:

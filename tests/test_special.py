@@ -108,6 +108,7 @@ class TestIntegerRule:
             (WindowParams(np.int64(360), np.uint16(60)), WindowParams(360, 60),
              ("size", "step")),
             (FbmSpec(0.5, np.int64(10), 1), FbmSpec(0.5, 10, 1), ("length",)),
+            (FbmSpec(0.5, 10, np.uint64(3)), FbmSpec(0.5, 10, 3), ("seed",)),
             (baseline_cloud(0.5, np.int64(4), 40, OrdinalConfig(3), 1),
              baseline_cloud(0.5, 4, 40, OrdinalConfig(3), 1), ("sims",)),
             (BaselineCloud(0.5, CecpPoint(0.9, 0.1), 0.0, 0.0, np.uint8(4)),
@@ -150,3 +151,6 @@ class TestIntegerRule:
     def test_below_minimum_keeps_the_message(self):
         with pytest.raises(ValueError, match=r"^delay must be an integer >= 1, got 0$"):
             OrdinalConfig(4, 0)
+        # a numpy integer is named as the int it converts to
+        with pytest.raises(ValueError, match=r"^dim must be an integer >= 2, got 1$"):
+            OrdinalConfig(np.int64(1))
