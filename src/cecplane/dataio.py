@@ -7,13 +7,15 @@ series per asset, read under the package's one set of CSV reading rules
 ``np.loadtxt`` in byte ranges cut at line ends, one range per usable CPU
 but none under 1 MiB: this process parses the first range from the reader's
 open stream, and a forked child parses each other range and sends back the
-requested columns through a pipe.  One block search, ``_find``, finds the
-line ends to cut at and any ``"``: a file that holds one, has no ``\\n``
-past a cut point, or is read where ``os.fork`` is missing is one range.  If
-loadtxt refuses any range, or a child fails, which warns, the row reader
-reads the file; it handles everything else: ISO-8601 timestamps, gaps for
-``forward_fill``, cells only ``float`` accepts (``1_0``, non-ASCII digits),
-and every defect, which it reports with its line.  The input alone picks the
+requested columns through a pipe; ``_fork``, the fork helper shared with
+the fBm cloud scorer, starts and reaps the children.  One block search,
+``_find``, finds the line ends to cut at and any ``"``: a file that holds
+one, has no ``\\n`` past a cut point, or is read where ``os.fork`` is
+missing is one range.  If loadtxt refuses any range, or a child fails,
+which warns, the row reader reads the file; it handles everything else:
+ISO-8601 timestamps, gaps for ``forward_fill``, cells only ``float``
+accepts (``1_0``, non-ASCII digits), and every defect, which it reports
+with its line.  The input alone picks the
 path, and every path gives the same dataset bit for bit.  Loading holds at
 most this process's range as a table and the requested columns at once, and
 the file's sha256 is streamed in fixed blocks, never read whole.
@@ -29,15 +31,15 @@ import itertools
 import json
 import math
 import os
-import signal
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import PLOT_KINDS, __version__
+from ._fork import _cpus, _reap, _start
 from ._tables import (_bounds_table, _clouds_table, _decoded, _located, _pairwise_table,
                       _ranking_table, _read_csv, _records, _table, _Table, _text, _write)
 from .bounds import BoundCurve, lower_bound_curve, upper_bound_curve
@@ -157,13 +159,6 @@ _RANGE_FLOOR = 1 << 20
 _SCAN_BLOCK = 1 << 16
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _find(fh, pos: int, byte: bytes) -> int | None:
     """The offset just past the first ``byte`` at or after ``pos`` in the
     binary file ``fh``, searched a ``_SCAN_BLOCK`` at a time, if any."""
@@ -226,36 +221,18 @@ def _parse(text, n_cols: int, used: list[int]) -> np.ndarray | None:
     return table
 
 
-def _fork_range(path: Path, start: int, stop: int | None, n_cols: int,
-                used: list[int]) -> tuple[int, BinaryIO]:
-    """Start a child that parses the bytes ``[start, stop)`` of ``path``;
-    returns its pid and the buffered read end of its pipe.  The child sends
-    its row count, 8 bytes little-endian (0 if ``_parse`` refuses its rows),
-    then each used column's floats, and ends in ``os._exit``."""
-    read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12 warns that a process holding threads (numpy's OpenBLAS
-        # pool is one) may fork a child that deadlocks on a lock one of them
-        # held.  This child takes none of those locks: it runs only loadtxt
-        # on a file it opens itself, writes to its pipe and calls os._exit.
-        warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
-                                DeprecationWarning)
-        pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
-    try:  # the child; it never returns into the parent's code
-        os.close(read_fd)
-        with _decoded(path, start, stop) as text:
-            table = _parse(text, n_cols, used)
-        if table is None:
-            table = np.empty((0, n_cols))
-        with open(write_fd, "wb") as out:
-            out.write(len(table).to_bytes(8, "little"))
-            for j in used:
-                out.write(np.ascontiguousarray(table[:, j]))
-    finally:
-        os._exit(0)
+def _range_columns(path: Path, start: int, stop: int | None, n_cols: int,
+                   used: list[int]):
+    """What a child (``_fork._start``) sends for the bytes ``[start, stop)``
+    of ``path``: its row count, 8 bytes little-endian (0 if ``_parse``
+    refuses its rows), then each used column's floats."""
+    with _decoded(path, start, stop) as text:
+        table = _parse(text, n_cols, used)
+    if table is None:
+        table = np.empty((0, n_cols))
+    yield len(table).to_bytes(8, "little")
+    for j in used:
+        yield np.ascontiguousarray(table[:, j])
 
 
 def _read_numeric(path: Path, text, cuts: list[int], n_cols: int,
@@ -263,21 +240,24 @@ def _read_numeric(path: Path, text, cuts: list[int], n_cols: int,
     """The ``used`` columns of the data rows, each a contiguous float array,
     or ``None`` when ``_parse`` refuses any range or a child fails.  ``text``
     is the file past its header up to the first cut; the rows from each cut
-    to the next are parsed by a child (``_fork_range``) meanwhile, and come
+    to the next are parsed meanwhile by a child, started by the shared fork
+    helper ``_fork._start`` with ``_range_columns`` as its task, and come
     back through its pipe straight into the columns; a buffered read fills
     its view unless the child failed, which warns.  Each column is allocated
     once, so the peak is this process's range as a table beside the columns.
-    Every child is killed, if still running, and reaped before return."""
-    children = []  # (start, stop, pid, pipe)
+    Every child is killed, if still running, and reaped (``_fork._reap``)
+    before return."""
+    children = []  # (pid, pipe, start, stop)
     try:
         try:
             for start, stop in zip(cuts, [*cuts[1:], None]):
-                children.append((start, stop, *_fork_range(path, start, stop, n_cols, used)))
+                children.append((*_start(_range_columns, path, start, stop, n_cols, used),
+                                 start, stop))
         except OSError:  # no process or pipe to be had: the row reader reads
             return None
         table = _parse(text, n_cols, used)
         counts = []
-        for start, stop, _, pipe in children:
+        for _, pipe, start, stop in children:
             head = pipe.read(8)
             if len(head) < 8:
                 return _child_failed(path, start, stop)
@@ -289,17 +269,14 @@ def _read_numeric(path: Path, text, cuts: list[int], n_cols: int,
             column[:len(table)] = table[:, j]
         offset = len(table)
         del table
-        for (start, stop, _, pipe), rows in zip(children, counts):
+        for (_, pipe, start, stop), rows in zip(children, counts):
             for column in columns:
                 if pipe.readinto(column[offset:offset + rows]) < 8 * rows:
                     return _child_failed(path, start, stop)
             offset += rows
         return columns
     finally:
-        for *_, pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)  # a child still at work is of no more use
-            os.waitpid(pid, 0)
+        _reap(children)
 
 
 def _child_failed(path: Path, start: int, stop: int | None) -> None:

@@ -16,16 +16,26 @@ cloud share the circulant eigenvalues, computed once; each path draws its
 normals from its own seed, the same seed in every cloud of one call.  So
 ``_baseline_clouds`` draws a block of paths' normals once for every Hurst
 exponent; the block's paths of every exponent go through one encode and are
-scored end to end as the windows of one series.
+scored end to end as the windows of one series.  The blocks of a call split
+into contiguous runs, one per usable CPU but none under ``_FORK_FLOOR``
+samples: this process scores the first run, and a forked child (through the
+fork helper ``_fork``, shared with the CSV range parser) scores each other
+and sends its (H, C) rows back through a pipe.  Every block and seed is the
+same in any split, so the clouds are the same bit for bit; a child that
+fails warns, and this process scores its paths.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import _cpus, _reap, _start
 from .patterns import OrdinalConfig, TimeSeries, _encode_starts
 from .quantifiers import CecpPoint, _window_points
 from .special import _integer
@@ -45,10 +55,18 @@ _EIG_RTOL = 1e-12
 
 # Paths whose normals are drawn together, then synthesized, encoded and
 # scored for every Hurst exponent of the call.  A small block keeps peak RSS
-# flat: on `cecplane fbm` over 5 x 500 paths of 360, 8 paths per block peak
-# at 36.8 MiB, one path at a time at 36.4 MiB, 32 paths at 39.3 MiB, and a
-# whole 500-path cloud at once at 73.3 MiB.
+# flat: on `cecplane fbm` over 5 x 500 paths of 360, scored in two processes
+# (one under one CPU), 8 paths per block peak at 37.0 MiB (37.0), one path at
+# a time at 36.5 MiB (36.3), 32 paths at 39.3 MiB (39.2), 250 paths, half the
+# cloud in each process, at 54.9 MiB (55.8), and a whole 500-path cloud at
+# once, one block, at 73.3 MiB.
 _PATHS_PER_BLOCK = 8
+# A call's blocks are split among processes only with at least this many
+# samples (paths x exponents x length) to each.  On a 2-vCPU host, in the
+# first call of a fresh process, two processes broke even at 64 paths of 360
+# over 5 exponents (57,600 samples each; medians of 25: 26.8 ms in one
+# process, 25.7 ms in two) and lost below it (16 paths: 17.5 against 21.7 ms).
+_FORK_FLOOR = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -169,33 +187,92 @@ def _baseline_clouds(hursts, sims: int, length: int, config: OrdinalConfig,
                      seed: int) -> list[BaselineCloud]:
     """``[baseline_cloud(h, sims, length, config, seed) for h in hursts]``
     bit for bit, over a non-empty ``hursts``, drawing each block of paths'
-    normals once for every exponent."""
+    normals once for every exponent.
+
+    The blocks split into contiguous runs, one per process (``_runs``).
+    This process scores the first run while a forked child scores each
+    other and sends back that run's entropy and complexity rows, read
+    straight into the result.  If a child ends before it has sent them all,
+    a ``RuntimeWarning`` names its paths and this process scores them.
+    Every child is killed, if still running, and reaped before return."""
     sims = _integer(sims, "sims", 1)
     # validates every exponent, the length and the seed before any path
     specs = [FbmSpec(hurst, length, seed) for hurst in hursts]
     length, seed = specs[0].length, specs[0].seed
-    n_windows = config.windows_in(length)
-    if n_windows < 1:
+    if config.windows_in(length) < 1:
         raise ValueError(
             f"length {length} admits no ordinal window at dim={config.dim}, "
             f"delay={config.delay}"
         )
     lams = [_circulant_eigenvalues(spec.hurst, length) for spec in specs]
     child_seeds = np.random.SeedSequence(seed).generate_state(sims, dtype=np.uint64)
-    entropies, complexities = np.empty((2, len(specs), sims))
-    paths = np.empty((len(specs), _PATHS_PER_BLOCK, length))
-    for lo in range(0, sims, _PATHS_PER_BLOCK):
-        seeds = child_seeds[lo:lo + _PATHS_PER_BLOCK]
+    points = np.empty((2, len(specs), sims))  # entropies, complexities
+    runs = _runs(sims, len(specs) * length)
+    args = (lams, child_seeds, config, points)
+    children = []  # (pid, pipe, lo, hi)
+    try:
+        try:
+            for lo, hi in runs[1:]:
+                children.append((*_start(_run_rows, lo, hi, *args), lo, hi))
+        except OSError:  # no process or pipe to be had: this process scores all
+            _reap(children)
+            children, runs = [], [(0, sims)]
+        _score_paths(*runs[0], *args)
+        for _, pipe, lo, hi in children:
+            if any(pipe.readinto(row) < row.nbytes for row in _rows(points, lo, hi)):
+                warnings.warn(f"the child scoring fBm paths [{lo}, {hi}) failed; "
+                              "this process scores them", RuntimeWarning, stacklevel=2)
+                _score_paths(lo, hi, *args)
+    finally:
+        _reap(children)
+    return [BaselineCloud(spec.hurst, CecpPoint(float(h.mean()), float(c.mean())),
+                          float(h.std()), float(c.std()), sims)
+            for spec, h, c in zip(specs, *points)]
+
+
+def _runs(sims: int, samples_per_path: int) -> list[tuple[int, int]]:
+    """The paths ``[lo, hi)`` of each process, whole blocks of
+    ``_PATHS_PER_BLOCK`` in order: one run per usable CPU, but none below
+    ``_FORK_FLOOR`` samples on average, and one where ``os.fork`` is
+    missing."""
+    blocks = -(-sims // _PATHS_PER_BLOCK)
+    count = min(_cpus(), blocks, sims * samples_per_path // _FORK_FLOOR)
+    if count < 2 or not hasattr(os, "fork"):
+        return [(0, sims)]
+    edges = [min(k * blocks // count * _PATHS_PER_BLOCK, sims) for k in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _score_paths(lo: int, hi: int, lams, child_seeds, config: OrdinalConfig,
+                 points: np.ndarray) -> None:
+    """Score paths ``[lo, hi)`` of every exponent, ``lo`` at a block start,
+    into columns ``lo:hi`` of ``points`` (entropies, complexities)."""
+    length = lams[0].size // 2
+    n_windows = config.windows_in(length)
+    paths = np.empty((len(lams), _PATHS_PER_BLOCK, length))
+    for start in range(lo, hi, _PATHS_PER_BLOCK):
+        seeds = child_seeds[start:min(start + _PATHS_PER_BLOCK, hi)]
         z = _standard_normals(seeds, 2 * length)
         block = paths[:, :seeds.size]
         for lam, out in zip(lams, block):
             np.cumsum(_fgn_circulant(lam, z), axis=1, out=out)
         e, c = _window_points(
             _encode_starts(block, config).ravel(), config.num_patterns,
-            np.arange(len(specs) * seeds.size) * n_windows, n_windows)
-        rows = slice(lo, lo + seeds.size)
-        entropies[:, rows] = e.reshape(len(specs), -1)
-        complexities[:, rows] = c.reshape(len(specs), -1)
-    return [BaselineCloud(spec.hurst, CecpPoint(float(h.mean()), float(c.mean())),
-                          float(h.std()), float(c.std()), sims)
-            for spec, h, c in zip(specs, entropies, complexities)]
+            np.arange(len(lams) * seeds.size) * n_windows, n_windows)
+        rows = slice(start, start + seeds.size)
+        points[0, :, rows] = e.reshape(len(lams), -1)
+        points[1, :, rows] = c.reshape(len(lams), -1)
+
+
+def _run_rows(lo: int, hi: int, lams, child_seeds, config: OrdinalConfig,
+              points: np.ndarray):
+    """What a child (``_fork._start``) sends for paths ``[lo, hi)``, once
+    it has scored them."""
+    _score_paths(lo, hi, lams, child_seeds, config, points)
+    return _rows(points, lo, hi)
+
+
+def _rows(points: np.ndarray, lo: int, hi: int):
+    """Columns ``lo:hi`` of every row of ``points``, each a contiguous view:
+    the entropies for each exponent, then the complexities for each."""
+    return itertools.chain.from_iterable(points[:, :, lo:hi])

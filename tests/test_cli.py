@@ -738,6 +738,7 @@ class TestImportContract:
         modules = loaded_modules("--version")
         assert "numpy" not in modules
         assert {m for m in modules if m.startswith("cecplane")} == {"cecplane", "cecplane.cli"}
+        assert "cecplane._fork" not in modules
 
     @pytest.mark.parametrize("command", ["rank", "anova", "spearman"])
     def test_read_commands_skip_encoder_kernel_and_pipeline(self, workspace, tmp_path, command):
@@ -747,7 +748,7 @@ class TestImportContract:
         assert {"cecplane.stats", "cecplane.special", "cecplane._tables"} <= modules
         assert "numpy" not in modules and "numpy.ma" not in modules
         assert "dataclasses" not in modules and "inspect" not in modules
-        for name in ("patterns", "quantifiers", "bounds", "fbm", "rolling", "dataio"):
+        for name in ("patterns", "quantifiers", "bounds", "fbm", "rolling", "dataio", "_fork"):
             assert f"cecplane.{name}" not in modules
 
     @pytest.mark.parametrize("command", ["rank", "anova", "spearman"])

@@ -678,6 +678,26 @@ class TestRangeChildren:
         assert ranged[0] == "loaded" and ranged == _row_reader_outcome(path)
 
 
+def test_child_failure_warning_points_at_the_caller(tmp_path):
+    """The warning of a failed range child names the line that called
+    ``load_dataset``, wherever the fork helper sits."""
+    path = tmp_path / "d.csv"
+    _edge_file(path, *TestRangeChildren.CLEAN)
+    parent, parse = os.getpid(), dataio._parse
+
+    def raises(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("a defect of the child")
+        return parse(*args)
+
+    with _in_ranges(2), mock.patch.object(dataio, "_parse", raises), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_dataset(path)
+    [warning] = caught
+    assert warning.category is RuntimeWarning and warning.filename == __file__
+
+
 class _OneRowShort:
     """A parsed table whose row count is one more than its columns hold."""
 

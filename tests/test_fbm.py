@@ -1,4 +1,8 @@
+import contextlib
 import math
+import os
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from cecplane import (
     generate_fbm,
     generate_fgn,
 )
+from cecplane import fbm
 from cecplane.fbm import (
     _baseline_clouds,
     _circulant_eigenvalues,
@@ -250,6 +255,137 @@ def test_circulant_embedding_admissible_everywhere():
     for hurst in np.arange(1, 100) / 100:
         for n in lengths:
             assert _circulant_eigenvalues(float(hurst), n).shape == (2 * n,)
+
+
+@contextlib.contextmanager
+def _in_processes(cpus):
+    """Split the blocks of any call among up to ``cpus`` processes, with
+    every float array ``np.empty`` makes filled with NaN, so that a result
+    entry no process wrote shows instead of what freed memory held."""
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        array = empty(*args, **kwargs)
+        if array.dtype.kind in "fc":
+            array.fill(np.nan)
+        return array
+
+    with mock.patch.multiple(fbm, _FORK_FLOOR=1, _cpus=mock.Mock(return_value=cpus)), \
+            mock.patch.object(np, "empty", poisoned):
+        yield
+
+
+def _one_process(hursts, sims, length, config, seed):
+    with mock.patch.object(fbm, "_cpus", return_value=1):
+        return _baseline_clouds(hursts, sims, length, config, seed)
+
+
+class TestCloudProcesses:
+    """Clouds scored in any number of processes are the one-process clouds
+    in every digit, and every child is reaped before the call returns or
+    raises."""
+
+    CONFIG = OrdinalConfig(4, 1)
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def forks(cpus, sims):
+        """Children forked for ``sims`` paths: one per process past this
+        one, and no more processes than blocks."""
+        return min(cpus, -(-sims // fbm._PATHS_PER_BLOCK)) - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("sims", [1, 8, 9, 13, 37, 64])
+    def test_same_bits_any_process_count(self, cpus, sims):
+        # sims 9, 13 and 37 end in a partial block; 1, 8 and 9 leave a CPU
+        # without a block
+        configs = [OrdinalConfig(3, 1), OrdinalConfig(4, 2), OrdinalConfig(5, 1),
+                   OrdinalConfig(6, 2), OrdinalConfig(8, 1)]
+        for config in configs:
+            for hursts in [(0.5,), (0.3, 0.8, 0.3)]:
+                one = _one_process(hursts, sims, 120, config, 7)
+                with _in_processes(cpus), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                    clouds = _baseline_clouds(hursts, sims, 120, config, 7)
+                    single = baseline_cloud(hursts[0], sims, 120, config, 7)
+                assert fork.call_count == 2 * self.forks(cpus, sims)
+                assert repr(clouds) == repr(one)
+                assert repr(single) == repr(one[0])
+        self.assert_no_child()
+
+    def test_below_the_floor_one_process(self):
+        with mock.patch.object(fbm, "_cpus", return_value=2), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            _baseline_clouds((0.5, 0.7), 16, 360, self.CONFIG, 1)
+        assert 16 * 2 * 360 < 2 * fbm._FORK_FLOOR
+        fork.assert_not_called()
+
+    def test_no_fork_one_process(self, monkeypatch):
+        one = _one_process((0.5, 0.7), 37, 120, self.CONFIG, 3)
+        monkeypatch.delattr(os, "fork")
+        with _in_processes(2):
+            assert _baseline_clouds((0.5, 0.7), 37, 120, self.CONFIG, 3) == one
+
+    def test_child_that_dies_warns_and_its_paths_are_scored_here(self):
+        parent, score = os.getpid(), fbm._score_paths
+
+        def dies(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return score(*args)
+
+        one = _one_process((0.5, 0.7), 37, 120, self.CONFIG, 3)
+        with _in_processes(2), mock.patch.object(fbm, "_score_paths", dies), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            clouds = _baseline_clouds((0.5, 0.7), 37, 120, self.CONFIG, 3)
+        # 5 blocks: this process scores the first two, the child the rest
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "the child scoring fBm paths [16, 37) failed; "
+                             "this process scores them")]
+        self.assert_no_child()
+        assert repr(clouds) == repr(one)
+
+    def test_no_child_left_after_an_interrupt(self):
+        parent, score = os.getpid(), fbm._score_paths
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return score(*args)
+
+        with _in_processes(3), mock.patch.object(fbm, "_score_paths", interrupted), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            with pytest.raises(KeyboardInterrupt):
+                _baseline_clouds((0.5, 0.7), 37, 120, self.CONFIG, 3)
+        assert fork.call_count == 2
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("fails", ["fork", "pipe", "second-fork"])
+    def test_no_process_to_be_had_is_one_process(self, fails):
+        """An ``OSError`` from ``pipe`` or ``fork`` gives the one-process
+        clouds, without a warning; a child forked before it is reaped."""
+        one = _one_process((0.5, 0.7), 37, 120, self.CONFIG, 3)
+        fork = os.fork
+        started = []
+
+        def second_fails():
+            if started:
+                raise OSError("no process")
+            started.append(1)
+            return fork()
+
+        patch = {"fork": mock.patch.object(os, "fork", side_effect=OSError("no process")),
+                 "pipe": mock.patch.object(os, "pipe", side_effect=OSError("no pipe")),
+                 "second-fork": mock.patch.object(os, "fork", second_fails)}[fails]
+        with _in_processes(3), patch, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clouds = _baseline_clouds((0.5, 0.7), 37, 120, self.CONFIG, 3)
+        self.assert_no_child()
+        assert repr(clouds) == repr(one)
 
 
 class TestD3PatternOracle:

@@ -19,7 +19,7 @@ import pytest
 
 from cecplane import (OrdinalConfig, TimeSeries, WindowParams, baseline_cloud, load_dataset,
                       rolling_quantifiers)
-from cecplane import dataio
+from cecplane import dataio, fbm
 from cecplane.dataio import _HASH_BLOCK, _sha256_file
 from cecplane.fbm import _baseline_clouds
 
@@ -77,31 +77,46 @@ class TestTimeSeriesMemory:
         assert peak < 2.0 * timestamps.nbytes
 
 
+def _processes(cpus):
+    """Score the blocks of any fBm call in up to ``cpus`` processes."""
+    return mock.patch.multiple(fbm, _FORK_FLOOR=1, _cpus=mock.Mock(return_value=cpus))
+
+
 class TestFbmMemory:
+    """Only this process's allocations are traced: with two processes it
+    scores the first of the two 8-path blocks, and a child the other."""
+
     @pytest.mark.parametrize("dim", [8, 9])
-    def test_peak_is_a_few_count_rows_of_one_path(self, dim):
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "two-processes"])
+    def test_peak_is_a_few_count_rows_of_one_path(self, cpus, dim):
         """16 paths of 360 at dim 8 and 9 (D! = 40,320 and 362,880 states):
         the scorer counts one window per block, and the peak is 4.4 and 4.0
         float rows of D! (1.3 and 11.2 MiB), the counts and the kernel's
-        copies of them.  The bound, 8 rows, leaves 45% and 49%.  Scoring 8
-        paths a block at these dims peaked at 40 rows (12.3 and 111.5
-        MiB)."""
+        copies of them, in one process and in two alike.  The bound, 8
+        rows, leaves 45% and 49%.  Scoring 8 paths a block at these dims
+        peaked at 40 rows (12.3 and 111.5 MiB)."""
         config = OrdinalConfig(dim, 1)
-        baseline_cloud(0.7, 1, 360, config, seed=1)  # numpy's one-time set-up
-        peak = traced_peak(baseline_cloud, 0.7, 16, 360, config, seed=1)
+        with _processes(cpus):
+            assert len(fbm._runs(16, 360)) == cpus
+            baseline_cloud(0.7, 1, 360, config, seed=1)  # numpy's one-time set-up
+            peak = traced_peak(baseline_cloud, 0.7, 16, 360, config, seed=1)
         assert peak < 8 * config.num_patterns * 8
 
     @pytest.mark.parametrize("dim", [8, 9])
-    def test_five_exponents_keep_the_bound(self, dim):
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "two-processes"])
+    def test_five_exponents_keep_the_bound(self, cpus, dim):
         """Five clouds of one call share each block's normals, and the
         block's paths of every exponent are encoded together (5 x 8 paths
-        of 360).  The peak is 5.0 and 4.1 rows of D!: the five exponents'
-        paths and codes add 0.65 and 0.07 rows to one cloud's count rows.
-        The bound is the single cloud's 8 rows."""
+        of 360).  The peak is 5.0 and 4.1 rows of D! in one process and in
+        two alike: the five exponents' paths and codes add 0.65 and 0.07
+        rows to one cloud's count rows.  The bound is the single cloud's 8
+        rows."""
         config = OrdinalConfig(dim, 1)
-        baseline_cloud(0.7, 1, 360, config, seed=1)  # numpy's one-time set-up
-        peak = traced_peak(_baseline_clouds, (0.5, 0.6, 0.7, 0.8, 0.9), 16, 360, config,
-                           seed=1)
+        with _processes(cpus):
+            assert len(fbm._runs(16, 360)) == cpus
+            baseline_cloud(0.7, 1, 360, config, seed=1)  # numpy's one-time set-up
+            peak = traced_peak(_baseline_clouds, (0.5, 0.6, 0.7, 0.8, 0.9), 16, 360,
+                               config, seed=1)
         assert peak < 8 * config.num_patterns * 8
 
 
