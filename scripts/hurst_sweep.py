@@ -10,8 +10,6 @@ fbm``, so each path's normals are drawn once for every exponent.
 
 import argparse
 
-import numpy as np
-
 from cecplane import OrdinalConfig, lower_bound_curve, upper_bound_curve
 from cecplane.fbm import _baseline_clouds
 
@@ -37,11 +35,9 @@ def main() -> None:
     for hurst, cloud in zip(hursts, _baseline_clouds(hursts, args.sims, args.length,
                                                      config, args.seed)):
         h = cloud.mean_point.entropy
-        c_lo = float(np.interp(h, lower.entropy, lower.complexity))
-        c_hi = float(np.interp(h, upper.entropy, upper.complexity))
         print(f"{hurst:>4.2f} {h:>9.4f} {cloud.mean_point.complexity:>9.4f} "
               f"{cloud.std_entropy:>8.4f} {cloud.std_complexity:>8.4f} "
-              f"{c_lo:>9.4f} {c_hi:>9.4f}")
+              f"{lower.complexity_at(h):>9.4f} {upper.complexity_at(h):>9.4f}")
 
 
 if __name__ == "__main__":

@@ -4,21 +4,19 @@ The on-disk format is a headed CSV whose first column is a timestamp
 (ISO-8601 or plain number) and whose remaining columns are one numeric
 series per asset, read under the package's one set of CSV reading rules
 (``_tables._read_csv``).  A file of plain numbers is parsed by
-``np.loadtxt`` in byte ranges cut at line ends, one range per usable CPU
-but none under 1 MiB: this process parses the first range from the reader's
-open stream, and a forked child parses each other range and sends back the
-requested columns through a pipe; ``_fork``, the fork helper shared with
-the fBm cloud scorer, starts and reaps the children.  One block search,
+``np.loadtxt`` in byte ranges cut at line ends, none under 1 MiB, which
+``_fork`` splits among processes: this process parses the first range from
+the reader's open stream, and a forked child each other range (or this
+process, if the child cannot be started or fails).  One block search,
 ``_find``, finds the line ends to cut at and any ``"``: a file that holds
 one, has no ``\\n`` past a cut point, or is read where ``os.fork`` is
-missing is one range.  If loadtxt refuses any range, or a child fails,
-which warns, the row reader reads the file; it handles everything else:
-ISO-8601 timestamps, gaps for ``forward_fill``, cells only ``float``
-accepts (``1_0``, non-ASCII digits), and every defect, which it reports
-with its line.  The input alone picks the
-path, and every path gives the same dataset bit for bit.  Loading holds at
-most this process's range as a table and the requested columns at once, and
-the file's sha256 is streamed in fixed blocks, never read whole.
+missing is one range.  If loadtxt refuses any range, the row reader reads
+the file; it handles everything else: ISO-8601 timestamps, gaps for
+``forward_fill``, cells only ``float`` accepts (``1_0``, non-ASCII digits),
+and every defect, which it reports with its line.  The input alone picks
+the path, and every path gives the same dataset bit for bit.  Loading holds
+at most this process's range as a table and the requested columns at once,
+and the file's sha256 is streamed in fixed blocks, never read whole.
 
 Every CSV written back out is one ``_Table`` of ``_tables``, written by its
 ``_write``.
@@ -26,11 +24,11 @@ Every CSV written back out is one ``_Table`` of ``_tables``, written by its
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import PLOT_KINDS, __version__
-from ._fork import _cpus, _reap, _start
+from ._fork import _count, _map
 from ._tables import (_bounds_table, _clouds_table, _decoded, _located, _pairwise_table,
                       _ranking_table, _read_csv, _records, _table, _Table, _text, _write)
 from .bounds import BoundCurve, lower_bound_curve, upper_bound_curve
@@ -173,8 +171,8 @@ def _find(fh, pos: int, byte: bytes) -> int | None:
 
 def _cuts(path: Path) -> list[int]:
     """The byte offsets at which the data rows of ``path`` split into ranges
-    parsed apart, at most one range per usable CPU and per ``_RANGE_FLOOR``
-    bytes; empty for one range.
+    parsed apart, as many ranges as ``_fork._count`` gives the file's bytes
+    at ``_RANGE_FLOOR`` each; empty for one range.
 
     Each cut follows a ``\\n``, and the file holds no ``"``, so every line
     end is a record end and the header is the first line: a cut starts a
@@ -182,7 +180,7 @@ def _cuts(path: Path) -> list[int]:
     one range; so is one with no ``\\n`` past a cut point (``\\r`` line ends).
     """
     size = path.stat().st_size
-    count = min(_cpus(), size // _RANGE_FLOOR) if hasattr(os, "fork") else 1
+    count = _count(size, _RANGE_FLOOR)
     if count < 2:
         return []
     with open(path, "rb") as fh:
@@ -221,68 +219,27 @@ def _parse(text, n_cols: int, used: list[int]) -> np.ndarray | None:
     return table
 
 
-def _range_columns(path: Path, start: int, stop: int | None, n_cols: int,
-                   used: list[int]):
-    """What a child (``_fork._start``) sends for the bytes ``[start, stop)``
-    of ``path``: its row count, 8 bytes little-endian (0 if ``_parse``
-    refuses its rows), then each used column's floats."""
-    with _decoded(path, start, stop) as text:
-        table = _parse(text, n_cols, used)
-    if table is None:
-        table = np.empty((0, n_cols))
-    yield len(table).to_bytes(8, "little")
-    for j in used:
-        yield np.ascontiguousarray(table[:, j])
-
-
 def _read_numeric(path: Path, text, cuts: list[int], n_cols: int,
                   used: list[int]) -> list[np.ndarray] | None:
     """The ``used`` columns of the data rows, each a contiguous float array,
-    or ``None`` when ``_parse`` refuses any range or a child fails.  ``text``
-    is the file past its header up to the first cut; the rows from each cut
-    to the next are parsed meanwhile by a child, started by the shared fork
-    helper ``_fork._start`` with ``_range_columns`` as its task, and come
-    back through its pipe straight into the columns; a buffered read fills
-    its view unless the child failed, which warns.  Each column is allocated
-    once, so the peak is this process's range as a table beside the columns.
-    Every child is killed, if still running, and reaped (``_fork._reap``)
-    before return."""
-    children = []  # (pid, pipe, start, stop)
-    try:
-        try:
-            for start, stop in zip(cuts, [*cuts[1:], None]):
-                children.append((*_start(_range_columns, path, start, stop, n_cols, used),
-                                 start, stop))
-        except OSError:  # no process or pipe to be had: the row reader reads
-            return None
-        table = _parse(text, n_cols, used)
-        counts = []
-        for _, pipe, start, stop in children:
-            head = pipe.read(8)
-            if len(head) < 8:
-                return _child_failed(path, start, stop)
-            counts.append(int.from_bytes(head, "little"))
-        if table is None or 0 in counts:
-            return None
-        columns = [np.empty(len(table) + sum(counts)) for _ in used]
-        for column, j in zip(columns, used):
-            column[:len(table)] = table[:, j]
-        offset = len(table)
-        del table
-        for (_, pipe, start, stop), rows in zip(children, counts):
-            for column in columns:
-                if pipe.readinto(column[offset:offset + rows]) < 8 * rows:
-                    return _child_failed(path, start, stop)
-            offset += rows
-        return columns
-    finally:
-        _reap(children)
+    or ``None`` when ``_parse`` refuses any range.
 
+    The split is ``_fork``'s: ``_fork._map`` parses the first range (the
+    file past its header up to the first cut, read from ``text``) in this
+    process and each range from one cut to the next in a forked child, or
+    here if the child cannot be started or fails.  Each column is joined
+    from its ranges' parts in turn, and each part is dropped once joined, so
+    the peak is this process's range as a table beside the columns."""
+    def columns(start: int, stop: int | None):
+        """The used columns of bytes ``[start, stop)``, none if refused."""
+        with (contextlib.nullcontext(text) if start == 0 else _decoded(path, start, stop)) as rows:
+            table = _parse(rows, n_cols, used)
+        return () if table is None else (table[:, j] for j in used)
 
-def _child_failed(path: Path, start: int, stop: int | None) -> None:
-    """Warn the caller of ``load_dataset`` that a range's child failed."""
-    warnings.warn(f"{path}: the child parsing bytes [{start}, {stop or path.stat().st_size})"
-                  " failed; the row reader reads the file", RuntimeWarning, stacklevel=4)
+    parts = _map(columns, list(zip([0, *cuts], [*cuts, None])))
+    if not all(parts):
+        return None
+    return [np.concatenate([part.pop(0) for part in parts]) for _ in used]
 
 
 def _read_rows(path: Path, col_idx: dict[str, int], forward_fill: bool):
@@ -334,22 +291,22 @@ def load_dataset(path, assets: Sequence[str] | None = None,
     plain numbers (numeric timestamps, finite values in the timestamp and
     requested columns, no ragged rows) is parsed by ``np.loadtxt``, split
     into ``min(usable CPUs, file bytes // 1 MiB)`` byte ranges cut just past
-    a ``\\n``, each range but the first parsed by a forked child; ``_find``
-    searches the file for those line ends and for a ``"`` in 64 KiB blocks.
-    A file that holds a ``"`` (a line end might then not end a record), has
-    no ``\\n`` past a cut point, or is read where ``os.fork`` is missing is
-    one range, one pass.  Every other file (ISO-8601 timestamps, gaps to
-    fill, cells such as ``1_0`` that ``float`` accepts but loadtxt does not,
-    any defect to report), and any file with a range that loadtxt refuses or
-    a child that fails, goes through the row reader.  A child that ends
-    before sending all its rows has failed, and a ``RuntimeWarning`` names
-    the file and the child's byte range.  Every way gives the same
-    dataset, bit for bit, and the same errors, and every child is reaped
-    before this returns or raises.  The header and the first range are read
-    through ``_tables._read_csv``, and every other range is decoded as it
-    decodes, so encoding, header, blank and ragged rows follow the rules of
-    every CSV input.  ``Dataset.digest`` is the sha256 of the file, streamed
-    a block at a time.
+    a ``\\n``; ``_find`` searches the file for those line ends and for a
+    ``"`` in 64 KiB blocks.  A file that holds a ``"`` (a line end might then
+    not end a record), has no ``\\n`` past a cut point, or is read where
+    ``os.fork`` is missing is one range, one pass.  Every other file
+    (ISO-8601 timestamps, gaps to fill, cells such as ``1_0`` that ``float``
+    accepts but loadtxt does not, any defect to report), and any file with a
+    range that loadtxt refuses, goes through the row reader.  ``_fork``
+    owns the split: it parses each range but the first in a forked child,
+    and a range whose child cannot be started, or fails (which gives a
+    ``RuntimeWarning`` naming its byte range), in this process.  Every way
+    gives the same dataset, bit for bit, and the same errors, and every
+    child is reaped before this returns or raises.  The header and the first
+    range are read through ``_tables._read_csv``, and every other range is
+    decoded as it decodes, so encoding, header, blank and ragged rows follow
+    the rules of every CSV input.  ``Dataset.digest`` is the sha256 of the
+    file, streamed a block at a time.
     """
     path = Path(path)
     if not path.is_file():

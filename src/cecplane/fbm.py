@@ -17,25 +17,23 @@ normals from its own seed, the same seed in every cloud of one call.  So
 ``_baseline_clouds`` draws a block of paths' normals once for every Hurst
 exponent; the block's paths of every exponent go through one encode and are
 scored end to end as the windows of one series.  The blocks of a call split
-into contiguous runs, one per usable CPU but none under ``_FORK_FLOOR``
-samples: this process scores the first run, and a forked child (through the
-fork helper ``_fork``, shared with the CSV range parser) scores each other
-and sends its (H, C) rows back through a pipe.  Every block and seed is the
-same in any split, so the clouds are the same bit for bit; a child that
-fails warns, and this process scores its paths.
+into contiguous runs, one per process that ``_fork._count`` allows at
+``_FORK_FLOOR`` samples each, and ``_fork`` owns the split: it scores the
+first run here and each other in a forked child (or here, if the child
+cannot be started or fails), which sends the run's (H, C) rows back through
+a pipe.  Every block and seed is the same in any split, so the clouds are
+the same bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import _cpus, _reap, _start
+from ._fork import _count, _map
 from .patterns import OrdinalConfig, TimeSeries, _encode_starts
 from .quantifiers import CecpPoint, _window_points
 from .special import _integer
@@ -189,12 +187,11 @@ def _baseline_clouds(hursts, sims: int, length: int, config: OrdinalConfig,
     bit for bit, over a non-empty ``hursts``, drawing each block of paths'
     normals once for every exponent.
 
-    The blocks split into contiguous runs, one per process (``_runs``).
-    This process scores the first run while a forked child scores each
-    other and sends back that run's entropy and complexity rows, read
-    straight into the result.  If a child ends before it has sent them all,
-    a ``RuntimeWarning`` names its paths and this process scores them.
-    Every child is killed, if still running, and reaped before return."""
+    The blocks split into contiguous runs, one per process (``_runs``),
+    and ``_fork._map`` scores each with ``_score_paths``: the first here,
+    each other in a forked child, or here if the child cannot be started or
+    fails, which gives a ``RuntimeWarning`` naming its paths.  The runs'
+    rows are joined in order."""
     sims = _integer(sims, "sims", 1)
     # validates every exponent, the length and the seed before any path
     specs = [FbmSpec(hurst, length, seed) for hurst in hursts]
@@ -206,49 +203,32 @@ def _baseline_clouds(hursts, sims: int, length: int, config: OrdinalConfig,
         )
     lams = [_circulant_eigenvalues(spec.hurst, length) for spec in specs]
     child_seeds = np.random.SeedSequence(seed).generate_state(sims, dtype=np.uint64)
-    points = np.empty((2, len(specs), sims))  # entropies, complexities
-    runs = _runs(sims, len(specs) * length)
-    args = (lams, child_seeds, config, points)
-    children = []  # (pid, pipe, lo, hi)
-    try:
-        try:
-            for lo, hi in runs[1:]:
-                children.append((*_start(_run_rows, lo, hi, *args), lo, hi))
-        except OSError:  # no process or pipe to be had: this process scores all
-            _reap(children)
-            children, runs = [], [(0, sims)]
-        _score_paths(*runs[0], *args)
-        for _, pipe, lo, hi in children:
-            if any(pipe.readinto(row) < row.nbytes for row in _rows(points, lo, hi)):
-                warnings.warn(f"the child scoring fBm paths [{lo}, {hi}) failed; "
-                              "this process scores them", RuntimeWarning, stacklevel=2)
-                _score_paths(lo, hi, *args)
-    finally:
-        _reap(children)
+    runs = _map(functools.partial(_score_paths, lams, child_seeds, config),
+                _runs(sims, len(specs) * length))
+    rows = [np.concatenate(parts) for parts in zip(*runs)]  # entropies, complexities
     return [BaselineCloud(spec.hurst, CecpPoint(float(h.mean()), float(c.mean())),
                           float(h.std()), float(c.std()), sims)
-            for spec, h, c in zip(specs, *points)]
+            for spec, h, c in zip(specs, rows, rows[len(specs):])]
 
 
 def _runs(sims: int, samples_per_path: int) -> list[tuple[int, int]]:
     """The paths ``[lo, hi)`` of each process, whole blocks of
-    ``_PATHS_PER_BLOCK`` in order: one run per usable CPU, but none below
-    ``_FORK_FLOOR`` samples on average, and one where ``os.fork`` is
-    missing."""
+    ``_PATHS_PER_BLOCK`` in order: as many runs as ``_fork._count`` allows
+    at ``_FORK_FLOOR`` samples each, but no more than blocks."""
     blocks = -(-sims // _PATHS_PER_BLOCK)
-    count = min(_cpus(), blocks, sims * samples_per_path // _FORK_FLOOR)
-    if count < 2 or not hasattr(os, "fork"):
-        return [(0, sims)]
+    count = min(_count(sims * samples_per_path, _FORK_FLOOR), blocks)
     edges = [min(k * blocks // count * _PATHS_PER_BLOCK, sims) for k in range(count + 1)]
     return list(zip(edges, edges[1:]))
 
 
-def _score_paths(lo: int, hi: int, lams, child_seeds, config: OrdinalConfig,
-                 points: np.ndarray) -> None:
-    """Score paths ``[lo, hi)`` of every exponent, ``lo`` at a block start,
-    into columns ``lo:hi`` of ``points`` (entropies, complexities)."""
+def _score_paths(lams, child_seeds, config: OrdinalConfig, lo: int,
+                 hi: int) -> np.ndarray:
+    """Score paths ``[lo, hi)`` of every exponent, ``lo`` at a block start;
+    returns their entropies for each exponent, then their complexities for
+    each, one row apiece."""
     length = lams[0].size // 2
     n_windows = config.windows_in(length)
+    points = np.empty((2, len(lams), hi - lo))
     paths = np.empty((len(lams), _PATHS_PER_BLOCK, length))
     for start in range(lo, hi, _PATHS_PER_BLOCK):
         seeds = child_seeds[start:min(start + _PATHS_PER_BLOCK, hi)]
@@ -259,20 +239,7 @@ def _score_paths(lo: int, hi: int, lams, child_seeds, config: OrdinalConfig,
         e, c = _window_points(
             _encode_starts(block, config).ravel(), config.num_patterns,
             np.arange(len(lams) * seeds.size) * n_windows, n_windows)
-        rows = slice(start, start + seeds.size)
-        points[0, :, rows] = e.reshape(len(lams), -1)
-        points[1, :, rows] = c.reshape(len(lams), -1)
-
-
-def _run_rows(lo: int, hi: int, lams, child_seeds, config: OrdinalConfig,
-              points: np.ndarray):
-    """What a child (``_fork._start``) sends for paths ``[lo, hi)``, once
-    it has scored them."""
-    _score_paths(lo, hi, lams, child_seeds, config, points)
-    return _rows(points, lo, hi)
-
-
-def _rows(points: np.ndarray, lo: int, hi: int):
-    """Columns ``lo:hi`` of every row of ``points``, each a contiguous view:
-    the entropies for each exponent, then the complexities for each."""
-    return itertools.chain.from_iterable(points[:, :, lo:hi])
+        cols = slice(start - lo, start - lo + seeds.size)
+        points[0, :, cols] = e.reshape(len(lams), -1)
+        points[1, :, cols] = c.reshape(len(lams), -1)
+    return points.reshape(2 * len(lams), -1)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -27,7 +29,7 @@ from cecplane import (
     write_bundle,
     write_dataset,
 )
-from cecplane import dataio
+from cecplane import _fork, dataio
 from cecplane.cli import main as cli_main
 from cecplane import patterns
 from cecplane._tables import _text
@@ -471,9 +473,18 @@ class TestLoadPaths:
         assert loaded[0] == "loaded" and loaded[4]["b"] == 1
 
 
+@contextlib.contextmanager
 def _in_ranges(cpus):
     """Split a file of any size into up to ``cpus`` byte ranges."""
-    return mock.patch.multiple(dataio, _RANGE_FLOOR=1, _cpus=mock.Mock(return_value=cpus))
+    with mock.patch.object(dataio, "_RANGE_FLOOR", 1), \
+            mock.patch.object(_fork, "_cpus", return_value=cpus):
+        yield
+
+
+def _numeric_file(path, rows: int) -> None:
+    """Write ``rows`` rows of plain numbers in two columns to ``path``."""
+    path.write_text("timestamp,a,b\n" + "".join(f"{300 * k},{k}.5,{-k}\n"
+                                                for k in range(rows)))
 
 
 def _edge_file(path, before: str, after: str) -> int:
@@ -599,10 +610,10 @@ class TestRangeChildren:
             os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
-    def failure(path, edge):
+    def failure(edge):
         """The warning of a failed child that parses from byte ``edge`` on."""
-        return (f"{path}: the child parsing bytes [{edge}, {path.stat().st_size}) failed; "
-                "the row reader reads the file")
+        return (f"the child process given share ({edge}, None) failed; "
+                "this process runs that share")
 
     @pytest.mark.parametrize("before, after", [
         CLEAN,
@@ -633,7 +644,7 @@ class TestRangeChildren:
                 load_dataset(path)
         self.assert_no_child()
 
-    def test_child_that_dies_leaves_the_load_to_the_row_reader(self, tmp_path):
+    def test_child_that_dies_warns_and_its_range_is_parsed_here(self, tmp_path):
         path = tmp_path / "d.csv"
         edge = _edge_file(path, *self.CLEAN)
         parent, parse = os.getpid(), dataio._parse
@@ -645,20 +656,27 @@ class TestRangeChildren:
 
         with _in_ranges(2), mock.patch.object(dataio, "_parse", dies), \
                 mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows, \
-                pytest.warns(RuntimeWarning, match=re.escape(self.failure(path, edge))):
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             ranged = _outcome(path)
-        rows.assert_called_once()
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, self.failure(edge))]
+        rows.assert_not_called()
         self.assert_no_child()
         assert ranged[0] == "loaded" and ranged == _outcome(path)
 
-    @pytest.mark.parametrize("fails", ["raises", "short-columns"])
+    @pytest.mark.parametrize("fails", ["raises", "first-array-only"])
     def test_failed_child_warns(self, tmp_path, fails):
-        """A child whose ``_parse`` raises sends no row count, and one whose
-        table counts a row more than its columns hold sends too few column
-        bytes: either way the load warns once, naming the file and the
-        child's byte range, and gives the row reader's dataset."""
+        """A child whose ``_parse`` raises sends no column, and one that
+        ends after its first column sends no end mark: either way the load
+        warns once, naming the child's byte range, and this process parses
+        that range."""
         path = tmp_path / "d.csv"
-        edge = _edge_file(path, *self.CLEAN)
+        # a child's first column outgrows the pipe's write buffer, so it is
+        # sent before the child ends
+        _numeric_file(path, 4 * io.DEFAULT_BUFFER_SIZE // 8)
+        with _in_ranges(2):
+            [edge] = dataio._cuts(path)
         parent, parse = os.getpid(), dataio._parse
 
         def failing(*args):
@@ -666,14 +684,45 @@ class TestRangeChildren:
                 return parse(*args)
             if fails == "raises":
                 raise RuntimeError("a defect of the child")
-            return _OneRowShort(parse(*args))
+            return _EndsAfterOneColumn(parse(*args))
 
         with _in_ranges(2), mock.patch.object(dataio, "_parse", failing), \
+                mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows, \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             ranged = _outcome(path)
         assert [(w.category, str(w.message)) for w in caught] == [
-            (RuntimeWarning, self.failure(path, edge))]
+            (RuntimeWarning, self.failure(edge))]
+        rows.assert_not_called()
+        self.assert_no_child()
+        assert ranged[0] == "loaded" and ranged == _row_reader_outcome(path)
+
+    @pytest.mark.parametrize("fails", ["fork", "pipe", "second-fork"])
+    def test_no_process_to_be_had_is_parsed_here(self, tmp_path, fails):
+        """An ``OSError`` from ``pipe`` or ``fork`` leaves the range to this
+        process, without a warning and without the row reader; a child
+        forked before it is reaped."""
+        path = tmp_path / "d.csv"
+        _numeric_file(path, 30)
+        fork = os.fork
+        started = []
+
+        def second_fails():
+            if started:
+                raise OSError("no process")
+            started.append(1)
+            return fork()
+
+        patch = {"fork": mock.patch.object(os, "fork", side_effect=OSError("no process")),
+                 "pipe": mock.patch.object(os, "pipe", side_effect=OSError("no pipe")),
+                 "second-fork": mock.patch.object(os, "fork", second_fails)}[fails]
+        with _in_ranges(3):
+            assert len(dataio._cuts(path)) == 2
+            with patch, warnings.catch_warnings(), \
+                    mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows:
+                warnings.simplefilter("error")
+                ranged = _outcome(path)
+        rows.assert_not_called()
         self.assert_no_child()
         assert ranged[0] == "loaded" and ranged == _row_reader_outcome(path)
 
@@ -698,16 +747,18 @@ def test_child_failure_warning_points_at_the_caller(tmp_path):
     assert warning.category is RuntimeWarning and warning.filename == __file__
 
 
-class _OneRowShort:
-    """A parsed table whose row count is one more than its columns hold."""
+class _EndsAfterOneColumn:
+    """A parsed table that ends the child process when its second column
+    is taken, once the first has been sent."""
 
     def __init__(self, table):
         self.table = table
-
-    def __len__(self):
-        return len(self.table) + 1
+        self.taken = 0
 
     def __getitem__(self, key):
+        self.taken += 1
+        if self.taken > 1:
+            os._exit(0)
         return self.table[key]
 
 

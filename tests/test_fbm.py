@@ -1,4 +1,5 @@
 import contextlib
+import io
 import math
 import os
 import warnings
@@ -19,7 +20,7 @@ from cecplane import (
     generate_fbm,
     generate_fgn,
 )
-from cecplane import fbm
+from cecplane import _fork, fbm
 from cecplane.fbm import (
     _baseline_clouds,
     _circulant_eigenvalues,
@@ -270,13 +271,14 @@ def _in_processes(cpus):
             array.fill(np.nan)
         return array
 
-    with mock.patch.multiple(fbm, _FORK_FLOOR=1, _cpus=mock.Mock(return_value=cpus)), \
+    with mock.patch.object(fbm, "_FORK_FLOOR", 1), \
+            mock.patch.object(_fork, "_cpus", return_value=cpus), \
             mock.patch.object(np, "empty", poisoned):
         yield
 
 
 def _one_process(hursts, sims, length, config, seed):
-    with mock.patch.object(fbm, "_cpus", return_value=1):
+    with mock.patch.object(_fork, "_cpus", return_value=1):
         return _baseline_clouds(hursts, sims, length, config, seed)
 
 
@@ -317,7 +319,7 @@ class TestCloudProcesses:
         self.assert_no_child()
 
     def test_below_the_floor_one_process(self):
-        with mock.patch.object(fbm, "_cpus", return_value=2), \
+        with mock.patch.object(_fork, "_cpus", return_value=2), \
                 mock.patch.object(os, "fork", wraps=os.fork) as fork:
             _baseline_clouds((0.5, 0.7), 16, 360, self.CONFIG, 1)
         assert 16 * 2 * 360 < 2 * fbm._FORK_FLOOR
@@ -344,10 +346,53 @@ class TestCloudProcesses:
             clouds = _baseline_clouds((0.5, 0.7), 37, 120, self.CONFIG, 3)
         # 5 blocks: this process scores the first two, the child the rest
         assert [(w.category, str(w.message)) for w in caught] == [
-            (RuntimeWarning, "the child scoring fBm paths [16, 37) failed; "
-                             "this process scores them")]
+            (RuntimeWarning, "the child process given share (16, 37) failed; "
+                             "this process runs that share")]
         self.assert_no_child()
         assert repr(clouds) == repr(one)
+
+    def test_child_that_ends_after_its_first_row_warns(self):
+        """A child that sends one row, more than the pipe's write buffer
+        holds, and ends gives one warning, and its paths are scored here."""
+        parent, score = os.getpid(), fbm._score_paths
+
+        def first_row_only(*args):
+            rows = iter(score(*args))
+            yield next(rows)
+            if os.getpid() != parent:
+                os._exit(0)
+            yield from rows
+
+        sims = 2 * io.DEFAULT_BUFFER_SIZE // 8 + 16
+        one = _one_process((0.5, 0.7), sims, 120, self.CONFIG, 3)
+        with _in_processes(2), mock.patch.object(fbm, "_score_paths", first_row_only), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            [(_, lo), (_, hi)] = fbm._runs(sims, 2 * 120)
+            clouds = _baseline_clouds((0.5, 0.7), sims, 120, self.CONFIG, 3)
+        assert (hi - lo) * 8 > io.DEFAULT_BUFFER_SIZE
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, f"the child process given share ({lo}, {hi}) failed; "
+                             "this process runs that share")]
+        self.assert_no_child()
+        assert repr(clouds) == repr(one)
+
+    def test_child_failure_warning_points_at_the_caller(self):
+        """The warning of a failed child names the line that called the
+        public ``baseline_cloud``, not a line of the package."""
+        parent, score = os.getpid(), fbm._score_paths
+
+        def dies(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return score(*args)
+
+        with _in_processes(2), mock.patch.object(fbm, "_score_paths", dies), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            baseline_cloud(0.5, 37, 120, self.CONFIG, 3)
+        [warning] = caught
+        assert warning.category is RuntimeWarning and warning.filename == __file__
 
     def test_no_child_left_after_an_interrupt(self):
         parent, score = os.getpid(), fbm._score_paths

@@ -9,6 +9,7 @@ against held whole-file and whole-series temporaries and breaks each bound
 by far more than its margin.
 """
 
+import contextlib
 import gc
 import hashlib
 import tracemalloc
@@ -19,7 +20,7 @@ import pytest
 
 from cecplane import (OrdinalConfig, TimeSeries, WindowParams, baseline_cloud, load_dataset,
                       rolling_quantifiers)
-from cecplane import dataio, fbm
+from cecplane import _fork, dataio, fbm
 from cecplane.dataio import _HASH_BLOCK, _sha256_file
 from cecplane.fbm import _baseline_clouds
 
@@ -77,9 +78,12 @@ class TestTimeSeriesMemory:
         assert peak < 2.0 * timestamps.nbytes
 
 
+@contextlib.contextmanager
 def _processes(cpus):
     """Score the blocks of any fBm call in up to ``cpus`` processes."""
-    return mock.patch.multiple(fbm, _FORK_FLOOR=1, _cpus=mock.Mock(return_value=cpus))
+    with mock.patch.object(fbm, "_FORK_FLOOR", 1), \
+            mock.patch.object(_fork, "_cpus", return_value=cpus):
+        yield
 
 
 class TestFbmMemory:
@@ -138,16 +142,18 @@ class TestLoadMemory:
     def test_peak_is_table_plus_columns(self, numeric_csv, cpus):
         """The loadtxt table (2.0 MB) and the five used columns (2.0 MB) are
         the peak; the file (4.3 MB) is hashed a block at a time after the
-        table is gone.  Measured with one range: the two arrays plus 31 KB.
+        table is gone.  Measured with one range: the two arrays plus 32 KB.
         With two, this process parses half the file while a child parses
-        the other, whose columns it reads into the full columns: half the
-        table plus the columns plus 77 KB.  The bound allows 64 KB over the
-        two arrays.  Checking ``np.isfinite(table[:, used])`` in one call
-        measured 274 KB over them (a copy of the used columns beside the
-        table, and its bool mask); reading the whole file to hash it
-        measured 2.35 MB over, the file beside the columns."""
+        the other and sends its columns, each joined to this process's part
+        in turn: half the table plus the columns plus 232 KB (the child's
+        last column, 200 KB, beside its join), 768 KB under the two arrays.
+        The bound allows 64 KB over the two arrays.  Checking
+        ``np.isfinite(table[:, used])`` in one call measured 274 KB over them
+        (a copy of the used columns beside the table, and its bool mask);
+        reading the whole file to hash it measured 2.35 MB over, the file
+        beside the columns."""
         path, rows = numeric_csv
-        with mock.patch.object(dataio, "_cpus", return_value=cpus):
+        with mock.patch.object(_fork, "_cpus", return_value=cpus):
             assert len(dataio._cuts(path)) == cpus - 1
             load_dataset(path)  # numpy's one-time set-up
             peak = traced_peak(load_dataset, path)
