@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import re
 import signal
 import tempfile
 import warnings
