@@ -23,6 +23,7 @@ from cecplane import (OrdinalConfig, TimeSeries, WindowParams, baseline_cloud, l
 from cecplane import _fork, dataio, fbm
 from cecplane.dataio import _HASH_BLOCK, _sha256_file
 from cecplane.fbm import _baseline_clouds
+from cecplane.patterns import _ENCODE_BLOCK, _encode_starts
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -37,19 +38,37 @@ def traced_peak(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
+class TestEncodeMemory:
+    def test_peak_is_the_codes_plus_one_block(self):
+        """250,000 samples at dim 6: the peak is the int16 codes (0.50 MB)
+        plus 23.2 bytes per start of one block of ``_ENCODE_BLOCK`` (32,768)
+        starts, its int8 counts and ranks (12 bytes), bool mask, int16 term
+        and the intp rank row that ``np.take`` copies (8 bytes), for 1.26 MB.
+        The bound, the codes plus 32 bytes a start of one block, leaves 23%
+        of the block's share.  Encoding the whole series at once into int64
+        codes peaked at 9.25 MB, and int64 codes alone fill 2.0 MB."""
+        values = np.random.default_rng(5).standard_normal(250_000)
+        config = OrdinalConfig(6, 1)
+        codes = _encode_starts(values, config)  # numpy's one-time set-up
+        peak = traced_peak(_encode_starts, values, config)
+        assert codes.dtype == np.int16
+        assert peak < codes.nbytes + 32 * _ENCODE_BLOCK
+
+
 class TestRollingMemory:
-    def test_peak_is_a_few_series_copies(self):
+    def test_peak_is_under_one_series_copy(self):
         """250,000 samples at dim 6, window 3600, step 600 (411 windows of
-        720 states): the peak is 4.75 series copies (9.5 MB), reached while
-        the window rows are gathered and again in the plane-point kernel.
-        The bound, 6 copies, leaves 26%.  Holding the codes, block indices
-        and keys at once beside the block counts and a separate
-        cumulative-sum array took 9.1 copies."""
+        720 states): the peak is 0.63 series copies (1.27 MB), reached in
+        the encode, its int16 codes and one block's temporaries
+        (:class:`TestEncodeMemory`); the window rows are gathered and scored
+        later, beside the codes, below it.  The bound, one copy, leaves 58%.
+        Encoding the whole series at once into int64 codes peaked at 4.63
+        copies, and blocking alone, with int64 codes, at 1.48."""
         series = TimeSeries(np.random.default_rng(5).standard_normal(250_000))
         params, config = WindowParams(3600, 600), OrdinalConfig(6, 1)
         rolling_quantifiers(series, params, config)  # numpy's one-time set-up
         peak = traced_peak(rolling_quantifiers, series, params, config)
-        assert peak < 6.0 * series.values.nbytes
+        assert peak < 1.0 * series.values.nbytes
 
     def test_count_rows_stay_within_the_block_cap(self):
         """16,031 samples at dim 8 (D! = 40,320 states), window 360, step

@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cecplane import WindowParams, patterns, rolling_quantifiers
 from cecplane.patterns import (
     MAX_DIM,
     OrdinalConfig,
@@ -184,19 +186,55 @@ def encoder_inputs(draw):
 
 
 class TestSortFreeEncoder:
-    """The comparison encoder gives exactly the argsort encoder's codes."""
+    """The comparison encoder gives exactly the argsort encoder's codes, in
+    the narrowest signed type that holds ``D! - 1``, whatever the block."""
 
     @settings(max_examples=300, deadline=None)
     @given(encoder_inputs())
     def test_matches_argsort_encoder(self, case):
+        # blocks of 3 starts: up to 48 // dim windows cross block edges at
+        # every dim, in a row and in the batch
         cfg, batch = case
-        batched = _encode_starts(batch, cfg)
-        assert batched.dtype == np.int64
+        with mock.patch.object(patterns, "_ENCODE_BLOCK", 3):
+            batched = _encode_starts(batch, cfg)
+            rows = [_encode_starts(row, cfg) for row in batch]
+        assert batched.dtype == np.min_scalar_type(-cfg.num_patterns)
         assert batched.shape == (batch.shape[0], cfg.windows_in(batch.shape[1]))
-        for row, codes in zip(batch, batched):
+        for row, codes, row_codes in zip(batch, batched, rows):
             expected = argsort_encode_starts(row, cfg)
-            assert np.array_equal(_encode_starts(row, cfg), expected)
+            assert np.array_equal(row_codes, expected)
             assert np.array_equal(codes, expected)
+
+    @pytest.mark.parametrize("dim,code_type", [(2, np.int8), (5, np.int8), (6, np.int16),
+                                               (7, np.int16), (8, np.int32),
+                                               (MAX_DIM, np.int32)])
+    def test_largest_code_fits_its_type(self, dim, code_type):
+        # a strictly decreasing window is the last permutation, D! - 1:
+        # 479,001,599 at MAX_DIM
+        codes = _encode_starts(np.arange(dim, 0, -1.0), OrdinalConfig(dim, 1))
+        assert codes.dtype == code_type
+        assert codes.tolist() == [math.factorial(dim) - 1]
+
+    @pytest.mark.parametrize("dim", [2, 6, 8, MAX_DIM])
+    def test_three_blocks_and_a_ragged_tail(self, rng, dim):
+        # tied values, so that the windows that straddle each block edge
+        # hold ties too
+        n_windows = 3 * patterns._ENCODE_BLOCK + 777
+        for delay in (1, 2, 3):
+            cfg = OrdinalConfig(dim, delay)
+            values = rng.integers(0, 16, n_windows + (dim - 1) * delay).astype(float)
+            codes = _encode_starts(values, cfg)
+            assert codes.size == n_windows
+            assert np.array_equal(codes, argsort_encode_starts(values, cfg))
+
+    def test_rolling_points_do_not_depend_on_the_block(self, rng):
+        series = TimeSeries(rng.standard_normal(250_000))
+        params, cfg = WindowParams(3600, 600), OrdinalConfig(6, 1)
+        blocked = rolling_quantifiers(series, params, cfg)
+        with mock.patch.object(patterns, "_ENCODE_BLOCK", 1 << 30):
+            whole = rolling_quantifiers(series, params, cfg)
+        assert blocked.entropies.tobytes() == whole.entropies.tobytes()
+        assert blocked.complexities.tobytes() == whole.complexities.tobytes()
 
     @pytest.mark.parametrize("dim,levels", [(6, None), (5, 3), (3, 3)])
     def test_every_window_shape(self, dim, levels):
