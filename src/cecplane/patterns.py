@@ -35,9 +35,8 @@ position is ``cnt_j = #{k < j : x_k <= x_j}``, that position is
 ``sum_j (D-1-rank_j)! * cnt_j``.  :func:`_encode_starts` evaluates these
 ``D(D-1)/2`` comparisons on strided views, ``_ENCODE_BLOCK`` window starts at
 a time, so its temporaries stay a block long: on 4 assets x 250,000 log
-returns at D = 6 the peak RSS of ``analyze`` is 48.9 MB, down from 55.0 MB
-when the whole series was encoded at once into int64 codes (CPython 3.11,
-numpy 2.4).
+returns at D = 6 the peak RSS of ``analyze`` is 48.9 MB (CPython 3.11,
+numpy 2.4), near the load's own high-water mark.
 """
 
 from __future__ import annotations

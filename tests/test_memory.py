@@ -44,8 +44,8 @@ class TestEncodeMemory:
         plus 23.2 bytes per start of one block of ``_ENCODE_BLOCK`` (32,768)
         starts, its int8 counts and ranks (12 bytes), bool mask, int16 term
         and the intp rank row that ``np.take`` copies (8 bytes), for 1.26 MB.
-        The bound, the codes plus 32 bytes a start of one block, leaves 23%
-        of the block's share.  Encoding the whole series at once into int64
+        The bound, the codes plus 32 bytes a start of one block (1.55 MB),
+        leaves 23%.  Encoding the whole series at once into int64
         codes peaked at 9.25 MB, and int64 codes alone fill 2.0 MB."""
         values = np.random.default_rng(5).standard_normal(250_000)
         config = OrdinalConfig(6, 1)
