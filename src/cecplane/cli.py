@@ -14,6 +14,15 @@ Exit code 0 on success.  Any failure prints a one-line JSON object
 Advisory warnings (e.g. undersampled histograms) also go to stderr; files
 and stdout stay deterministic.
 
+A command run as a process (``cecplane`` or ``python -m cecplane.cli``)
+enters through ``_run`` and ends in ``os._exit`` once its output is flushed,
+as every forked child does.  The interpreter's shutdown (its last garbage
+collections and the teardown of the 225-250 modules a numpy command loads)
+would come after the last output byte and change nothing a command writes,
+yet it took about a tenth of each command's wall time: with it skipped,
+perfbench's fbm-sweep ``run_s`` fell 13% and study ``run_s`` 9%
+(``BENCH_22.json``).  ``main(argv)`` returns its code and ends nothing.
+
 Each handler imports the modules it runs, so ``--version`` loads neither
 numpy nor the pipeline, and ``rank``, ``anova`` and ``spearman`` load the
 statistics, the CSV reader and the table writer, which run on the standard
@@ -368,14 +377,12 @@ def _run() -> None:
     """The process entry (``cecplane`` and ``python -m cecplane.cli``): run
     ``main()``, then end without the interpreter's teardown.
 
-    The ``atexit`` callbacks run, then stdout and stderr are flushed, and
-    the process ends in ``os._exit`` with ``main``'s code, or argparse's for
-    ``--version``, ``--help`` and usage errors.  This skips the final
-    garbage collection and the teardown of every loaded module, numpy's
-    included.  No command starts a thread or leaves a file open when
-    ``main`` returns.  The normal exit stays where a flush raises (a reader
-    closed the pipe: the interpreter's own report of it is kept) and where
-    ``_watched()``."""
+    The ``atexit`` callbacks run, then stdout and stderr are flushed (the
+    interpreter's own order, so what a callback prints is kept), and the
+    process ends in ``os._exit`` with ``main``'s code, or argparse's for
+    ``--version``, ``--help`` and usage errors.  No command starts a thread
+    or leaves a file open when ``main`` returns.  The normal exit stays
+    where a flush raises and where ``_watched()``."""
     try:
         code = main()
     except SystemExit as exc:
@@ -385,7 +392,7 @@ def _run() -> None:
         try:
             sys.stdout.flush()
             sys.stderr.flush()
-        except Exception:
+        except Exception:  # a reader closed the pipe, say: the normal exit reports it
             pass
         else:
             os._exit(code)

@@ -679,12 +679,6 @@ class TestEntryPoints:
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
 
-    def test_console_script(self):
-        proc = subprocess.run([sys.executable, "-m", "cecplane.cli", "--version"],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert __version__ in proc.stdout
-
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # Runs the CLI on its arguments, then lists the modules it loaded on stderr.
