@@ -158,9 +158,7 @@ def _load_metrics(path: str) -> dict[str, dict[str, float]]:
 
 
 def _cmd_analyze(args) -> int:
-    from pathlib import Path
-
-    from .dataio import RunConfig, _tree_tables, _write_tree, load_dataset, run_pipeline
+    from .dataio import RunConfig, _plot_kinds, _write_tree, load_dataset, run_pipeline
     from .patterns import OrdinalConfig
     from .rolling import WindowParams
 
@@ -181,18 +179,7 @@ def _cmd_analyze(args) -> int:
     for warning in bundle.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     kinds = args.plots or []
-    if kinds == ["all"]:  # every kind this run can show
-        kinds = [k for k in PLOT_KINDS if bundle.pairwise or k != "anova-intervals"]
-    tables, plots = _tree_tables(bundle, kinds)
-    # The manifest hashes every file in the directory, so a file this run
-    # does not write would enter it as if the run had made it.
-    out = Path(args.out)
-    stale = sorted({p.name for p in out.glob("*") if p.is_file()}
-                   - {*tables, *plots, "manifest.json"})
-    if stale:
-        raise FileExistsError(f"{out}: output directory holds files this run does not "
-                              f"write: {', '.join(stale)}; use a new or empty directory")
-    for path in _write_tree(bundle, out, tables, plots):
+    for path in _write_tree(bundle, args.out, _plot_kinds(bundle) if kinds == ["all"] else kinds):
         print(path)
     return 0
 

@@ -19,7 +19,9 @@ at most this process's range as a table and the requested columns at once,
 and the file's sha256 is streamed in fixed blocks, never read whole.
 
 Every CSV written back out is one ``_Table`` of ``_tables``, written by its
-``_write``.
+``_write``.  One function, ``_write_tree``, decides what an output tree
+holds, for ``analyze`` and ``write_bundle`` alike: it refuses a directory
+holding a file it would not write, so its manifest hashes the whole tree.
 """
 
 from __future__ import annotations
@@ -526,14 +528,18 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
 
 
 def _windows_table(rolling: dict[str, RollingResult]) -> _Table:
-    """One row per window of every asset."""
+    """One row per window of every asset.  End timestamps stay numbers, to
+    be formatted only where written, unless an asset has none: then the
+    column is text, with empty cells for that asset."""
     results = rolling.values()
+    ends = [r.end_timestamps for r in results]
     return _table(
         asset=[a for a, r in rolling.items() for _ in range(r.window_starts.size)],
         window_index=np.concatenate([np.arange(r.window_starts.size) for r in results]),
         start_offset=np.concatenate([r.window_starts for r in results]),
         end_timestamp=[t for r in results for t in ([""] * r.window_starts.size
-                       if r.end_timestamps is None else _text(r.end_timestamps))],
+                       if r.end_timestamps is None else _text(r.end_timestamps))]
+        if any(e is None for e in ends) else np.concatenate(ends),
         entropy=np.concatenate([r.entropies for r in results]),
         complexity=np.concatenate([r.complexities for r in results]),
     )
@@ -553,34 +559,41 @@ def _anova_table(bundle: AnalysisBundle) -> _Table:
                   (list(results), *anova.columns, [caveat] * len(results)))
 
 
-def _plot_table(bundle: AnalysisBundle, kind: str,
-                windows: _Table | None = None) -> tuple[str, _Table]:
-    """The file name and table of one plot kind, columns of a result table
-    copied verbatim; ``windows`` is the window table's text, if made."""
-    name = f"plot_{kind.replace('-', '_')}.csv"
-    if kind in ("entropy-evolution", "cecp-scatter"):
-        windows = windows or _windows_table(bundle.rolling).formatted()
-        if kind == "entropy-evolution":
-            return name, windows.select("asset", "end_timestamp", "entropy")
-        return name, windows.select("asset", "window_index", "entropy", "complexity")
+def _plot_kinds(bundle: AnalysisBundle) -> list[str]:
+    """The plot kinds ``bundle`` can show; anova-intervals needs pairwise results."""
+    return [k for k in PLOT_KINDS if bundle.pairwise or k != "anova-intervals"]
+
+
+def _plot_name(kind: str) -> str:
+    return f"plot_{kind.replace('-', '_')}.csv"
+
+
+def _plot_table(bundle: AnalysisBundle, kind: str, windows: _Table) -> _Table:
+    """The table of one plot kind, columns of a result table copied
+    verbatim; ``windows`` is the window table, formatted or not."""
+    if kind == "entropy-evolution":
+        return windows.select("asset", "end_timestamp", "entropy")
+    if kind == "cecp-scatter":
+        return windows.select("asset", "window_index", "entropy", "complexity")
     if kind == "cecp-means":
-        return name, _Table(("asset", "mean_H", "mean_C", "std_H", "std_C"),
-                            _summaries_table(bundle).columns[:5])
+        return _Table(("asset", "mean_H", "mean_C", "std_H", "std_C"),
+                      _summaries_table(bundle).columns[:5])
     if kind == "anova-intervals":
         if not bundle.pairwise:
             raise ValueError("anova-intervals needs pairwise baseline results")
         pairwise = _pairwise_table(bundle.pairwise)
         # the identity and the mean difference, then the 1% flag before the 5% one
         header = pairwise.header
-        return name, pairwise.select(*header[:4], header[7], header[6])
+        return pairwise.select(*header[:4], header[7], header[6])
     raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
 
 
-def _tree_tables(bundle: AnalysisBundle,
-                 kinds: Sequence[str]) -> tuple[dict[str, _Table], dict[str, _Table]]:
-    """The result tables and the plot data of ``kinds``, by file name.  Every
-    table is built before the first write, so a plot kind that cannot be made
-    leaves no file."""
+def _write_tree(bundle: AnalysisBundle, out_dir, kinds: Sequence[str]) -> list[Path]:
+    """Write the result tables, the plot data of ``kinds`` and, last, the
+    manifest of exactly those files; returns the paths, plot data last.
+    Every table is built first, the window table formatted once, so a plot
+    kind that cannot be made leaves no file; then a directory holding a file
+    this call would not write is refused, untouched."""
     windows = _windows_table(bundle.rolling).formatted()
     tables = {"windows.csv": windows, "summaries.csv": _summaries_table(bundle),
               "ranking.csv": _ranking_table(bundle.ranking)}
@@ -590,17 +603,17 @@ def _tree_tables(bundle: AnalysisBundle,
     tables["bounds.csv"] = _bounds_table(bundle.lower, bundle.upper)
     if bundle.clouds:
         tables["fbm_clouds.csv"] = _clouds_table(bundle.clouds)
-    return tables, dict(_plot_table(bundle, kind, windows) for kind in kinds)
-
-
-def _write_tree(bundle: AnalysisBundle, out_dir, tables: dict[str, _Table],
-                plots: dict[str, _Table]) -> list[Path]:
-    """Write ``tables``, then ``plots`` and, last, the manifest; returns the
-    paths, plot data last."""
+    plots = {_plot_name(kind): _plot_table(bundle, kind, windows) for kind in kinds}
     out = Path(out_dir)
+    stale = sorted({p.name for p in out.glob("*") if p.is_file()}
+                   - {*tables, *plots, "manifest.json"})
+    if stale:
+        raise FileExistsError(f"{out}: output directory holds files this run does not "
+                              f"write: {', '.join(stale)}; use a new or empty directory")
     out.mkdir(parents=True, exist_ok=True)
-    for name, table in {**tables, **plots}.items():
-        _write(table, out / name)
+    files = {out / name: table for name, table in {**tables, **plots}.items()}
+    for path, table in files.items():
+        _write(table, path)
     manifest = {
         "tool": "cecplane",
         "tool_version": __version__,
@@ -609,8 +622,7 @@ def _write_tree(bundle: AnalysisBundle, out_dir, tables: dict[str, _Table],
         "fill_counts": bundle.fill_counts,
         "caveats": list(bundle.caveats),
         "warnings": list(bundle.warnings),
-        "files": {p.name: _sha256_file(p) for p in sorted(out.iterdir())
-                  if p.is_file() and p.name != "manifest.json"},
+        "files": {p.name: _sha256_file(p) for p in files},
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -620,22 +632,29 @@ def _write_tree(bundle: AnalysisBundle, out_dir, tables: dict[str, _Table],
 def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
     """Write every result table plus a manifest; returns the written paths.
 
-    The manifest is written last.  It records the config, seed, input
-    digest, tool version, and the sha256 of every other file in the output
-    directory, so plot data emitted beforehand is covered too.  It contains
-    no wall-clock data, so identical runs produce identical trees.
+    Plot data of a kind this bundle can show that is already in ``out_dir``
+    (from ``emit_plot_data`` beforehand, say) is written again from the
+    bundle.  A directory holding any other file (an earlier run's
+    ``anova.csv``, say) is a ``FileExistsError`` and is left as it was.  The
+    manifest, written last, records the config, seed, input digest, tool
+    version, and the sha256 of every other file, so it covers the whole
+    directory.  It contains no wall-clock data, so identical runs produce
+    identical trees.
     """
-    return _write_tree(bundle, out_dir, *_tree_tables(bundle, ()))
+    out = Path(out_dir)
+    return _write_tree(bundle, out,
+                       [k for k in _plot_kinds(bundle) if (out / _plot_name(k)).is_file()])
 
 
 def emit_plot_data(bundle: AnalysisBundle, kind: str, out_dir) -> Path:
     """Write one tidy CSV per figure kind; one row per plotted mark.
 
     Values are copied from the bundle verbatim — the emitter never
-    recomputes anything.
+    recomputes anything, and formats only the columns it writes.  No
+    manifest is written; ``write_bundle`` afterwards covers the file.
     """
-    name, table = _plot_table(bundle, kind)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(table, out / name)
-    return out / name
+    table = _plot_table(bundle, kind, _windows_table(bundle.rolling))
+    path = Path(out_dir) / _plot_name(kind)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write(table, path)
+    return path

@@ -992,3 +992,86 @@ class TestPlotData:
     def test_unknown_kind(self, bundle, tmp_path):
         with pytest.raises(ValueError, match="unknown plot kind"):
             emit_plot_data(bundle, "heatmap", tmp_path)
+
+
+class TestOutputDirectory:
+    """``write_bundle`` owns its directory as ``analyze`` does: the manifest
+    lists exactly the files in it."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, small_dataset):
+        """A three-asset and a one-asset bundle, neither with fBm clouds."""
+        window = WindowParams(360, 60)
+        return (run_pipeline(RunConfig(window=window, bounds_resolution=300), small_dataset),
+                run_pipeline(RunConfig(assets=("AAA",), window=window, bounds_resolution=300),
+                             small_dataset))
+
+    @staticmethod
+    def tree(out):
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+
+    def test_stale_directory_refused(self, pair, tmp_path):
+        three, solo = pair
+        write_bundle(three, tmp_path)
+        before = self.tree(tmp_path)
+        # one asset writes no ANOVA files, so the first bundle's would be left over
+        with pytest.raises(FileExistsError, match="write: anova.csv, pairwise_anova.csv;"):
+            write_bundle(solo, tmp_path)
+        assert self.tree(tmp_path) == before
+
+    def test_plot_data_emitted_beforehand_is_written_again(self, pair, tmp_path):
+        three, _ = pair
+        emitted = emit_plot_data(three, "cecp-means", tmp_path).read_bytes()
+        (tmp_path / "plot_cecp_means.csv").write_text("edited\n")
+        written = write_bundle(three, tmp_path)
+        assert tmp_path / "plot_cecp_means.csv" in written
+        assert (tmp_path / "plot_cecp_means.csv").read_bytes() == emitted
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["files"]["plot_cecp_means.csv"] == _sha256_file(
+            tmp_path / "plot_cecp_means.csv")
+        assert sorted(manifest["files"]) == sorted(p.name for p in written
+                                                   if p.name != "manifest.json")
+
+    def test_intervals_plot_refused_for_one_asset(self, pair, tmp_path):
+        three, solo = pair
+        emit_plot_data(three, "anova-intervals", tmp_path)
+        emit_plot_data(three, "cecp-means", tmp_path)
+        before = self.tree(tmp_path)
+        with pytest.raises(FileExistsError, match="write: plot_anova_intervals.csv;"):
+            write_bundle(solo, tmp_path)
+        assert self.tree(tmp_path) == before
+
+
+def test_end_timestamp_cells_with_and_without_timestamps(tmp_path):
+    """An asset with no timestamps has empty end timestamp cells, beside an
+    asset whose cells are formatted numbers, in windows.csv and its plots."""
+    rng = np.random.default_rng(5)
+    ds = Dataset(series={"timed": TimeSeries(rng.random(200), np.arange(200) * 0.5),
+                         "bare": TimeSeries(rng.random(200))})
+    bundle = run_pipeline(RunConfig(window=WindowParams(100, 50), bounds_resolution=50), ds)
+    emit_plot_data(bundle, "entropy-evolution", tmp_path)
+    write_bundle(bundle, tmp_path)
+    for name in ("windows.csv", "plot_entropy_evolution.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        column = lines[0].split(",").index("end_timestamp")
+        cells = [line.split(",")[column] for line in lines[1:]]
+        assert cells == ["49.5", "74.5", "99.5", "", "", ""], name
+
+
+def test_library_route_writes_the_cli_tree(small_dataset, tmp_path, capsys):
+    """``emit_plot_data`` for every kind, then ``write_bundle``, writes the
+    tree of ``analyze --plots all``, byte for byte, manifest included."""
+    data = tmp_path / "prices.csv"
+    write_dataset(small_dataset, data)
+    config = RunConfig(window=WindowParams(360, 120), fbm_hursts=(0.6,), fbm_sims=8)
+    bundle = run_pipeline(config, load_dataset(data))
+    for kind in PLOT_KINDS:
+        emit_plot_data(bundle, kind, tmp_path / "library")
+    write_bundle(bundle, tmp_path / "library")
+    assert cli_main(["analyze", "--input", str(data), "--out", str(tmp_path / "cli"),
+                     "--window", "360", "--step", "120", "--fbm-hurst", "0.6",
+                     "--sims", "8", "--plots", "all"]) == 0
+    capsys.readouterr()
+    library, cli = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                    for d in ("library", "cli"))
+    assert len(library) == 12 and library == cli
