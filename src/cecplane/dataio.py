@@ -45,6 +45,7 @@ from ._tables import (_bounds_table, _clouds_table, _decoded, _located, _pairwis
 from .bounds import BoundCurve, lower_bound_curve, upper_bound_curve
 from .patterns import OrdinalConfig, TimeSeries, _grid_violation, _on_grid
 from .rolling import RollingResult, WindowParams, rolling_quantifiers
+from .special import _integer
 from .stats import (
     AnovaResult,
     AssetSummary,
@@ -401,7 +402,8 @@ def log_return_series(series: TimeSeries) -> TimeSeries:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a full analysis run depends on, manifest-recordable."""
+    """Everything a full analysis run depends on, manifest-recordable: the
+    counts are checked and stored as ``int``, ``log_returns`` as ``bool``."""
 
     ordinal: OrdinalConfig = OrdinalConfig()
     window: WindowParams = WindowParams()
@@ -412,6 +414,13 @@ class RunConfig:
     fbm_hursts: tuple[float, ...] = ()
     fbm_sims: int = 500
     seed: int = 42
+
+    def __post_init__(self):
+        for name, minimum in (("bounds_resolution", 2), ("fbm_sims", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
+        if not isinstance(self.log_returns, (bool, np.bool_)):
+            raise ValueError(f"log_returns must be a bool, got {self.log_returns!r}")
+        object.__setattr__(self, "log_returns", bool(self.log_returns))
 
     def as_dict(self) -> dict:
         return {
@@ -468,9 +477,9 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
     rolling: dict[str, RollingResult] = {}
     for asset in selected:
         series = dataset.series[asset]
-        if config.log_returns:
-            series = log_return_series(series)
         try:
+            if config.log_returns:
+                series = log_return_series(series)
             rolling[asset] = rolling_quantifiers(series, config.window,
                                                  config.ordinal, asset=asset)
         except ValueError as exc:
@@ -581,10 +590,8 @@ def _plot_table(bundle: AnalysisBundle, kind: str, windows: _Table) -> _Table:
     if kind == "anova-intervals":
         if not bundle.pairwise:
             raise ValueError("anova-intervals needs pairwise baseline results")
-        pairwise = _pairwise_table(bundle.pairwise)
-        # the identity and the mean difference, then the 1% flag before the 5% one
-        header = pairwise.header
-        return pairwise.select(*header[:4], header[7], header[6])
+        return _pairwise_table(bundle.pairwise).select(
+            "asset", "baseline", "metric", "mean_diff", "significant_1pct", "significant_5pct")
     raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
 
 

@@ -196,11 +196,7 @@ def _baseline_clouds(hursts, sims: int, length: int, config: OrdinalConfig,
     # validates every exponent, the length and the seed before any path
     specs = [FbmSpec(hurst, length, seed) for hurst in hursts]
     length, seed = specs[0].length, specs[0].seed
-    if config.windows_in(length) < 1:
-        raise ValueError(
-            f"length {length} admits no ordinal window at dim={config.dim}, "
-            f"delay={config.delay}"
-        )
+    config._admitted_windows(length, "fBm path")
     lams = [_circulant_eigenvalues(spec.hurst, length) for spec in specs]
     child_seeds = np.random.SeedSequence(seed).generate_state(sims, dtype=np.uint64)
     runs = _map(functools.partial(_score_paths, lams, child_seeds, config),

@@ -171,6 +171,16 @@ class OrdinalConfig:
         """Number of ordinal windows a series of the given length admits."""
         return series_len - (self.dim - 1) * self.delay
 
+    def _admitted_windows(self, samples: int, span: str) -> int:
+        """``windows_in(samples)`` when it is at least 1; otherwise the one
+        error for a span too short for a pattern, naming ``span``."""
+        windows = self.windows_in(samples)
+        if windows < 1:
+            raise ValueError(f"{span} of {samples} samples admits no ordinal pattern at "
+                             f"dim={self.dim}, delay={self.delay} (needs at least "
+                             f"{(self.dim - 1) * self.delay + 1})")
+        return windows
+
 
 def permutation_to_index(perm: Sequence[int]) -> int:
     """Lexicographic rank of a permutation of ``0..D-1`` (Lehmer code)."""
@@ -375,12 +385,7 @@ def extract_pattern_distribution(series: TimeSeries, config: OrdinalConfig) -> P
     The series must admit at least one window: ``len(series)`` greater than
     ``(dim-1)*delay``.
     """
-    n_windows = config.windows_in(len(series))
-    if n_windows < 1:
-        raise ValueError(
-            f"series of length {len(series)} too short for dim={config.dim}, "
-            f"delay={config.delay} (needs at least {(config.dim - 1) * config.delay + 1})"
-        )
+    config._admitted_windows(len(series), "series")
     codes = _encode_starts(series.values, config)
     return PatternDistribution(config, np.bincount(codes, minlength=config.num_patterns))
 

@@ -102,12 +102,7 @@ def rolling_quantifiers(series: TimeSeries, params: WindowParams,
     from .patterns import _encode_starts
     from .quantifiers import _window_points
 
-    per_window = config.windows_in(params.size)
-    if per_window < 1:
-        raise ValueError(
-            f"window size {params.size} admits no pattern at dim={config.dim}, "
-            f"delay={config.delay}"
-        )
+    per_window = config._admitted_windows(params.size, "window")
     starts = np.arange(window_count(len(series), params), dtype=np.int64) * params.step
     entropies, complexities = _window_points(_encode_starts(series.values, config),
                                              config.num_patterns, starts, per_window)

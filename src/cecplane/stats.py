@@ -306,10 +306,6 @@ class PairwiseComparison(NamedTuple):
         yield "entropy", self.entropy_anova, self.entropy_mean_diff
         yield "complexity", self.complexity_anova, self.complexity_mean_diff
 
-    def significant(self, metric: str, alpha: float) -> bool:
-        anova = {"entropy": self.entropy_anova, "complexity": self.complexity_anova}[metric]
-        return anova.p_value < alpha
-
 
 def pairwise_anova_vs_baseline(results: Mapping[str, RollingResult],
                                baseline: str) -> list[PairwiseComparison]:

@@ -126,6 +126,20 @@ class TestFbm:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("option,message", [
+        (["--seed", "-3"], "seed must be a nonnegative integer, got -3"),
+        (["--sims", "0"], "fbm_sims must be an integer >= 1, got 0"),
+        (["--bounds-resolution", "1"], "bounds_resolution must be an integer >= 2, got 1"),
+    ], ids=["seed", "sims", "bounds-resolution"])
+    def test_bad_run_setting_fails_before_the_input_is_read(self, capsys, tmp_path,
+                                                            option, message):
+        """``RunConfig`` checks every setting, even one only fBm clouds use,
+        so a missing input file is never opened."""
+        rc, _, err = run_main(capsys, ["analyze", "--input", str(tmp_path / "absent.csv"),
+                                       "--out", str(tmp_path / "run"), *option])
+        assert rc == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
     def test_outputs_and_listing(self, workspace, capsys):
         root, data, out = workspace
         # the module fixture already ran analyze; verify its tree

@@ -901,6 +901,18 @@ class TestPipeline:
         with pytest.raises(ValueError, match="'solo'"):
             run_pipeline(RunConfig(window=WindowParams(360, 60)), tiny)
 
+    def test_log_returns_error_names_asset(self, tmp_path, capsys):
+        data = tmp_path / "prices.csv"
+        data.write_text("timestamp,a,b\n" + "".join(
+            f"{t},{100 + t},{0 if t == 1 else 50 + t}\n" for t in range(400)))
+        out = tmp_path / "run"
+        assert cli_main(["analyze", "--log-returns", "--input", str(data), "--out", str(out),
+                         "--window", "100", "--step", "50"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "asset 'b': log returns need positive values; offender at position 1"}
+        assert not out.exists()
+
     def test_explicit_baseline(self, small_dataset):
         bundle = run_pipeline(
             RunConfig(window=WindowParams(360, 60), baseline="CCC"),
@@ -923,6 +935,21 @@ class TestWriteBundle:
         assert names == {"windows.csv", "summaries.csv", "ranking.csv",
                          "anova.csv", "pairwise_anova.csv", "bounds.csv",
                          "fbm_clouds.csv", "manifest.json"}
+
+    def test_numpy_scalar_config_writes_the_whole_tree(self, small_dataset, tmp_path):
+        """Numpy scalars in a config are stored as plain ints and a bool, so
+        the manifest serializes and the tree is the one plain values write."""
+        def tree(out, **settings):
+            config = RunConfig(window=WindowParams(360, 120), fbm_hursts=(0.6,), **settings)
+            write_bundle(run_pipeline(config, small_dataset), out)
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        typed = tree(tmp_path / "typed", log_returns=np.bool_(True), seed=np.int64(7),
+                     bounds_resolution=np.int64(300), fbm_sims=np.int32(8))
+        plain = tree(tmp_path / "plain", log_returns=True, seed=7,
+                     bounds_resolution=300, fbm_sims=8)
+        assert len(typed) == 8 and "manifest.json" in typed
+        assert typed == plain
 
     def test_windows_table_shape(self, bundle, tmp_path):
         out = tmp_path / "out"

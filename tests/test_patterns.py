@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cecplane import WindowParams, patterns, rolling_quantifiers
+from cecplane import WindowParams, baseline_cloud, patterns, rolling_quantifiers
 from cecplane.patterns import (
     MAX_DIM,
     OrdinalConfig,
@@ -356,6 +356,25 @@ class TestValidation:
         series = TimeSeries([1.0, 2.0])
         with pytest.raises(ValueError):
             series.values[0] = 9.0
+
+    @pytest.mark.parametrize("dim,delay", [(3, 1), (4, 2)])
+    @pytest.mark.parametrize("span,admit", [
+        ("series", lambda n, cfg: extract_pattern_distribution(
+            TimeSeries(np.arange(float(n))), cfg)),
+        ("window", lambda n, cfg: rolling_quantifiers(
+            TimeSeries(np.arange(40.0)), WindowParams(n, 5), cfg)),
+        ("fBm path", lambda n, cfg: baseline_cloud(0.5, 2, n, cfg, 1)),
+    ])
+    def test_span_one_sample_short_has_one_message(self, span, admit, dim, delay):
+        """Every span that must admit a pattern (a series, a rolling window,
+        an fBm path) is refused by one rule, in one message form."""
+        cfg = OrdinalConfig(dim, delay)
+        needed = (dim - 1) * delay + 1
+        with pytest.raises(ValueError, match=(
+                rf"^{span} of {needed - 1} samples admits no ordinal pattern at "
+                rf"dim={dim}, delay={delay} \(needs at least {needed}\)$")):
+            admit(needed - 1, cfg)
+        admit(needed, cfg)
 
     def test_distribution_rejects_bad_total(self):
         for histogram in ([0] * 6, [1] * 5, [1] * 7, [2, -1, 0, 0, 0, 0],

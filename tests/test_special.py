@@ -113,6 +113,10 @@ class TestIntegerRule:
              baseline_cloud(0.5, 4, 40, OrdinalConfig(3), 1), ("sims",)),
             (BaselineCloud(0.5, CecpPoint(0.9, 0.1), 0.0, 0.0, np.uint8(4)),
              BaselineCloud(0.5, CecpPoint(0.9, 0.1), 0.0, 0.0, 4), ("sims",)),
+            (RunConfig(seed=np.int64(7), bounds_resolution=np.uint16(300),
+                       fbm_sims=np.int32(8)),
+             RunConfig(seed=7, bounds_resolution=300, fbm_sims=8),
+             ("seed", "bounds_resolution", "fbm_sims")),
         ]
         for built, expected, fields in pairs:
             assert built == expected
@@ -143,10 +147,21 @@ class TestIntegerRule:
         pytest.param(lambda: RollingResult("x", [0, 60], [0.5, 0.5], [0.1, 0.1],
                                            samples_per_window=2.5),
                      "samples_per_window", 1, id="RollingResult-samples_per_window-1"),
+        (lambda: RunConfig(bounds_resolution=300.0), "bounds_resolution", 2),
+        (lambda: RunConfig(fbm_sims=8.0), "fbm_sims", 1),
+        (lambda: RunConfig(seed=7.0), "seed", 0),
     ])
     def test_non_integer_is_named(self, call, name, minimum):
-        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {minimum}, got "):
+        rule = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
+        with pytest.raises(ValueError, match=rf"^{name} must be {rule}, got "):
             call()
+
+    def test_run_config_flag_is_a_bool(self):
+        for value in (1, "yes"):
+            with pytest.raises(ValueError, match=rf"^log_returns must be a bool, got {value!r}$"):
+                RunConfig(log_returns=value)
+        flag = RunConfig(log_returns=np.bool_(True)).log_returns
+        assert type(flag) is bool and flag
 
     def test_below_minimum_keeps_the_message(self):
         with pytest.raises(ValueError, match=r"^delay must be an integer >= 1, got 0$"):

@@ -226,8 +226,8 @@ class TestPairwise:
         assert cmp.asset == "copy" and cmp.baseline == "base"
         assert cmp.entropy_anova.f_stat == 0.0
         assert cmp.entropy_mean_diff == 0.0
-        assert not cmp.significant("entropy", 0.05)
-        assert not cmp.significant("complexity", 0.05)
+        assert not cmp.entropy_anova.p_value < 0.05
+        assert not cmp.complexity_anova.p_value < 0.05
 
     def test_shifted_asset_is_significant(self, rng):
         noise = rng.normal(0, 0.01, 40)
@@ -236,8 +236,8 @@ class TestPairwise:
             "slow": mk_result("slow", 0.8 + noise, 0.2 + noise / 2),
         }
         (cmp,) = pairwise_anova_vs_baseline(results, "base")
-        assert cmp.significant("entropy", 0.01)
-        assert cmp.significant("complexity", 0.01)
+        assert cmp.entropy_anova.p_value < 0.01
+        assert cmp.complexity_anova.p_value < 0.01
         assert cmp.entropy_mean_diff == pytest.approx(-0.1, abs=1e-12)
         assert cmp.complexity_mean_diff == pytest.approx(0.1, abs=1e-12)
 
