@@ -4,7 +4,10 @@
 Every CSV written out — window tables, summaries, rankings, test results,
 envelopes, plot data, the CLI's stdout tables — is one ``_Table`` (a header
 plus typed columns), formatted a column at a time by ``_text`` and written by
-``_write``, so a rerun with the same inputs and seed is byte-identical.
+``_write`` a block of ``_BLOCK`` rows at a time, each block one joined string
+where that string is ``csv.writer``'s text, and through ``csv.writer``
+otherwise; so every file has ``csv.writer``'s bytes, no file's text is held
+whole, and a rerun with the same inputs and seed is byte-identical.
 Every CSV read in — the dataset, ``windows.csv``, a ``--metric`` file — is
 opened once by ``_read_csv``, under one set of rules, and checked in the one
 pass that reads its rows; the processes that parse a large dataset's byte
@@ -24,7 +27,7 @@ import csv
 import io
 import math
 import sys
-from itertools import compress
+from itertools import compress, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -40,6 +43,8 @@ def _text(column) -> list[str]:
     cell is a bool, ``str`` when every cell is an int, else floats, as the
     shortest round-trip ``repr``, or integer text for an integral float
     (finite, ``|v| < 2**53``, ``v == trunc(v)``), so ``-0.0`` reads ``0``.
+    A float column whose every value is such an integral float (end
+    timestamps, say) goes through ``int`` alone, never through ``repr``.
     """
     values = column.tolist() if hasattr(column, "tolist") else column
     if values and isinstance(values[0], str):
@@ -51,6 +56,8 @@ def _text(column) -> list[str]:
         return list(map(str, map(int, values)))
     if kinds != {float}:
         values = list(map(float, values))
+    if all(map(float.is_integer, values)) and -2.0**53 < min(values) and max(values) < 2.0**53:
+        return list(map(str, map(int, values)))
     text = list(map(float.__repr__, values))
     for k in compress(range(len(values)), map(float.is_integer, values)):
         if abs(values[k]) < 2.0**53:
@@ -77,14 +84,42 @@ def _table(**columns) -> _Table:
     return _Table(tuple(columns), tuple(columns.values()))
 
 
+# Rows joined into one string for each write of ``_write``: about 64 KB of
+# window-table text.  Blocks of 256 and 4,096 rows wrote the study tree no
+# faster (10.4 and 10.9 ms against 10.6 ms).
+_BLOCK = 1024
+
+
 def _write(table: _Table, path) -> None:
-    """Write ``table`` as CSV to ``path``, or to stdout when it is None."""
+    """Write ``table`` as CSV to ``path``, or to stdout when it is None,
+    with ``csv.writer``'s bytes (``lineterminator="\\n"``, minimal quoting).
+
+    The rows go out ``_BLOCK`` at a time, each block joined into one string
+    and written at once, so no more than one block's text is held.  That
+    string is ``csv.writer``'s text whenever no cell of the block holds a
+    ``,``, ``"``, ``\\r``, ``\\n`` or NUL and no row is a single empty cell,
+    and one check of the whole string decides it: its ``,`` and ``\\n``
+    counts are the block's, and it holds none of the other three.  A block
+    that fails the check goes through ``csv.writer``, which quotes such
+    cells (a ``\\r`` only from Python 3.13, and refuses a NUL before 3.11),
+    so every Python writes its own ``csv.writer``'s bytes.
+    """
     text = table.formatted()
+    rows = zip(*text.columns)
+    block = [text.header, *islice(rows, _BLOCK - 1)]
+    commas = len(text.header) - 1
     with (open(path, "w", newline="") if path is not None
           else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(text.header)
-        writer.writerows(zip(*text.columns))
+        while block:
+            lines = list(map(",".join, block))
+            chunk = "\n".join(lines) + "\n"
+            if (chunk.count(",") == commas * len(block) and chunk.count("\n") == len(block)
+                    and not any(c in chunk for c in '"\r\0') and (commas or "" not in lines)):
+                fh.write(chunk)
+            else:
+                writer.writerows(block)
+            block = list(islice(rows, _BLOCK))
 
 
 def _records(records, *names: str) -> _Table:

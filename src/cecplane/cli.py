@@ -173,9 +173,9 @@ def _cmd_analyze(args) -> int:
         fbm_sims=args.sims,
         seed=args.seed,
     )
-    dataset = load_dataset(args.input, assets=args.assets,
-                           forward_fill=args.forward_fill)
-    bundle = run_pipeline(config, dataset)
+    # no name holds the dataset, so it is freed before the tree is written
+    bundle = run_pipeline(config, load_dataset(args.input, assets=args.assets,
+                                               forward_fill=args.forward_fill))
     for warning in bundle.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     kinds = args.plots or []
@@ -222,18 +222,17 @@ def _cmd_anova(args) -> int:
     from pathlib import Path
 
     from ._tables import _pairwise_table
-    from .stats import one_way_anova, pairwise_anova_vs_baseline
+    from .stats import _groups, _tests
 
     results = _load_windows(args.input)
     if len(results) < 2:
         raise ValueError("insufficient groups: ANOVA needs at least two assets")
     labels = sorted(results)
-    payload = {}
-    for metric, column in (("entropy", "entropies"), ("complexity", "complexities")):
-        payload[metric] = one_way_anova(
-            [(a, getattr(results[a], column)) for a in labels])._asdict()
     baseline = args.baseline if args.baseline is not None else labels[0]
-    pairwise = _pairwise_table(pairwise_anova_vs_baseline(results, baseline))
+    entropy, complexity, comparisons = _tests({a: _groups(results[a]) for a in labels},
+                                              baseline)
+    payload = {"entropy": entropy._asdict(), "complexity": complexity._asdict()}
+    pairwise = _pairwise_table(comparisons)
     payload["pairwise"] = [dict(zip(pairwise.header, row)) for row in zip(*pairwise.columns)]
     payload["caveat"] = ("window overlap unknown when reading from file; "
                          "p-values are descriptive")
@@ -360,6 +359,26 @@ def _watched() -> bool:
             or (monitoring is not None and any(map(monitoring.get_tool, range(6)))))
 
 
+def _flushed(code: int) -> bool:
+    """Flush stdout, then stderr; whether nothing is left for the normal
+    exit to report.  After a failed command (``code`` != 0), a stdout whose
+    reader is gone counts as flushed: the failure is already reported, and
+    what stdout still holds can reach no reader.  A large write cut short
+    by the reader leaves such bytes behind, depending only on timing."""
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if code == 0:
+            return False
+    except Exception:
+        return False
+    try:
+        sys.stderr.flush()
+    except Exception:  # a reader closed the pipe, say: the normal exit reports it
+        return False
+    return True
+
+
 def _run() -> None:
     """The process entry (``cecplane`` and ``python -m cecplane.cli``): run
     ``main()``, then end without the interpreter's teardown.
@@ -369,19 +388,14 @@ def _run() -> None:
     process ends in ``os._exit`` with ``main``'s code, or argparse's for
     ``--version``, ``--help`` and usage errors.  No command starts a thread
     or leaves a file open when ``main`` returns.  The normal exit stays
-    where a flush raises and where ``_watched()``."""
+    where a flush raises (see ``_flushed``) and where ``_watched()``."""
     try:
         code = main()
     except SystemExit as exc:
         code = exc.code
     if isinstance(code, int) and not _watched():
         atexit._run_exitfuncs()
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        except Exception:  # a reader closed the pipe, say: the normal exit reports it
-            pass
-        else:
+        if _flushed(code):
             os._exit(code)
     sys.exit(code)
 

@@ -45,16 +45,17 @@ from ._tables import (_bounds_table, _clouds_table, _decoded, _located, _pairwis
 from .bounds import BoundCurve, lower_bound_curve, upper_bound_curve
 from .patterns import OrdinalConfig, TimeSeries, _grid_violation, _on_grid
 from .rolling import RollingResult, WindowParams, rolling_quantifiers
-from .special import _integer
+from .special import _check_hurst, _integer
 from .stats import (
     AnovaResult,
     AssetSummary,
     PairwiseComparison,
     RankingEntry,
-    one_way_anova,
-    pairwise_anova_vs_baseline,
+    _check_baseline,
+    _groups,
+    _summary,
+    _tests,
     rank_assets,
-    summarize,
 )
 
 if TYPE_CHECKING:
@@ -80,8 +81,12 @@ UNDERSAMPLE_FACTOR = 5
 
 
 # Files are hashed a block at a time, so a digest never holds a whole file.
-# (hashlib.file_digest does this, but only from Python 3.11.)
-_HASH_BLOCK = 1 << 20
+# (hashlib.file_digest does this, but only from Python 3.11.)  A 1 MiB block,
+# zero-filled for each file, set the peak resident set of study `analyze`
+# while it hashed its output tree: 1.8 MB above this size's peak, which is
+# reached earlier, at the write.  Hashing 21 MB took 11.9 ms at this size,
+# 11.7 ms at 1 MiB.
+_HASH_BLOCK = 1 << 16
 
 
 def _sha256_file(path: Path) -> str:
@@ -96,12 +101,15 @@ def _sha256_file(path: Path) -> str:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A collection of aligned asset series sharing one timestamp grid."""
+    """A collection of aligned asset series sharing one timestamp grid.
+    ``path`` is the file it was loaded from, if any, where an error about
+    one of its values is located by line and column."""
 
     series: dict[str, TimeSeries]
     fill_counts: dict[str, int] = field(default_factory=dict)
     timestamp_label: str = "timestamp"
     digest: str = ""
+    path: Path | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.series:
@@ -138,11 +146,17 @@ def _parse_timestamp(cell: str) -> float:
     return value
 
 
+def _data_row(path: Path, index: int) -> tuple[list[str], int, list[str]]:
+    """The header of ``path``, and the line and cells of its data row
+    ``index``, found by reading the file again so that loading keeps no
+    per-row line numbers."""
+    with _read_csv(path) as (header, rows, _):
+        return (header, *next(itertools.islice(rows, index, None)))
+
+
 def _grid_error(path: Path, ts: np.ndarray, index: int, rule: str) -> ValueError:
-    """Name the line of data row ``index``, found by reading the file again
-    so that loading keeps no per-row line numbers."""
-    with _read_csv(path) as (_, rows, _):
-        line_no, row = next(itertools.islice(rows, index, None))
+    """Name the line of data row ``index``."""
+    _, line_no, row = _data_row(path, index)
     step, first = _text(np.array([ts[index] - ts[index - 1], ts[1] - ts[0]]))
     return _located(path, line_no, None,
                     f"timestamps must be {rule}; {row[0].strip()!r} comes {step} after "
@@ -340,7 +354,7 @@ def load_dataset(path, assets: Sequence[str] | None = None,
     ts.flags.writeable = False
     series = {a: _on_grid(values[a], ts) for a in selected}
     return Dataset(series=series, fill_counts=fill_counts,
-                   timestamp_label=ts_label, digest=_sha256_file(path))
+                   timestamp_label=ts_label, digest=_sha256_file(path), path=path)
 
 
 def write_dataset(dataset: Dataset, path) -> str:
@@ -390,10 +404,17 @@ def make_synthetic_dataset(assets: Sequence[str], length: int, seed: int,
     return Dataset(series=series, fill_counts={a: 0 for a in labels})
 
 
+def _nonpositive(series: TimeSeries) -> int | None:
+    """The position of the first value of ``series`` that is not positive,
+    if any: log returns need positive values."""
+    bad = np.flatnonzero(series.values <= 0)
+    return int(bad[0]) if bad.size else None
+
+
 def log_return_series(series: TimeSeries) -> TimeSeries:
     """Logarithmic returns ``ln(x_t / x_{t-1})``; length shrinks by one."""
-    if (series.values <= 0).any():
-        bad = int(np.flatnonzero(series.values <= 0)[0])
+    bad = _nonpositive(series)
+    if bad is not None:
         raise ValueError(f"log returns need positive values; offender at position {bad}")
     values = np.diff(np.log(series.values))
     ts = None if series.timestamps is None else series.timestamps[1:]
@@ -403,7 +424,10 @@ def log_return_series(series: TimeSeries) -> TimeSeries:
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a full analysis run depends on, manifest-recordable: the
-    counts are checked and stored as ``int``, ``log_returns`` as ``bool``."""
+    counts are checked and stored as ``int``, ``log_returns`` as ``bool``.
+    Every setting that can be checked without the data is checked here,
+    before any input is read: each Hurst exponent, and the baseline when
+    ``assets`` names the columns."""
 
     ordinal: OrdinalConfig = OrdinalConfig()
     window: WindowParams = WindowParams()
@@ -421,6 +445,10 @@ class RunConfig:
         if not isinstance(self.log_returns, (bool, np.bool_)):
             raise ValueError(f"log_returns must be a bool, got {self.log_returns!r}")
         object.__setattr__(self, "log_returns", bool(self.log_returns))
+        for hurst in self.fbm_hursts:
+            _check_hurst(hurst)
+        if self.baseline is not None and self.assets is not None:
+            _check_baseline(self.baseline, self.assets)
 
     def as_dict(self) -> dict:
         return {
@@ -463,7 +491,10 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
 
     With a single asset the ranking has one entry and the ANOVA slots stay
     empty (the tests need at least two groups).  Randomness enters only
-    through the fBm baselines, driven by ``config.seed``.
+    through the fBm baselines, driven by ``config.seed``.  The selection and
+    the baseline are checked before any asset is rolled.  Under
+    ``log_returns``, a value that is not positive in a dataset loaded from
+    a file is an error at its line and column.
     """
     selected = dataset.assets if config.assets is None else config.assets
     missing = [a for a in selected if a not in dataset.series]
@@ -471,12 +502,20 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
         raise ValueError(f"assets not in dataset: {missing}")
     if len(selected) == 0:
         raise ValueError("no assets selected")
+    if config.baseline is not None:
+        _check_baseline(config.baseline, selected)
 
     warnings: list[str] = []
     caveats: list[str] = []
     rolling: dict[str, RollingResult] = {}
     for asset in selected:
         series = dataset.series[asset]
+        if config.log_returns and dataset.path is not None:
+            bad = _nonpositive(series)
+            if bad is not None:
+                header, line, row = _data_row(dataset.path, bad)
+                raise _located(dataset.path, line, asset, "log returns need positive "
+                               f"values, got {row[header.index(asset)].strip()!r}")
         try:
             if config.log_returns:
                 series = log_return_series(series)
@@ -497,16 +536,15 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
             "independence assumptions do not hold; p-values are descriptive"
         )
 
-    summaries = {a: summarize(rolling[a]) for a in selected}
+    groups = {a: _groups(rolling[a]) for a in selected}
+    summaries = {a: _summary(*groups[a]) for a in selected}
     ranking = rank_assets([summaries[a] for a in selected])
 
     anova_entropy = anova_complexity = None
     pairwise: list[PairwiseComparison] = []
     if len(selected) >= 2:
-        anova_entropy = one_way_anova([(a, rolling[a].entropies) for a in selected])
-        anova_complexity = one_way_anova([(a, rolling[a].complexities) for a in selected])
         baseline = config.baseline if config.baseline is not None else selected[0]
-        pairwise = pairwise_anova_vs_baseline(rolling, baseline)
+        anova_entropy, anova_complexity, pairwise = _tests(groups, baseline)
 
     m = config.ordinal.num_patterns
     lower = lower_bound_curve(m, config.bounds_resolution)

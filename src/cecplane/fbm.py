@@ -36,7 +36,7 @@ import numpy as np
 from ._fork import _count, _map
 from .patterns import OrdinalConfig, TimeSeries, _encode_starts
 from .quantifiers import CecpPoint, _window_points
-from .special import _integer
+from .special import _check_hurst, _integer
 
 __all__ = [
     "FbmSpec",
@@ -76,8 +76,7 @@ class FbmSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie strictly inside (0, 1), got {self.hurst!r}")
+        _check_hurst(self.hurst)
         object.__setattr__(self, "length", _integer(self.length, "length", 2))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
@@ -100,8 +99,7 @@ class BaselineCloud:
 
 def fgn_autocovariance(hurst: float, lags) -> np.ndarray:
     """Exact fGn autocovariance ``gamma(k)`` at the given integer lags."""
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must lie strictly inside (0, 1), got {hurst!r}")
+    _check_hurst(hurst)
     k = np.abs(np.asarray(lags, dtype=np.float64))
     two_h = 2.0 * hurst
     return 0.5 * ((k + 1.0) ** two_h - 2.0 * k ** two_h + np.abs(k - 1.0) ** two_h)

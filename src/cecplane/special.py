@@ -6,7 +6,8 @@ directly (continued-fraction evaluation with a ``lgamma`` prefactor) instead
 of pulling in a scientific stack at runtime.  The test suite cross-checks
 these routines against independent high-precision oracles.  The plane
 rule shared by ``CecpPoint`` and the ``windows.csv`` reader lives here too,
-and so does the integer rule of every count-like argument.
+and so do the integer rule of every count-like argument and the Hurst
+exponent rule shared by ``RunConfig`` and ``fbm``.
 """
 
 from __future__ import annotations
@@ -84,6 +85,13 @@ def _integer(value, name: str, minimum: int) -> int:
         rule = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return number
+
+
+def _check_hurst(hurst) -> None:
+    """Raise unless ``hurst`` lies strictly inside (0, 1), where fGn and fBm
+    are defined."""
+    if not 0.0 < hurst < 1.0:
+        raise ValueError(f"hurst must lie strictly inside (0, 1), got {hurst!r}")
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .special import f_sf, student_t_sf_two_sided
@@ -174,11 +174,26 @@ def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def _sample_std(values: Sequence[float], mean: float) -> float:
-    n = len(values)
-    if n == 1:
-        return 0.0
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+class _Group(NamedTuple):
+    """One asset's values of one metric, with their fsum mean and their
+    fsum sum of squares about that mean, each taken once and read by the
+    summary's spread, the all-asset ANOVA and every pairwise test."""
+
+    label: str
+    values: list[float]
+    mean: float
+    ss: float
+
+    @property
+    def std(self) -> float:
+        """The sample (n-1) standard deviation; 0 for a single value."""
+        n = len(self.values)
+        return math.sqrt(self.ss / (n - 1)) if n > 1 else 0.0
+
+
+def _group(label: str, values: list[float]) -> _Group:
+    mean = _mean(values)
+    return _Group(label, values, mean, math.fsum([(v - mean) ** 2 for v in values]))
 
 
 def _floats(values, error: str) -> list[float]:
@@ -197,20 +212,22 @@ def _coordinates(result: RollingResult) -> tuple[list[float], list[float]]:
             _floats(result.complexities, "complexities must be a one-dimensional sequence"))
 
 
-def summarize(result: RollingResult) -> AssetSummary:
-    """Componentwise mean and sample (n-1) standard deviation of the windows."""
+def _groups(result: RollingResult) -> tuple[_Group, _Group]:
+    """The entropy and complexity groups of a result with at least one window."""
     hs, cs = _coordinates(result)
     if not hs:
         raise ValueError("rolling result contains no windows")
-    mh, mc = _mean(hs), _mean(cs)
-    return AssetSummary(
-        asset=result.asset,
-        mean_entropy=mh,
-        mean_complexity=mc,
-        std_entropy=_sample_std(hs, mh),
-        std_complexity=_sample_std(cs, mc),
-        window_count=len(hs),
-    )
+    return _group(result.asset, hs), _group(result.asset, cs)
+
+
+def _summary(entropy: _Group, complexity: _Group) -> AssetSummary:
+    return AssetSummary(entropy.label, entropy.mean, complexity.mean, entropy.std,
+                        complexity.std, len(entropy.values))
+
+
+def summarize(result: RollingResult) -> AssetSummary:
+    """Componentwise mean and sample (n-1) standard deviation of the windows."""
+    return _summary(*_groups(result))
 
 
 def efficiency_distance(summary: AssetSummary) -> float:
@@ -237,45 +254,40 @@ def rank_assets(summaries: Sequence[AssetSummary]) -> list[RankingEntry]:
             for k in sorted(range(len(distances)), key=distances.__getitem__)]
 
 
-def _as_groups(groups) -> list[tuple[str, list[float]]]:
+def _admit(label, values: list[float]) -> None:
+    """Raise unless the group ``label`` may enter an ANOVA: at least 2
+    observations, all finite."""
+    if len(values) < 2:
+        raise ValueError(f"group {label!r} needs at least 2 one-dimensional observations")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"group {label!r} contains non-finite values")
+
+
+def _as_groups(groups) -> list[_Group]:
     if isinstance(groups, Mapping):
         items: Iterable = groups.items()
     else:
         items = groups
     out = []
     for label, values in items:
-        error = f"group {label!r} needs at least 2 one-dimensional observations"
-        vals = _floats(values, error)
-        if len(vals) < 2:
-            raise ValueError(error)
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"group {label!r} contains non-finite values")
+        vals = _floats(values, f"group {label!r} needs at least 2 one-dimensional observations")
+        _admit(label, vals)
         out.append((str(label), vals))
     if len(out) < 2:
         raise ValueError("ANOVA needs at least two groups")
-    return out
+    return [_group(label, vals) for label, vals in out]
 
 
-def one_way_anova(groups) -> AnovaResult:
-    """One-way fixed-effects ANOVA over labeled observation groups.
-
-    ``groups`` is a mapping of label to observations (or an iterable of such
-    pairs).  The p-value is the F upper tail at (df_between, df_within).
-    """
-    parsed = _as_groups(groups)
-    all_values = [v for _, vals in parsed for v in vals]
-    n_total = len(all_values)
-    k = len(parsed)
-    grand = _mean(all_values)
-    group_means = [_mean(vals) for _, vals in parsed]
-    ss_between = math.fsum(
-        len(vals) * (m - grand) ** 2 for (_, vals), m in zip(parsed, group_means)
-    )
-    ss_within = math.fsum(
-        math.fsum((v - m) ** 2 for v in vals)
-        for (_, vals), m in zip(parsed, group_means)
-    )
-    ss_total = math.fsum((v - grand) ** 2 for v in all_values)
+def _anova(groups: Sequence[_Group]) -> AnovaResult:
+    """The one-way ANOVA of at least two admitted groups.  The groups'
+    means and sums of squares are taken as they stand, so this sums only
+    the terms about the grand mean."""
+    n_total = sum(len(g.values) for g in groups)
+    k = len(groups)
+    grand = math.fsum(chain.from_iterable(g.values for g in groups)) / n_total
+    ss_between = math.fsum(len(g.values) * (g.mean - grand) ** 2 for g in groups)
+    ss_within = math.fsum(g.ss for g in groups)
+    ss_total = math.fsum([(v - grand) ** 2 for g in groups for v in g.values])
     df_between = k - 1
     df_within = n_total - k
     ms_between = ss_between / df_between
@@ -289,6 +301,15 @@ def one_way_anova(groups) -> AnovaResult:
         p_value = f_sf(f_stat, df_between, df_within)
     return AnovaResult(ss_between, ss_within, ss_total, df_between, df_within,
                        ms_between, ms_within, f_stat, p_value, degenerate)
+
+
+def one_way_anova(groups) -> AnovaResult:
+    """One-way fixed-effects ANOVA over labeled observation groups.
+
+    ``groups`` is a mapping of label to observations (or an iterable of such
+    pairs).  The p-value is the F upper tail at (df_between, df_within).
+    """
+    return _anova(_as_groups(groups))
 
 
 class PairwiseComparison(NamedTuple):
@@ -307,6 +328,26 @@ class PairwiseComparison(NamedTuple):
         yield "complexity", self.complexity_anova, self.complexity_mean_diff
 
 
+def _check_baseline(baseline: str, assets) -> None:
+    """Raise unless ``baseline`` is one of ``assets`` (labels, or a mapping
+    keyed by them)."""
+    if baseline not in assets:
+        raise ValueError(f"baseline asset {baseline!r} not among results")
+
+
+def _pairwise(groups: Mapping[str, tuple[_Group, _Group]],
+              baseline: str) -> list[PairwiseComparison]:
+    """``pairwise_anova_vs_baseline`` over each asset's admitted groups."""
+    base_h, base_c = groups[baseline]
+    comparisons = []
+    for asset in sorted(a for a in groups if a != baseline):
+        h, c = groups[asset]
+        comparisons.append(PairwiseComparison(asset, baseline, _anova([h, base_h]),
+                                              _anova([c, base_c]), h.mean - base_h.mean,
+                                              c.mean - base_c.mean))
+    return comparisons
+
+
 def pairwise_anova_vs_baseline(results: Mapping[str, RollingResult],
                                baseline: str) -> list[PairwiseComparison]:
     """Each non-baseline asset vs the baseline, for entropy and complexity.
@@ -314,22 +355,31 @@ def pairwise_anova_vs_baseline(results: Mapping[str, RollingResult],
     Mean differences are asset minus baseline.  Output is ordered by asset
     label so it is independent of mapping iteration order.
     """
-    if baseline not in results:
-        raise ValueError(f"baseline asset {baseline!r} not among results")
+    _check_baseline(baseline, results)
     columns = {asset: _coordinates(result) for asset, result in results.items()}
-    base_h, base_c = columns[baseline]
-    comparisons = []
-    for asset in sorted(a for a in results if a != baseline):
-        hs, cs = columns[asset]
-        comparisons.append(PairwiseComparison(
-            asset=asset,
-            baseline=baseline,
-            entropy_anova=one_way_anova([(asset, hs), (baseline, base_h)]),
-            complexity_anova=one_way_anova([(asset, cs), (baseline, base_c)]),
-            entropy_mean_diff=_mean(hs) - _mean(base_h),
-            complexity_mean_diff=_mean(cs) - _mean(base_c),
-        ))
-    return comparisons
+    others = sorted(a for a in results if a != baseline)
+    if not others:
+        return []
+    for asset in others:  # each test's two groups in turn, entropy then complexity
+        for k in (0, 1):
+            _admit(asset, columns[asset][k])
+            _admit(baseline, columns[baseline][k])
+    return _pairwise({a: (_group(a, hs), _group(a, cs)) for a, (hs, cs) in columns.items()},
+                     baseline)
+
+
+def _tests(groups: Mapping[str, tuple[_Group, _Group]], baseline: str) -> tuple[
+        AnovaResult, AnovaResult, list[PairwiseComparison]]:
+    """The all-asset ANOVA of entropy and of complexity over ``groups`` (at
+    least two assets, in their order), and ``pairwise_anova_vs_baseline``,
+    with the same results and errors, each group's moments taken once."""
+    anovas = []
+    for k in (0, 1):
+        for label, pair in groups.items():
+            _admit(label, pair[k].values)
+        anovas.append(_anova([pair[k] for pair in groups.values()]))
+    _check_baseline(baseline, groups)
+    return anovas[0], anovas[1], _pairwise(groups, baseline)
 
 
 def average_ranks(values) -> list[float]:

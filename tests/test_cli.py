@@ -130,11 +130,14 @@ class TestAnalyze:
         (["--seed", "-3"], "seed must be a nonnegative integer, got -3"),
         (["--sims", "0"], "fbm_sims must be an integer >= 1, got 0"),
         (["--bounds-resolution", "1"], "bounds_resolution must be an integer >= 2, got 1"),
-    ], ids=["seed", "sims", "bounds-resolution"])
+        (["--fbm-hurst", "0.5,1.5"], "hurst must lie strictly inside (0, 1), got 1.5"),
+        (["--assets", "a,b", "--baseline", "zz"], "baseline asset 'zz' not among results"),
+    ], ids=["seed", "sims", "bounds-resolution", "fbm-hurst", "baseline"])
     def test_bad_run_setting_fails_before_the_input_is_read(self, capsys, tmp_path,
                                                             option, message):
         """``RunConfig`` checks every setting, even one only fBm clouds use,
-        so a missing input file is never opened."""
+        and the baseline against the columns ``--assets`` names, so a
+        missing input file is never opened."""
         rc, _, err = run_main(capsys, ["analyze", "--input", str(tmp_path / "absent.csv"),
                                        "--out", str(tmp_path / "run"), *option])
         assert rc == 1

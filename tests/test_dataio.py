@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from cecplane import (
     Dataset,
+    OrdinalConfig,
     RunConfig,
     TimeSeries,
     WindowParams,
@@ -31,7 +33,8 @@ from cecplane import (
 from cecplane import _fork, dataio
 from cecplane.cli import main as cli_main
 from cecplane import patterns
-from cecplane._tables import _text
+from cecplane import _tables
+from cecplane._tables import _BLOCK, _Table, _text, _write
 from cecplane.dataio import PLOT_KINDS, _sha256_file
 from oracles import _fmt
 
@@ -48,6 +51,13 @@ class TestCellFormat:
 
     def test_integral_floats_have_no_fraction(self):
         assert _text([1500000000.0, -3.0, -0.0]) == ["1500000000", "-3", "0"]
+
+    @pytest.mark.parametrize("values", [[2.0**53 - 1, -(2.0**53 - 1), 0.0],
+                                        [2.0**53, 1.0], [1.0, -(2.0**53)], [3.0, math.inf]])
+    def test_integral_column_at_the_int_limit(self, values):
+        """A column integral throughout goes through ``int`` alone only
+        when every value lies inside (-2**53, 2**53)."""
+        assert _text(values) == [_fmt(v) for v in values]
 
     def test_floats_use_shortest_roundtrip(self):
         assert _text([0.1]) == ["0.1"]
@@ -85,6 +95,90 @@ class TestCellFormat:
     def test_bool_column_matches_cell_reference(self, values):
         assert _text(values) == [_fmt(v) for v in values]
         assert _text(np.array(values, dtype=bool)) == [_fmt(v) for v in values]
+
+
+def csv_writer_text(table: _Table) -> tuple[str, bool]:
+    """What ``csv.writer`` (``lineterminator="\\n"``) writes of ``table``'s
+    text cells, and whether it raised: Python 3.10 refuses a NUL."""
+    buffer = io.StringIO()
+    try:
+        csv.writer(buffer, lineterminator="\n").writerows([table.header, *zip(*table.columns)])
+    except csv.Error:
+        return buffer.getvalue(), True
+    return buffer.getvalue(), False
+
+
+def written(table: _Table, path) -> tuple[str, bool]:
+    """What ``_write`` writes of ``table`` to the file ``path``, or to
+    stdout when it is None, and whether it raised."""
+    stdout = io.StringIO()
+    raised = False
+    try:
+        with contextlib.redirect_stdout(stdout):
+            _write(table, path)
+    except csv.Error:
+        raised = True
+    if path is None:
+        return stdout.getvalue(), raised
+    with open(path, newline="") as fh:
+        return fh.read(), raised
+
+
+def text_table(rows: list, width: int) -> _Table:
+    """A table of text cells: the first row is the header."""
+    header, *body = rows
+    return _Table(tuple(header), tuple([row[j] for row in body] for j in range(width)))
+
+
+# Cells made of the characters csv.writer may quote or refuse, and plain ones.
+CELLS = st.text(alphabet=st.sampled_from(["a", "1", ".", " ", "\u00e9", ",", '"', "\r", "\n",
+                                          "\0"]), max_size=3)
+
+
+@st.composite
+def text_tables(draw):
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.one_of(st.just(""), CELLS), min_size=width,
+                                  max_size=width), min_size=1, max_size=14))
+    return text_table(rows, width)
+
+
+class TestWriter:
+    """``_write`` joins a block of rows into one string where that is
+    ``csv.writer``'s text, and hands any other block to ``csv.writer``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=text_tables(), block=st.integers(1, 4))
+    def test_same_bytes_as_csv_writer(self, table, block):
+        """Blocks of 1-4 rows put quoted, refused and empty cells before,
+        inside and after a block edge; to a file and to stdout alike."""
+        expected = csv_writer_text(table)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(_tables, "_BLOCK", block):
+            assert written(table, Path(tmp) / "table.csv") == expected
+            assert written(table, None) == expected
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("where", [None, _BLOCK - 2, _BLOCK - 1, _BLOCK + _BLOCK // 2,
+                                       2 * _BLOCK - 2, 2 * _BLOCK],
+                             ids=["none", "last-of-first-block", "first-of-second-block",
+                                  "inside-second-block", "last-of-second-block", "last-row"])
+    @pytest.mark.parametrize("cell", ["", "a,b", 'say "hi"', "two\nlines", "cr\r"])
+    def test_tables_longer_than_a_block(self, tmp_path, width, where, cell):
+        """2 1/2 blocks of rows (the header leads the first block), with one
+        special cell in a given row, or none."""
+        rows = [[f"h{j}" for j in range(width)]]
+        rows += [[f"{k}.{j}" for j in range(width)] for k in range(2 * _BLOCK + 1)]
+        if where is not None:
+            rows[1 + where][0] = cell
+        table = text_table(rows, width)
+        expected = csv_writer_text(table)
+        assert written(table, tmp_path / "table.csv") == written(table, None) == expected
+
+    def test_numeric_table_as_csv_writer_formats_it(self, tmp_path):
+        table = _Table(("a", "b"), (np.arange(3 * _BLOCK) * 0.5,
+                                    [True, False] * (3 * _BLOCK // 2)))
+        assert written(table, tmp_path / "table.csv") == csv_writer_text(table.formatted())
 
 
 class TestRoundTrip:
@@ -910,8 +1004,36 @@ class TestPipeline:
                          "--window", "100", "--step", "50"]) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValueError",
-            "message": "asset 'b': log returns need positive values; offender at position 1"}
+            "message": f"{data}: line 3, column 'b': log returns need positive values, got '0'"}
         assert not out.exists()
+
+    def test_log_returns_error_without_a_file_names_the_position(self):
+        """A dataset built in memory has no line to name: the error keeps
+        ``log_return_series``'s position, under its asset."""
+        values = np.array([5.0, 4.0, 0.0, 2.0])
+        dataset = Dataset({"a": TimeSeries(values + 1), "b": TimeSeries(values)})
+        with pytest.raises(ValueError, match=r"^asset 'b': log returns need positive values; "
+                                             r"offender at position 2$"):
+            run_pipeline(RunConfig(window=WindowParams(3, 1), ordinal=OrdinalConfig(2, 1),
+                                   log_returns=True), dataset)
+
+    def test_unknown_baseline_fails_before_any_asset_is_rolled(self, small_dataset):
+        with mock.patch.object(dataio, "rolling_quantifiers",
+                               side_effect=AssertionError("an asset was rolled")):
+            with pytest.raises(ValueError, match=r"^baseline asset 'ZZZ' not among results$"):
+                run_pipeline(RunConfig(baseline="ZZZ"), small_dataset)
+            with pytest.raises(ValueError, match=r"^baseline asset 'AAA' not among results$"):
+                run_pipeline(RunConfig(assets=None, baseline="AAA"),
+                             Dataset({"BBB": small_dataset.series["BBB"]}))
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"assets": ("AAA", "BBB"), "baseline": "CCC"}, "baseline asset 'CCC' not among results"),
+        ({"fbm_hursts": (0.5, 1.0)}, r"hurst must lie strictly inside \(0, 1\), got 1\.0"),
+        ({"fbm_hursts": (0.0,)}, r"hurst must lie strictly inside \(0, 1\), got 0\.0"),
+    ], ids=["baseline", "hurst-one", "hurst-zero"])
+    def test_run_config_checks_what_needs_no_data(self, settings, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunConfig(**settings)
 
     def test_explicit_baseline(self, small_dataset):
         bundle = run_pipeline(

@@ -18,10 +18,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cecplane import (OrdinalConfig, TimeSeries, WindowParams, baseline_cloud, load_dataset,
-                      rolling_quantifiers)
-from cecplane import _fork, dataio, fbm
-from cecplane.dataio import _HASH_BLOCK, _sha256_file
+from cecplane import (OrdinalConfig, RunConfig, TimeSeries, WindowParams, baseline_cloud,
+                      load_dataset, make_synthetic_dataset, rolling_quantifiers, run_pipeline)
+from cecplane import _fork, _tables, dataio, fbm
+from cecplane._tables import _BLOCK
+from cecplane.dataio import (_HASH_BLOCK, _plot_kinds, _sha256_file, _windows_table,
+                             _write_tree)
 from cecplane.fbm import _baseline_clouds
 from cecplane.patterns import _ENCODE_BLOCK, _encode_starts
 
@@ -182,6 +184,30 @@ class TestLoadMemory:
         assert peak < path.stat().st_size + table
 
 
+class TestWriteMemory:
+    def test_peak_is_the_window_table_plus_two_blocks(self, tmp_path):
+        """8 assets of 50,000 rows at window 360, step 10: 39,720 windows,
+        a 2.6 MB windows.csv, and the whole tree with every plot kind.  The
+        bound is the peak of formatting the window table (13.9 MB of text
+        cells, plus 2.9 MB while its last column is formatted) plus two
+        blocks of ``_BLOCK`` rows at 512 bytes a row (1 MB): ``_write``
+        measured 508 KB for one block of these rows, its tuples, lines,
+        joined text and encoded bytes.  Writing the tree measured that
+        formatting peak and not a byte more, the hash's block and the
+        bounds table included.  A writer that holds the whole windows.csv
+        as text (``_BLOCK`` above the row count) measured 10.5 MB over the
+        formatting peak, and the test checks that it breaks the bound."""
+        dataset = make_synthetic_dataset([f"A{k}" for k in range(8)], 50_000, seed=1)
+        bundle = run_pipeline(RunConfig(window=WindowParams(360, 10)), dataset)
+        kinds = _plot_kinds(bundle)
+        table = traced_peak(lambda: _windows_table(bundle.rolling).formatted())
+        bound = table + 2 * _BLOCK * 512
+        _write_tree(bundle, tmp_path / "first", kinds)  # one-time set-up
+        assert traced_peak(_write_tree, bundle, tmp_path / "blocks", kinds) < bound
+        with mock.patch.object(_tables, "_BLOCK", 10**9):
+            assert traced_peak(_write_tree, bundle, tmp_path / "whole", kinds) > bound
+
+
 class TestSha256File:
     @pytest.mark.parametrize("size", [0, 1, _HASH_BLOCK - 1, _HASH_BLOCK, _HASH_BLOCK + 1])
     def test_digest_matches_whole_file_hash(self, tmp_path, size):
@@ -190,8 +216,8 @@ class TestSha256File:
         assert _sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_large_file_held_one_block_at_a_time(self, tmp_path):
-        """20 MB hashed with a peak of one 1 MiB block plus 5 KB; the bound
-        is two blocks.  Reading the whole file measured 19 blocks."""
+        """20 MB hashed with a peak of one 64 KiB block plus 5.5 KB; the
+        bound is two blocks.  Reading the whole file measured 305 blocks."""
         path = tmp_path / "blob"
         rng = np.random.default_rng(8)
         with open(path, "wb") as fh:

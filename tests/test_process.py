@@ -205,6 +205,16 @@ class TestRunBranches:
         monkeypatch.setattr(sys, "stdout", Closed())
         assert ends(lambda: 0) == [("atexit",), ("exit", 0)]
 
+    def test_failed_command_ends_past_a_closed_stdout(self, ends, monkeypatch):
+        """A command that failed, and reported it, ends with its code when
+        stdout's reader is gone: what stdout holds can reach no reader."""
+        class Closed:
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert ends(lambda: 1) == [("atexit",), ("_exit", 1)]
+
     def test_watched_takes_the_normal_exit(self, ends, monkeypatch):
         monkeypatch.setattr(cli, "_watched", lambda: True)
         assert ends(lambda: 0) == [("exit", 0)]

@@ -1,5 +1,7 @@
 import math
+import re
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from cecplane import (
     spearman_rho,
     summarize,
 )
+from cecplane import RunConfig, run_pipeline
+from cecplane.special import f_sf
 from cecplane.stats import average_ranks, spearman_permutation_p
 
 
@@ -252,6 +256,160 @@ class TestPairwise:
         with pytest.raises(ValueError):
             pairwise_anova_vs_baseline({"a": mk_result("a", [0.9, 0.8], [0.1, 0.2])},
                                        "missing")
+
+
+def fsum_mean(values):
+    return math.fsum(values) / len(values)
+
+
+def fsum_anova(groups):
+    """``(ss_between, ss_within, ss_total, df_between, df_within)``, each
+    sum one ``math.fsum`` over the plain terms."""
+    values = [v for g in groups for v in g]
+    grand = fsum_mean(values)
+    means = [fsum_mean(g) for g in groups]
+    return (math.fsum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means)),
+            math.fsum(math.fsum((v - m) ** 2 for v in g) for g, m in zip(groups, means)),
+            math.fsum((v - grand) ** 2 for v in values),
+            len(groups) - 1, len(values) - len(groups))
+
+
+def assert_fsum_anova(result, groups):
+    ss_between, ss_within, ss_total, df_between, df_within = fsum_anova(groups)
+    ms_between, ms_within = ss_between / df_between, ss_within / df_within
+    assert result[:7] == (ss_between, ss_within, ss_total, df_between, df_within,
+                          ms_between, ms_within)
+    if ms_within == 0.0:
+        expected = (0.0, 1.0, True) if ms_between == 0.0 else (math.inf, 0.0, False)
+        assert (result.f_stat, result.p_value, result.degenerate) == expected
+    else:
+        f_stat = ms_between / ms_within
+        assert (result.f_stat, result.p_value, result.degenerate) == (
+            f_stat, f_sf(f_stat, df_between, df_within), False)
+
+
+# Entropies and complexities of three assets: unequal lengths, one asset
+# constant in both metrics.
+GROUPS = {
+    "base": ([0.91, 0.87, 0.95, 0.9, 0.88], [0.12, 0.2, 0.07, 0.15, 0.11]),
+    "long": ([0.8, 0.99, 0.85, 0.93, 0.97, 0.82, 0.9], [0.3, 0.02, 0.24, 0.1, 0.05, 0.27, 0.14]),
+    "flat": ([0.9, 0.9, 0.9], [0.1, 0.1, 0.1]),
+}
+
+
+class TestSharedMoments:
+    """Each asset's moments are taken once and shared by its summary, the
+    all-asset ANOVA and the pairwise tests; every result equals a plain
+    ``math.fsum`` recomputation, bit for bit."""
+
+    @pytest.mark.parametrize("asset", list(GROUPS))
+    def test_summary(self, asset):
+        hs, cs = GROUPS[asset]
+        s = summarize(mk_result(asset, hs, cs))
+        mh, mc = fsum_mean(hs), fsum_mean(cs)
+        assert s == (asset, mh, mc,
+                     math.sqrt(math.fsum((v - mh) ** 2 for v in hs) / (len(hs) - 1)),
+                     math.sqrt(math.fsum((v - mc) ** 2 for v in cs) / (len(cs) - 1)),
+                     len(hs))
+
+    @pytest.mark.parametrize("labels", [["base", "long", "flat"], ["base", "long"],
+                                        ["long", "flat"]], ids=["three", "two", "with-flat"])
+    @pytest.mark.parametrize("metric", [0, 1], ids=["entropy", "complexity"])
+    def test_anova(self, labels, metric):
+        groups = [GROUPS[a][metric] for a in labels]
+        assert_fsum_anova(one_way_anova({a: GROUPS[a][metric] for a in labels}), groups)
+
+    @pytest.mark.parametrize("groups", [[[0.5, 0.5], [0.5, 0.5, 0.5]], [[0.5, 0.5], [0.7, 0.7]]],
+                             ids=["degenerate", "no-within-spread"])
+    def test_constant_groups(self, groups):
+        assert_fsum_anova(one_way_anova({"a": groups[0], "b": groups[1]}), groups)
+
+    @pytest.mark.parametrize("baseline", list(GROUPS))
+    def test_pairwise(self, baseline):
+        results = {a: mk_result(a, hs, cs) for a, (hs, cs) in GROUPS.items()}
+        comparisons = pairwise_anova_vs_baseline(results, baseline)
+        assert [c.asset for c in comparisons] == sorted(a for a in GROUPS if a != baseline)
+        for c in comparisons:
+            assert c.baseline == baseline
+            for k, (_, anova, diff) in enumerate(c.by_metric()):
+                pair = [GROUPS[c.asset][k], GROUPS[baseline][k]]
+                assert_fsum_anova(anova, pair)
+                assert diff == fsum_mean(pair[0]) - fsum_mean(pair[1])
+
+    def test_pipeline_shares_the_public_results(self, small_dataset):
+        """``run_pipeline`` takes its statistics from shared moments; they
+        equal the public functions' results on its rolling results."""
+        bundle = run_pipeline(RunConfig(baseline="BBB"), small_dataset)
+        rolling = bundle.rolling
+        assert bundle.summaries == {a: summarize(r) for a, r in rolling.items()}
+        assert bundle.anova_entropy == one_way_anova(
+            [(a, r.entropies) for a, r in rolling.items()])
+        assert bundle.anova_complexity == one_way_anova(
+            [(a, r.complexities) for a, r in rolling.items()])
+        assert bundle.pairwise == pairwise_anova_vs_baseline(rolling, "BBB")
+
+
+class Windows(NamedTuple):
+    """A result read back from a file: no check on its columns."""
+
+    asset: str
+    entropies: list
+    complexities: list
+
+
+class TestValidationMessages:
+    """The checks of the public functions, in their order: the first
+    defect met is the one reported."""
+
+    @pytest.mark.parametrize("groups,message", [
+        ({"only": [1.0, 2.0]}, "ANOVA needs at least two groups"),
+        ({"a": [1.0], "b": [1.0, 2.0]}, "group 'a' needs at least 2 one-dimensional observations"),
+        ({"a": [[1.0], [2.0]], "b": [1.0, 2.0]},
+         "group 'a' needs at least 2 one-dimensional observations"),
+        ({"a": [1.0, math.nan], "b": [1.0]}, "group 'a' contains non-finite values"),
+        ({"a": [1.0, 2.0], "b": [math.inf, 2.0]}, "group 'b' contains non-finite values"),
+        ({"a": [1.0, math.nan], "b": None},
+         "group 'a' contains non-finite values"),
+        ({"a": [1e308, 1e308], "b": [1.0]}, "group 'b' needs at least 2 one-dimensional "
+                                            "observations"),
+    ], ids=["one-group", "short", "not-flat", "nan-first", "inf-second", "nan-before-bad",
+            "checks-before-sums"])
+    def test_anova(self, groups, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            one_way_anova(groups)
+
+    @pytest.mark.parametrize("results,baseline,message", [
+        ({"a": Windows("a", [0.9, 0.8], [0.1, 0.2])}, "missing",
+         "baseline asset 'missing' not among results"),
+        ({"a": Windows("a", [0.9, 0.8], [0.1, 0.2]), "b": Windows("b", 0.5, [0.1])}, "a",
+         "entropies must be a one-dimensional sequence"),
+        ({"a": Windows("a", [0.9, 0.8], [0.1, 0.2]), "b": Windows("b", [0.9], [0.1])}, "a",
+         "group 'b' needs at least 2 one-dimensional observations"),
+        ({"a": Windows("a", [0.9], [0.1]), "b": Windows("b", [0.9, 0.8], [0.1, 0.2])}, "a",
+         "group 'a' needs at least 2 one-dimensional observations"),
+        ({"a": Windows("a", [0.9, 0.8], [0.1]), "b": Windows("b", [0.9, 0.8], [0.1, 0.2]),
+          "c": Windows("c", [0.9], [0.1, 0.2])}, "a",
+         "group 'a' needs at least 2 one-dimensional observations"),
+        ({"a": Windows("a", [0.9, 0.8], [0.1, 0.2]),
+          "b": Windows("b", [0.9, 0.8], [math.nan, 0.2])}, "a",
+         "group 'b' contains non-finite values"),
+    ], ids=["baseline", "not-a-sequence", "short-asset", "short-baseline",
+            "short-baseline-complexity", "nan-complexity"])
+    def test_pairwise(self, results, baseline, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pairwise_anova_vs_baseline(results, baseline)
+
+    def test_pairwise_alone_with_its_baseline_checks_nothing_more(self):
+        assert pairwise_anova_vs_baseline({"a": Windows("a", [], [])}, "a") == []
+
+    @pytest.mark.parametrize("result,error", [
+        (Windows("a", [], []), "rolling result contains no windows"),
+        (Windows("a", [[0.9]], [0.1]), "entropies must be a one-dimensional sequence"),
+        (Windows("a", [0.9], 0.1), "complexities must be a one-dimensional sequence"),
+    ])
+    def test_summarize(self, result, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            summarize(result)
 
 
 class TestAverageRanks:
