@@ -10,7 +10,10 @@ All reductions run through ``math.fsum`` over Python lists, so results do
 not depend on summation order, and p-values come from the local
 incomplete-beta routines (see ``special``).  The module loads no numpy: a
 ``RollingResult``'s arrays and the tuples the CLI reads back from
-``windows.csv`` both enter through one conversion to a list of floats.
+``windows.csv`` both enter through one conversion to a list of floats.  A
+run takes each asset's list, fsum mean and fsum sum of squares once per
+metric (``_Group``): its summary, the all-asset ANOVA and every pairwise
+test read them (``_tests``), with the results of the public functions.
 
 The result records are ``NamedTuple``s, so a read command loads neither
 ``dataclasses`` nor what it imports.  Each record checks its values when it
@@ -174,26 +177,23 @@ def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-class _Group(NamedTuple):
+class _Group:
     """One asset's values of one metric, with their fsum mean and their
     fsum sum of squares about that mean, each taken once and read by the
-    summary's spread, the all-asset ANOVA and every pairwise test."""
+    summary's spread, the all-asset ANOVA and every pairwise test.  (A
+    plain class: a NamedTuple took 90 us more to import in each command.)"""
 
-    label: str
-    values: list[float]
-    mean: float
-    ss: float
+    __slots__ = ("label", "values", "mean", "ss")
+
+    def __init__(self, label: str, values: list[float]):
+        self.label, self.values, self.mean = label, values, _mean(values)
+        self.ss = math.fsum([(v - self.mean) ** 2 for v in values])
 
     @property
     def std(self) -> float:
         """The sample (n-1) standard deviation; 0 for a single value."""
         n = len(self.values)
         return math.sqrt(self.ss / (n - 1)) if n > 1 else 0.0
-
-
-def _group(label: str, values: list[float]) -> _Group:
-    mean = _mean(values)
-    return _Group(label, values, mean, math.fsum([(v - mean) ** 2 for v in values]))
 
 
 def _floats(values, error: str) -> list[float]:
@@ -217,7 +217,7 @@ def _groups(result: RollingResult) -> tuple[_Group, _Group]:
     hs, cs = _coordinates(result)
     if not hs:
         raise ValueError("rolling result contains no windows")
-    return _group(result.asset, hs), _group(result.asset, cs)
+    return _Group(result.asset, hs), _Group(result.asset, cs)
 
 
 def _summary(entropy: _Group, complexity: _Group) -> AssetSummary:
@@ -275,7 +275,7 @@ def _as_groups(groups) -> list[_Group]:
         out.append((str(label), vals))
     if len(out) < 2:
         raise ValueError("ANOVA needs at least two groups")
-    return [_group(label, vals) for label, vals in out]
+    return [_Group(label, vals) for label, vals in out]
 
 
 def _anova(groups: Sequence[_Group]) -> AnovaResult:
@@ -364,7 +364,7 @@ def pairwise_anova_vs_baseline(results: Mapping[str, RollingResult],
         for k in (0, 1):
             _admit(asset, columns[asset][k])
             _admit(baseline, columns[baseline][k])
-    return _pairwise({a: (_group(a, hs), _group(a, cs)) for a, (hs, cs) in columns.items()},
+    return _pairwise({a: (_Group(a, hs), _Group(a, cs)) for a, (hs, cs) in columns.items()},
                      baseline)
 
 

@@ -159,18 +159,17 @@ class TestWriter:
             assert written(table, None) == expected
 
     @pytest.mark.parametrize("width", [1, 3])
-    @pytest.mark.parametrize("where", [None, _BLOCK - 2, _BLOCK - 1, _BLOCK + _BLOCK // 2,
+    @pytest.mark.parametrize("where", [_BLOCK - 2, _BLOCK - 1, _BLOCK + _BLOCK // 2,
                                        2 * _BLOCK - 2, 2 * _BLOCK],
-                             ids=["none", "last-of-first-block", "first-of-second-block",
+                             ids=["last-of-first-block", "first-of-second-block",
                                   "inside-second-block", "last-of-second-block", "last-row"])
-    @pytest.mark.parametrize("cell", ["", "a,b", 'say "hi"', "two\nlines", "cr\r"])
+    @pytest.mark.parametrize("cell", ["plain", "", "a,b", 'say "hi"', "two\nlines", "cr\r"])
     def test_tables_longer_than_a_block(self, tmp_path, width, where, cell):
-        """2 1/2 blocks of rows (the header leads the first block), with one
-        special cell in a given row, or none."""
+        """Two blocks and two more rows (the header leads the first block),
+        with one cell of data row ``where`` replaced by ``cell``."""
         rows = [[f"h{j}" for j in range(width)]]
         rows += [[f"{k}.{j}" for j in range(width)] for k in range(2 * _BLOCK + 1)]
-        if where is not None:
-            rows[1 + where][0] = cell
+        rows[1 + where][0] = cell
         table = text_table(rows, width)
         expected = csv_writer_text(table)
         assert written(table, tmp_path / "table.csv") == written(table, None) == expected
