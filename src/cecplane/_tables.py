@@ -85,8 +85,8 @@ def _table(**columns) -> _Table:
 
 
 # Rows joined into one string for each write of ``_write``: about 64 KB of
-# window-table text.  Blocks of 256 and 4,096 rows wrote the study tree no
-# faster (10.4 and 10.9 ms against 10.6 ms).
+# window-table text.  Blocks of 256 and 4,096 rows wrote the study tree in
+# about the same time (10.4 and 10.9 ms against 10.6 ms).
 _BLOCK = 1024
 
 
