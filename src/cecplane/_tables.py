@@ -1,5 +1,5 @@
 """The table model, the one CSV writer and the one CSV reader, shared by
-``dataio`` and ``cli``.
+``dataio``, ``cli`` and ``_readback``.
 
 Every CSV written out — window tables, summaries, rankings, test results,
 envelopes, plot data, the CLI's stdout tables — is one ``_Table`` (a header
@@ -84,10 +84,13 @@ def _table(**columns) -> _Table:
     return _Table(tuple(columns), tuple(columns.values()))
 
 
-# Rows joined into one string for each write of ``_write``: about 64 KB of
-# window-table text.  Blocks of 256 and 4,096 rows wrote the study tree in
-# about the same time (10.4 and 10.9 ms against 10.6 ms).
-_BLOCK = 1024
+# Rows joined into one string for each write of ``_write``: about 16 KB of
+# window-table text.  Against 1,024 rows, 256 wrote the study tree within
+# noise (in-process medians 28.5 and 28.4 ms, 61 alternating calls; study
+# ``analyze`` 355.1 and 355.8 ms, 16 runs) and lowered the peak RSS of
+# ``bounds --dim 4`` from 30.36 to 30.08 MB and of study ``analyze`` from
+# 36.99 to 36.67 MB (medians, lower in every one of 10 and 16 runs).
+_BLOCK = 256
 
 
 def _write(table: _Table, path) -> None:
@@ -247,7 +250,9 @@ def _read_csv(path, stop: int | None = None) -> Iterator[
         tuple[list[str], Iterator[tuple[int, list[str]]], Iterable[str]]]:
     """Open the CSV input ``path`` under the package's reading rules; yields
     its header, its ``(line, row)`` data rows, and its text just past the
-    header, which a bulk parser may read instead of the rows.  With ``stop``,
+    header, which a bulk parser may read instead of the rows: the dataset's
+    ``np.loadtxt`` ranges (``dataio.load_dataset``) and the column pass of
+    ``windows.csv`` (``_readback._load_windows``) do.  With ``stop``,
     the file ends for this reader at that byte offset, which must lie past
     the header.
 

@@ -25,9 +25,10 @@ perfbench's fbm-sweep ``run_s`` fell 13% and study ``run_s`` 9%
 
 Each handler imports the modules it runs, so ``--version`` loads neither
 numpy nor the pipeline, and ``rank``, ``anova`` and ``spearman`` load the
-statistics, the CSV reader and the table writer, which run on the standard
-library alone: the read commands load no numpy, and, the statistics records
-being NamedTuples, no ``dataclasses`` either.
+read-back of their inputs (``_readback``, which no other command loads),
+the statistics, the CSV reader and the table writer, which run on the
+standard library alone: the read commands load no numpy, and, the
+statistics records being NamedTuples, no ``dataclasses`` either.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ import argparse
 import atexit
 import os
 import sys
-from operator import itemgetter
-from typing import NamedTuple
 
 from . import PLOT_KINDS, __version__
 
@@ -56,105 +55,6 @@ def _float_list(text: str) -> list[float]:
         return [float(t) for t in _csv_list(text)]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-_WINDOW_COLUMNS = ("asset", "window_index", "start_offset", "entropy", "complexity")
-
-
-class _Windows(NamedTuple):
-    """One asset's windows read back from ``windows.csv``, in window order:
-    the fields of a ``RollingResult`` that the statistics read."""
-
-    asset: str
-    window_starts: tuple[int, ...]
-    entropies: tuple[float, ...]
-    complexities: tuple[float, ...]
-
-
-def _load_windows(path: str) -> dict[str, _Windows]:
-    """Rebuild each asset's windows from the analyze output schema.
-
-    The header must name every column of ``_WINDOW_COLUMNS``; other columns
-    are ignored.  Rows are checked as they are read, under the shared
-    reader's rules (``_tables``), and the first defect met is raised.  Along
-    a row these are errors naming the line and column, in this order: an
-    empty asset label; a window index, then a start offset, that is not an
-    integer in ``[0, 2**63)``; an entropy, then a complexity, that is not a
-    finite number, then off the plane; a window listed twice.  Then each
-    asset's window starts, by window index, must advance by one constant
-    stride.  Assets keep their order of first appearance.
-    """
-    from ._tables import _cell, _located, _read_csv
-    from .special import _off_plane
-
-    windows: dict[str, dict[int, tuple]] = {}  # asset -> {index: (line, start, H, C)}
-    with _read_csv(path) as (header, rows, _):
-        if any(c not in header for c in _WINDOW_COLUMNS):
-            raise _located(path, 1, None,
-                           f"expected columns {sorted(_WINDOW_COLUMNS)}, got {header}")
-        cells = itemgetter(*map(header.index, _WINDOW_COLUMNS))
-        for line, row in rows:
-            asset, index, start, entropy, complexity = cells(row)
-            if not asset.strip():
-                raise _located(path, line, "asset", "empty asset label")
-            index = _cell(path, line, "window_index", index, int)
-            start = _cell(path, line, "start_offset", start, int)
-            point = (_cell(path, line, "entropy", entropy, float),
-                     _cell(path, line, "complexity", complexity, float))
-            for value, (c, off, why) in zip(point, _off_plane(*point)):
-                if off:
-                    raise _located(path, line, c, why.format(value))
-            seen = windows.setdefault(asset, {})
-            if index in seen:
-                raise _located(path, line, "window_index", f"window {index} of asset "
-                               f"{asset!r} already on line {seen[index][0]}")
-            seen[index] = (line, start, *point)
-    if not windows:
-        raise _located(path, 1, None, "header but no window rows")
-    results = {}
-    for asset, seen in windows.items():
-        lines, starts, entropies, complexities = zip(*(seen[k] for k in sorted(seen)))
-        strides = [b - a for a, b in zip(starts, starts[1:])]
-        for k, stride in enumerate(strides, start=1):
-            if stride <= 0 or stride != strides[0]:
-                raise _located(path, lines[k], "start_offset",
-                               f"asset {asset!r} window starts must advance by a constant "
-                               f"positive stride; {starts[k]} follows {starts[k - 1]}, "
-                               f"the first stride is {strides[0]}")
-        results[asset] = _Windows(asset, starts, entropies, complexities)
-    return results
-
-
-def _load_metrics(path: str) -> dict[str, dict[str, float]]:
-    """Per-metric ``{asset: value}`` from a CSV with an ``asset`` column and
-    one column per metric, in header order.  Rows are checked as they are
-    read, under the shared reader's rules (``_tables``), and the first
-    defect met is raised.  Along a row these are errors naming the line and
-    column, in this order: an empty asset label, an asset listed twice, and
-    a metric that is not a finite number, in header order.
-    """
-    from ._tables import _cell, _located, _read_csv
-
-    with _read_csv(path) as (header, rows, _):
-        if "asset" not in header:
-            raise _located(path, 1, None, f"expected an 'asset' column, got {header}")
-        names = [name for name in header if name != "asset"]
-        if not names:
-            raise _located(path, 1, None, "no metric columns besides 'asset'")
-        lines: dict[str, int] = {}
-        metrics: dict[str, dict[str, float]] = {name: {} for name in names}
-        for line, row in rows:
-            cells = dict(zip(header, row))
-            asset = cells["asset"]
-            if not asset.strip():
-                raise _located(path, line, "asset", "empty asset label")
-            if asset in lines:
-                raise _located(path, line, "asset",
-                               f"asset {asset!r} already on line {lines[asset]}")
-            lines[asset] = line
-            for name in names:
-                metrics[name][asset] = _cell(path, line, name, cells[name], float)
-    return metrics
 
 
 def _cmd_analyze(args) -> int:
@@ -208,6 +108,7 @@ def _cmd_fbm(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from ._readback import _load_windows
     from ._tables import _ranking_table, _write
     from .stats import rank_assets, summarize
 
@@ -221,6 +122,7 @@ def _cmd_anova(args) -> int:
     import json
     from pathlib import Path
 
+    from ._readback import _load_windows
     from ._tables import _pairwise_table
     from .stats import _groups, _tests
 
@@ -245,6 +147,7 @@ def _cmd_anova(args) -> int:
 
 
 def _cmd_spearman(args) -> int:
+    from ._readback import _load_metrics, _load_windows
     from ._tables import _records, _Table, _write
     from .stats import efficiency_distance, spearman_rho, summarize
 

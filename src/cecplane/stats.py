@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from itertools import chain, islice, permutations
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .special import f_sf, student_t_sf_two_sided
@@ -46,7 +46,6 @@ __all__ = [
     "one_way_anova",
     "pairwise_anova_vs_baseline",
     "spearman_rho",
-    "spearman_permutation_p",
     "average_ranks",
 ]
 
@@ -400,7 +399,13 @@ def average_ranks(values) -> list[float]:
     return ranks
 
 
-def _rank_moments(x, y) -> tuple[list[float], list[float], float, float, float, int]:
+def spearman_rho(x, y) -> SpearmanResult:
+    """Spearman rank correlation with average-rank ties.
+
+    rho is the Pearson correlation of the two rank vectors; the two-sided
+    p-value uses the t approximation ``t = rho * sqrt((n-2)/(1-rho^2))``
+    with ``n - 2`` degrees of freedom (and p = 0 when |rho| = 1).
+    """
     error = "x and y must be equal-length one-dimensional sequences"
     xs, ys = _floats(x, error), _floats(y, error)
     if len(xs) != len(ys):
@@ -408,8 +413,7 @@ def _rank_moments(x, y) -> tuple[list[float], list[float], float, float, float, 
     n = len(xs)
     if n < 3:
         raise ValueError(f"need at least 3 pairs, got {n}")
-    dx = average_ranks(xs)
-    dy = average_ranks(ys)
+    dx, dy = average_ranks(xs), average_ranks(ys)
     mx, my = _mean(dx), _mean(dy)
     dx = [v - mx for v in dx]
     dy = [v - my for v in dy]
@@ -418,17 +422,6 @@ def _rank_moments(x, y) -> tuple[list[float], list[float], float, float, float, 
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("a variable with all values tied has zero rank variance")
     sxy = math.fsum(a * b for a, b in zip(dx, dy))
-    return dx, dy, sxx, syy, sxy, n
-
-
-def spearman_rho(x, y) -> SpearmanResult:
-    """Spearman rank correlation with average-rank ties.
-
-    rho is the Pearson correlation of the two rank vectors; the two-sided
-    p-value uses the t approximation ``t = rho * sqrt((n-2)/(1-rho^2))``
-    with ``n - 2`` degrees of freedom (and p = 0 when |rho| = 1).
-    """
-    _, _, sxx, syy, sxy, n = _rank_moments(x, y)
     rho = sxy / math.sqrt(sxx * syy)
     rho = max(-1.0, min(1.0, rho))
     if abs(rho) == 1.0:
@@ -437,33 +430,3 @@ def spearman_rho(x, y) -> SpearmanResult:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p = student_t_sf_two_sided(t, n - 2)
     return SpearmanResult(rho=rho, p_value=p, n=n)
-
-
-_PERMUTATION_BLOCK = 50_000  # pairings scored per matrix product
-
-
-def spearman_permutation_p(x, y) -> float:
-    """Exact two-sided permutation p-value for Spearman's rho.
-
-    Enumerates all n! pairings of ``y`` against ``x`` (guarded to n <= 10),
-    counting those whose |rho| reaches the observed one.  Rank denominators
-    are permutation-invariant, so the comparison reduces to rank covariances.
-    No command calls it, so it alone loads numpy, for the matrix products.
-    """
-    import numpy as np
-
-    dx, dy, _, _, sxy, n = _rank_moments(x, y)
-    if n > 10:
-        raise ValueError(f"exact enumeration is limited to n <= 10, got {n}")
-    threshold = abs(sxy) - 1e-9 * max(abs(sxy), 1.0)
-    perms = permutations(range(n))
-    hits = 0
-    total = math.factorial(n)
-    dx, dy = np.asarray(dx), np.asarray(dy)
-    while True:
-        block = list(islice(perms, _PERMUTATION_BLOCK))
-        if not block:
-            break
-        covs = dy[np.asarray(block)] @ dx
-        hits += int((np.abs(covs) >= threshold).sum())
-    return hits / total

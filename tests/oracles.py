@@ -13,7 +13,9 @@ clarity rather than speed:
 * :func:`fgn_conditional` is Hosking's sequential sampler of fractional
   Gaussian noise, a second exact route beside the package's circulant one;
 * :func:`_fmt` formats one output cell at a time, the reference for the
-  package's column formatter.
+  package's column formatter;
+* :func:`spearman_permutation_p` is the exact permutation p-value of
+  Spearman's rho, by enumeration of every pairing.
 
 Inputs are trusted: these functions do not validate.
 """
@@ -24,6 +26,7 @@ from itertools import permutations
 import numpy as np
 
 from cecplane import OrdinalConfig, PatternDistribution, TimeSeries, q0_constant
+from cecplane.stats import average_ranks
 
 
 def shannon_entropy(probs) -> float:
@@ -145,3 +148,18 @@ def _fmt(value) -> str:
             return str(int(v))
         return repr(v)
     return str(value)
+
+
+def spearman_permutation_p(x, y) -> float:
+    """Exact two-sided permutation p-value for Spearman's rho: the share of
+    all n! pairings of ``y`` against ``x`` (n <= 10) whose |rho| reaches the
+    observed one.  Rank denominators are permutation-invariant, so pairings
+    are compared by their rank covariances."""
+    n = len(x)
+    if n > 10:
+        raise ValueError(f"exact enumeration is limited to n <= 10, got {n}")
+    dx, dy = np.asarray(average_ranks(x)), np.asarray(average_ranks(y))
+    dx, dy = dx - dx.mean(), dy - dy.mean()
+    observed = abs(dy @ dx)
+    covs = dy[np.array(list(permutations(range(n))))] @ dx
+    return int((np.abs(covs) >= observed - 1e-9 * max(observed, 1.0)).sum()) / math.factorial(n)

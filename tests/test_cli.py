@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,13 +20,15 @@ from cecplane import (
     RunConfig,
     WindowParams,
     __version__,
+    _readback,
     load_dataset,
     make_synthetic_dataset,
     run_pipeline,
     write_dataset,
 )
+from cecplane._readback import _load_metrics, _load_windows
 from cecplane._tables import _read_csv
-from cecplane.cli import _load_metrics, _load_windows, main
+from cecplane.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -308,11 +312,22 @@ ODD_WINDOW_CELLS = st.sampled_from([
 ])
 
 
+# Cells that a plain file (LF only, each asset's rows together, in window
+# order) may carry, one per file: each is refused by the column pass or read
+# by it as the row loop reads it.
+NEAR_MISS_CELLS = st.sampled_from(["1_0", "-1e-9", "1e500", "nan", "9" * 25, "", " "])
+
+
 @st.composite
 def windows_inputs(draw):
     """A small windows.csv text with the defects a hand-edited file can have,
     and the ``(start, entropy, complexity)`` rows per asset a clean one holds
-    (``None`` when the text was made defective)."""
+    (``None`` when the text was made defective or carries a near-miss cell).
+
+    Half the texts are plain, as ``analyze`` writes them: LF line ends, and
+    each asset's rows together in window order.  Their defects are those
+    that the column pass must see: one near-miss cell, or a window index
+    listed twice or skipped (which reads fine)."""
     header = list(WINDOWS_HEADER)
     defective = False
     if draw(st.integers(0, 5)) == 0:
@@ -327,23 +342,33 @@ def windows_inputs(draw):
             header.append("x")
         else:
             header = draw(st.permutations(header))
+    plain = draw(st.booleans())
     expected = {}
     rows = []
     for asset in draw(st.lists(st.sampled_from(["AAA", "BBB", "CCC"]),
                                min_size=1, max_size=3, unique=True)):
         step = draw(st.integers(1, 600))
-        for k in range(draw(st.integers(1, 4))):
+        indices = list(range(draw(st.integers(1, 4))))
+        if plain and len(indices) > 1 and draw(st.integers(0, 3)) == 0:
+            j = draw(st.integers(1, len(indices) - 1))
+            if draw(st.booleans()):
+                indices[j] = indices[j - 1]  # the same window twice
+                defective = True
+            else:
+                indices[j:] = [k + 1 for k in indices[j:]]  # an index skipped
+        for k, index in enumerate(indices):
             point = (k * step,
                      draw(st.floats(0.0, 1.0)),
                      draw(st.floats(0.0, 0.5)))
             expected.setdefault(asset, []).append(point)
-            rows.append({"asset": asset, "window_index": str(k),
+            rows.append({"asset": asset, "window_index": str(index),
                          "start_offset": str(k * step), "end_timestamp": "",
                          "entropy": repr(point[1]), "complexity": repr(point[2]),
                          "x": "7"})
-    rows = draw(st.permutations(rows))
+    if not plain:
+        rows = draw(st.permutations(rows))
     lines = [",".join(header)]
-    noisy = draw(st.booleans())
+    noisy = not plain and draw(st.booleans())
     for row in rows:
         cells = [row[c] for c in header]
         kind = draw(st.sampled_from(["row"] * 6 + ["odd", "ragged", "blank", "again"]
@@ -359,7 +384,13 @@ def windows_inputs(draw):
             lines.append(",".join(cells))  # the same window twice
         defective |= kind in ("odd", "ragged", "again")
         lines.append(",".join(cells))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    if plain and draw(st.booleans()):
+        r = draw(st.integers(1, len(lines) - 1))
+        cells = lines[r].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(NEAR_MISS_CELLS)
+        lines[r] = ",".join(cells)
+        defective = True
+    eol = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
     text = eol.join(lines) + (eol if draw(st.booleans()) else "")
     if draw(st.integers(0, 9)) == 0:
         text = draw(st.sampled_from(["", lines[0] + eol]))  # empty, header only
@@ -370,6 +401,20 @@ def windows_inputs(draw):
 
 
 LOCATED = re.compile(r"line \d+(, column ('[^']*'|\d+))?: \S")
+
+
+def _windows_read(path: Path) -> str:
+    """The ``repr`` of what ``_load_windows`` returns, or its error message."""
+    try:
+        return repr(_load_windows(str(path)))
+    except (ValueError, csv.Error) as exc:
+        return str(exc)
+
+
+def _windows_read_by_row(path: Path) -> str:
+    """``_windows_read`` with the column pass switched off."""
+    with mock.patch.object(_readback, "_by_column", return_value=None):
+        return _windows_read(path)
 
 
 def _load_windows_outcome(path: Path):
@@ -411,6 +456,49 @@ class TestLoadWindows:
         if expected is not None:
             assert loaded == expected
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(windows_inputs())
+    def test_column_pass_reads_as_the_row_loop(self, case):
+        """Every input gives the row loop's windows, to the ``repr``, or
+        raises the row loop's message."""
+        text, _ = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "windows.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert _windows_read(path) == _windows_read_by_row(path)
+
+    PLAIN = ("asset,window_index,start_offset,end_timestamp,entropy,complexity\n"
+             "AAA,0,0,,0.5,0.1\nAAA,1,60,,0.6,0.2\nAAA,2,120,,0.7,0.3\n"
+             "BBB,0,0,,0.5,0.1\nBBB,1,360,,0.5,0.1\n")
+
+    def test_column_pass_reads_a_plain_file(self, tmp_path):
+        path = tmp_path / "windows.csv"
+        path.write_text(self.PLAIN)
+        with mock.patch.object(_readback, "_by_row", side_effect=AssertionError):
+            results = _load_windows(str(path))
+        assert results == {"AAA": ("AAA", (0, 60, 120), (0.5, 0.6, 0.7), (0.1, 0.2, 0.3)),
+                           "BBB": ("BBB", (0, 360), (0.5, 0.5), (0.1, 0.1))}
+
+    @pytest.mark.parametrize("cell", [
+        "1_0", "-1e-9", "1e500", "nan", "9" * 25, " ", "1", "3", '"1"', "\uff11",
+        "A\udcff", "0." + "0" * csv.field_size_limit() + "5",
+    ], ids=["underscore", "just-below-zero", "overflow", "nan", "25-digits", "blank",
+            "1", "3", "quoted", "non-ascii", "not-utf8", "past-field-limit"])
+    def test_near_miss_cell_reads_as_the_row_loop(self, tmp_path, cell):
+        """One cell of the third AAA row replaced, in each column in turn:
+        ``1`` and ``3`` as its window index repeat and skip an index,
+        ``\\udcff`` is a byte that is not UTF-8, and a cell longer than
+        ``csv``'s field limit is a ``csv.Error`` of the row loop."""
+        path = tmp_path / "windows.csv"
+        lines = self.PLAIN.split("\n")
+        for k in (0, 1, 2, 4, 5):
+            cells = lines[3].split(",")
+            cells[k] = cell
+            text = "\n".join([*lines[:3], ",".join(cells), *lines[4:]])
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            assert _windows_read(path) == _windows_read_by_row(path)
+
     @pytest.mark.parametrize("body,where", [
         ("AAA,0,0,,0.5,0.1\nAAA,1,60,,abc,0.1\n", "line 3, column 'entropy'"),
         ("AAA,0,0,,0.5,0.1\nAAA,1,60,,0.5\n", "line 3, column 'complexity'"),
@@ -450,6 +538,18 @@ class TestLoadWindows:
             for name in ("window_starts", "entropies", "complexities"):
                 assert (np.asarray(getattr(results[asset], name)).tobytes()
                         == getattr(res, name).tobytes())
+
+    @pytest.mark.parametrize("command", ["rank", "anova", "spearman"])
+    def test_read_commands_take_analyze_output_by_column(self, workspace, tmp_path, capsys,
+                                                         command):
+        """``analyze``'s own windows.csv is read a column at a time: with the
+        row loop made to raise, each read command gives the row loop's bytes."""
+        argv = list(map(str, read_command_argv(workspace, tmp_path, command)))
+        with mock.patch.object(_readback, "_by_row", side_effect=AssertionError):
+            by_column = run_main(capsys, argv)
+        with mock.patch.object(_readback, "_by_column", return_value=None):
+            by_row = run_main(capsys, argv)
+        assert by_column == by_row == (0, by_row[1], "") and by_row[1]
 
     def test_cli_reports_one_json_line(self, tmp_path, capsys):
         path = tmp_path / "windows.csv"
@@ -749,14 +849,15 @@ class TestImportContract:
         modules = loaded_modules("--version")
         assert "numpy" not in modules
         assert {m for m in modules if m.startswith("cecplane")} == {"cecplane", "cecplane.cli"}
-        assert "cecplane._fork" not in modules
+        assert "cecplane._fork" not in modules and "cecplane._readback" not in modules
 
     @pytest.mark.parametrize("command", ["rank", "anova", "spearman"])
     def test_read_commands_skip_encoder_kernel_and_pipeline(self, workspace, tmp_path, command):
         """The read commands load neither numpy nor any module that needs it,
         and neither ``dataclasses`` nor the ``inspect`` it imports."""
         modules = loaded_modules(*read_command_argv(workspace, tmp_path, command))
-        assert {"cecplane.stats", "cecplane.special", "cecplane._tables"} <= modules
+        assert {"cecplane._readback", "cecplane.stats", "cecplane.special",
+                "cecplane._tables"} <= modules
         assert "numpy" not in modules and "numpy.ma" not in modules
         assert "dataclasses" not in modules and "inspect" not in modules
         for name in ("patterns", "quantifiers", "bounds", "fbm", "rolling", "dataio", "_fork"):
@@ -781,12 +882,13 @@ class TestImportContract:
                                  "--plots", "all")
         for name in ("patterns", "quantifiers", "bounds", "rolling", "stats", "dataio"):
             assert f"cecplane.{name}" in modules
-        assert "cecplane.fbm" not in modules
+        assert "cecplane.fbm" not in modules and "cecplane._readback" not in modules
 
     @pytest.mark.parametrize("argv,absent", [
-        (["bounds", "--dim", "3", "--resolution", "20"], ["fbm", "dataio", "stats", "rolling"]),
+        (["bounds", "--dim", "3", "--resolution", "20"],
+         ["fbm", "dataio", "stats", "rolling", "_readback"]),
         (["fbm", "--hurst", "0.5", "--sims", "4", "--length", "40"],
-         ["dataio", "stats", "bounds"]),
+         ["dataio", "stats", "bounds", "_readback"]),
     ])
     def test_generators_skip_what_they_do_not_run(self, argv, absent):
         modules = loaded_modules(*argv)

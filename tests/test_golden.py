@@ -17,10 +17,11 @@ same numpy and libm note as the analyze trees.
 
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 
-from cecplane import make_synthetic_dataset, write_dataset
+from cecplane import _readback, make_synthetic_dataset, write_dataset
 from cecplane.cli import main
 
 # Criterion 9 geometry: 12 x 16,031 prices, seed 2017, dim 4, window 360, step 60.
@@ -115,16 +116,36 @@ READ_SIDE = {
 }
 
 
-def test_read_commands_match_frozen_hashes(tmp_path):
-    _read_side_inputs(tmp_path)
-    windows, metric = str(tmp_path / "windows.csv"), str(tmp_path / "metrics.csv")
+def _read_side_hashes(root) -> dict[str, str]:
+    """The sha256 of each read command's output on the inputs in ``root``."""
+    windows, metric = str(root / "windows.csv"), str(root / "metrics.csv")
     for name, argv in [("rank.csv", ["rank"]), ("anova.json", ["anova"]),
                        ("anova_w03.json", ["anova", "--baseline", "W03"]),
                        ("spearman.csv", ["spearman", "--metric", metric])]:
-        assert main([*argv, "--input", windows, "--out", str(tmp_path / name)]) == 0
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in READ_SIDE}
-    assert got == READ_SIDE
+        assert main([*argv, "--input", windows, "--out", str(root / name)]) == 0
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+            for name in READ_SIDE}
+
+
+def test_read_commands_match_frozen_hashes(tmp_path):
+    _read_side_inputs(tmp_path)
+    assert _read_side_hashes(tmp_path) == READ_SIDE
+
+
+def test_read_commands_by_column_match_frozen_hashes(tmp_path):
+    """The shuffled rows above are read row by row.  Regrouped as analyze
+    writes them (each asset's rows together, in window order, the assets in
+    their order of first appearance), the same windows are read a column
+    at a time, with the row loop made to raise, to the same bytes."""
+    _read_side_inputs(tmp_path)
+    path = tmp_path / "windows.csv"
+    header, *rows = path.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    labels = list(dict.fromkeys(c[0] for c in cells))
+    cells.sort(key=lambda c: (labels.index(c[0]), int(c[1])))
+    path.write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+    with mock.patch.object(_readback, "_by_row", side_effect=AssertionError):
+        assert _read_side_hashes(tmp_path) == READ_SIDE
 
 
 # One cloud per Hurst exponent; the dim 8 case scores paths of D! = 40,320

@@ -190,9 +190,9 @@ class TestWriteMemory:
         a 2.6 MB windows.csv, and the whole tree with every plot kind.  The
         bound is the peak of formatting the window table (13.9 MB of text
         cells, plus 2.9 MB while its last column is formatted) plus two
-        blocks of ``_BLOCK`` rows at 512 bytes a row (1 MB): ``_write``
-        measured 508 KB for one block of these rows, its tuples, lines,
-        joined text and encoded bytes.  Writing the tree measured that
+        blocks of ``_BLOCK`` rows at 512 bytes a row (256 KB at 256 rows):
+        ``_write`` measured 508 KB for one block of 1,024 of these rows, its
+        tuples, lines, joined text and encoded bytes.  Writing the tree measured that
         formatting peak and not a byte more, the hash's block and the
         bounds table included.  A writer that holds the whole windows.csv
         as text (``_BLOCK`` above the row count) measured 10.5 MB over the

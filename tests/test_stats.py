@@ -24,7 +24,8 @@ from cecplane import (
 )
 from cecplane import RunConfig, run_pipeline
 from cecplane.special import f_sf
-from cecplane.stats import average_ranks, spearman_permutation_p
+from cecplane.stats import average_ranks
+from oracles import spearman_permutation_p
 
 
 def mk_result(asset, hs, cs):
@@ -476,6 +477,9 @@ class TestSpearman:
 
 
 class TestSpearmanPermutation:
+    """The exact permutation p-value of ``tests/oracles.py``; no command
+    computes one."""
+
     def test_matches_brute_force_scipy(self):
         x = [1.0, 2.0, 2.0, 3.0, 4.0, 4.0]
         y = [2.0, 1.0, 3.0, 3.0, 5.0, 4.0]
