@@ -19,7 +19,8 @@ __version__ = "0.1.0"
 # without loading the pipeline.
 PLOT_KINDS = ("entropy-evolution", "cecp-scatter", "cecp-means", "anova-intervals")
 
-# The public names, grouped by the submodule that defines them.
+# The public names, grouped by the submodule that defines them: the one list
+# of them, from which each submodule's ``__all__`` is read.
 _EXPORTS = {
     "patterns": ("TimeSeries", "OrdinalConfig", "PatternId", "PatternDistribution",
                  "encode_window", "extract_pattern_distribution"),

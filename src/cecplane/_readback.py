@@ -16,7 +16,7 @@ from operator import itemgetter, ne, sub
 from typing import NamedTuple
 
 from ._tables import _cell, _located, _read_csv
-from .special import _off_plane
+from .special import _off_plane, _stride_break
 
 _WINDOW_COLUMNS = ("asset", "window_index", "start_offset", "entropy", "complexity")
 
@@ -97,14 +97,12 @@ def _by_column(body: str, width: int, columns: list[int]) -> dict[str, _Windows]
     # the first row of each run of one asset's rows, then the row count
     runs = [0, *compress(range(1, len(asset)), map(ne, asset[1:], asset[:-1])), len(asset)]
     steps = list(map(sub, index[1:], index[:-1]))
-    strides = list(map(sub, start[1:], start[:-1]))
     results = {}
     for a, b in zip(runs, runs[1:]):
-        step, stride = steps[a:b - 1], strides[a:b - 1]
-        if (asset[a] in results or step.count(1) != len(step)
-                or stride and (stride[0] <= 0 or stride.count(stride[0]) != len(stride))):
+        step, starts = steps[a:b - 1], tuple(start[a:b])
+        if asset[a] in results or step.count(1) != len(step) or _stride_break(starts):
             return None
-        results[asset[a]] = _Windows(asset[a], tuple(start[a:b]), tuple(entropy[a:b]),
+        results[asset[a]] = _Windows(asset[a], starts, tuple(entropy[a:b]),
                                      tuple(complexity[a:b]))
     return results
 
@@ -135,13 +133,12 @@ def _by_row(path: str, rows, cells) -> dict[str, _Windows]:
     results = {}
     for asset, seen in windows.items():
         lines, starts, entropies, complexities = zip(*(seen[k] for k in sorted(seen)))
-        strides = [b - a for a, b in zip(starts, starts[1:])]
-        for k, stride in enumerate(strides, start=1):
-            if stride <= 0 or stride != strides[0]:
-                raise _located(path, lines[k], "start_offset",
-                               f"asset {asset!r} window starts must advance by a constant "
-                               f"positive stride; {starts[k]} follows {starts[k - 1]}, "
-                               f"the first stride is {strides[0]}")
+        k = _stride_break(starts)
+        if k is not None:
+            raise _located(path, lines[k], "start_offset",
+                           f"asset {asset!r} window starts must advance by a constant "
+                           f"positive stride; {starts[k]} follows {starts[k - 1]}, "
+                           f"the first stride is {starts[1] - starts[0]}")
         results[asset] = _Windows(asset, starts, entropies, complexities)
     return results
 

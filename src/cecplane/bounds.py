@@ -29,15 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .quantifiers import CecpPoint, q0_constant
 from .special import _integer
 
-__all__ = [
-    "BoundCurve",
-    "lower_bound_curve",
-    "upper_bound_curve",
-    "within_bounds",
-]
+__all__ = [*_EXPORTS["bounds"]]
 
 # Bisection iterations; halving 80 times shrinks any bracket below 1e-24.
 _BISECT_ITERS = 80
@@ -67,11 +63,6 @@ class BoundCurve:
         c.flags.writeable = False
         object.__setattr__(self, "entropy", h)
         object.__setattr__(self, "complexity", c)
-
-    @property
-    def points(self) -> np.ndarray:
-        """The curve as an (n, 2) array of (H, C) rows."""
-        return np.column_stack([self.entropy, self.complexity])
 
     def complexity_at(self, h: float | np.ndarray) -> float | np.ndarray:
         """Piecewise-linear interpolation of C at entropy ``h``."""

@@ -58,7 +58,8 @@ def _float_list(text: str) -> list[float]:
 
 
 def _cmd_analyze(args) -> int:
-    from .dataio import RunConfig, _plot_kinds, _write_tree, load_dataset, run_pipeline
+    from .dataio import (RunConfig, _check_plot_kind, _plot_kinds, _write_tree, load_dataset,
+                         run_pipeline)
     from .patterns import OrdinalConfig
     from .rolling import WindowParams
 
@@ -73,12 +74,15 @@ def _cmd_analyze(args) -> int:
         fbm_sims=args.sims,
         seed=args.seed,
     )
+    kinds = args.plots or []
+    if kinds != ["all"]:
+        for kind in kinds:
+            _check_plot_kind(kind)
     # no name holds the dataset, so it is freed before the tree is written
     bundle = run_pipeline(config, load_dataset(args.input, assets=args.assets,
                                                forward_fill=args.forward_fill))
     for warning in bundle.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    kinds = args.plots or []
     for path in _write_tree(bundle, args.out, _plot_kinds(bundle) if kinds == ["all"] else kinds):
         print(path)
     return 0

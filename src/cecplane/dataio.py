@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import PLOT_KINDS, __version__
+from . import _EXPORTS, PLOT_KINDS, __version__
 from ._fork import _count, _map
 from ._tables import (_bounds_table, _clouds_table, _decoded, _located, _pairwise_table,
                       _ranking_table, _read_csv, _records, _table, _Table, _text, _write)
@@ -61,19 +61,7 @@ from .stats import (
 if TYPE_CHECKING:
     from .fbm import BaselineCloud
 
-__all__ = [
-    "Dataset",
-    "RunConfig",
-    "AnalysisBundle",
-    "load_dataset",
-    "write_dataset",
-    "make_synthetic_dataset",
-    "log_return_series",
-    "run_pipeline",
-    "write_bundle",
-    "emit_plot_data",
-    "PLOT_KINDS",
-]
+__all__ = [*_EXPORTS["dataio"], "PLOT_KINDS"]
 
 # Per-window histogram sample counts below this multiple of dim! trigger an
 # undersampling warning (advisory only; results are still produced).
@@ -121,10 +109,6 @@ class Dataset:
     @property
     def assets(self) -> tuple[str, ...]:
         return tuple(self.series)
-
-    @property
-    def length(self) -> int:
-        return len(next(iter(self.series.values())))
 
 
 def _parse_timestamp(cell: str) -> float:
@@ -615,9 +599,15 @@ def _plot_name(kind: str) -> str:
     return f"plot_{kind.replace('-', '_')}.csv"
 
 
+def _check_plot_kind(kind: str) -> None:
+    if kind not in PLOT_KINDS:
+        raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
+
+
 def _plot_table(bundle: AnalysisBundle, kind: str, windows: _Table) -> _Table:
     """The table of one plot kind, columns of a result table copied
     verbatim; ``windows`` is the window table, formatted or not."""
+    _check_plot_kind(kind)
     if kind == "entropy-evolution":
         return windows.select("asset", "end_timestamp", "entropy")
     if kind == "cecp-scatter":
@@ -625,12 +615,10 @@ def _plot_table(bundle: AnalysisBundle, kind: str, windows: _Table) -> _Table:
     if kind == "cecp-means":
         return _Table(("asset", "mean_H", "mean_C", "std_H", "std_C"),
                       _summaries_table(bundle).columns[:5])
-    if kind == "anova-intervals":
-        if not bundle.pairwise:
-            raise ValueError("anova-intervals needs pairwise baseline results")
-        return _pairwise_table(bundle.pairwise).select(
-            "asset", "baseline", "metric", "mean_diff", "significant_1pct", "significant_5pct")
-    raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
+    if not bundle.pairwise:  # anova-intervals
+        raise ValueError("anova-intervals needs pairwise baseline results")
+    return _pairwise_table(bundle.pairwise).select(
+        "asset", "baseline", "metric", "mean_diff", "significant_1pct", "significant_5pct")
 
 
 def _write_tree(bundle: AnalysisBundle, out_dir, kinds: Sequence[str]) -> list[Path]:

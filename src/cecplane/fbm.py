@@ -33,19 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from ._fork import _count, _map
 from .patterns import OrdinalConfig, TimeSeries, _encode_starts
 from .quantifiers import CecpPoint, _window_points
 from .special import _check_hurst, _integer
 
-__all__ = [
-    "FbmSpec",
-    "BaselineCloud",
-    "fgn_autocovariance",
-    "generate_fgn",
-    "generate_fbm",
-    "baseline_cloud",
-]
+__all__ = [*_EXPORTS["fbm"]]
 
 # Eigenvalues of the embedding no more negative than this (relative to the
 # largest) are treated as rounding noise and clipped to zero.

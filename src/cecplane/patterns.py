@@ -48,18 +48,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .special import _integer
 
-__all__ = [
-    "TimeSeries",
-    "OrdinalConfig",
-    "PatternId",
-    "PatternDistribution",
-    "encode_window",
-    "extract_pattern_distribution",
-    "permutation_to_index",
-    "index_to_permutation",
-]
+__all__ = [*_EXPORTS["patterns"], "permutation_to_index", "index_to_permutation"]
 
 # D! must stay addressable with exact 64-bit integer counts.
 MAX_DIM = 12
@@ -220,11 +212,6 @@ class PatternId:
             raise ValueError(
                 f"index {self.index} does not match permutation {self.permutation}"
             )
-
-    @classmethod
-    def from_permutation(cls, perm: Sequence[int]) -> "PatternId":
-        perm = tuple(int(p) for p in perm)
-        return cls(perm, permutation_to_index(perm))
 
     @classmethod
     def from_index(cls, index: int, dim: int) -> "PatternId":

@@ -27,21 +27,12 @@ from typing import Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .patterns import (OrdinalConfig, PatternDistribution, TimeSeries, _window_counts,
                        extract_pattern_distribution)
 from .special import _off_plane
 
-__all__ = [
-    "shannon_entropy",
-    "normalized_entropy",
-    "q0_constant",
-    "jensen_shannon_divergence",
-    "jensen_shannon_disequilibrium",
-    "disequilibrium",
-    "statistical_complexity",
-    "CecpPoint",
-    "cecp_point",
-]
+__all__ = [*_EXPORTS["quantifiers"]]
 
 ProbsLike = Union[PatternDistribution, np.ndarray, list, tuple]
 

@@ -22,17 +22,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .special import _integer
+from . import _EXPORTS
+from .special import _integer, _stride_break
 
 if TYPE_CHECKING:
     from .patterns import OrdinalConfig, TimeSeries
 
-__all__ = [
-    "WindowParams",
-    "RollingResult",
-    "window_count",
-    "rolling_quantifiers",
-]
+__all__ = [*_EXPORTS["rolling"]]
 
 
 @dataclass(frozen=True)
@@ -69,10 +65,8 @@ class RollingResult:
                 raise ValueError(f"window_starts and {name} must have equal length")
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        if starts.size > 1:
-            strides = np.diff(starts)
-            if not (strides > 0).all() or strides.min() != strides.max():
-                raise ValueError("window_starts must advance by a constant positive stride")
+        if _stride_break(starts.tolist()) is not None:
+            raise ValueError("window_starts must advance by a constant positive stride")
         starts.flags.writeable = False
         object.__setattr__(self, "window_starts", starts)
         if self.end_timestamps is not None:

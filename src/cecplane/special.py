@@ -6,8 +6,10 @@ directly (continued-fraction evaluation with a ``lgamma`` prefactor) instead
 of pulling in a scientific stack at runtime.  The test suite cross-checks
 these routines against independent high-precision oracles.  The plane
 rule shared by ``CecpPoint`` and the ``windows.csv`` reader lives here too,
-and so do the integer rule of every count-like argument and the Hurst
-exponent rule shared by ``RunConfig`` and ``fbm``.
+and so do the stride rule of window starts, shared by ``RollingResult`` and
+both ways of reading ``windows.csv`` (``_stride_break``), the integer rule
+of every count-like argument and the Hurst exponent rule shared by
+``RunConfig`` and ``fbm``.
 """
 
 from __future__ import annotations
@@ -39,25 +41,17 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise ArithmeticError(
@@ -72,6 +66,17 @@ def _off_plane(entropy, complexity):
     return (("entropy", (entropy < -1e-12) | (entropy > 1.0 + 1e-12) | (entropy != entropy),
              "normalized entropy {} outside [0, 1]"),
             ("complexity", complexity < -1e-12, "complexity {} negative"))
+
+
+def _stride_break(starts) -> int | None:
+    """The first position ``k`` at which the window starts ``starts`` (ints)
+    break the stride rule, starts advancing by one constant positive
+    stride: ``starts[k] - starts[k - 1]`` is not positive or not the first
+    stride.  None where the rule holds."""
+    strides = list(map(operator.sub, starts[1:], starts[:-1]))
+    if not strides or strides[0] > 0 and strides.count(strides[0]) == len(strides):
+        return None
+    return next(k for k, s in enumerate(strides, start=1) if s <= 0 or s != strides[0])
 
 
 def _integer(value, name: str, minimum: int) -> int:

@@ -64,11 +64,9 @@ class TestCurveShape:
         lower, upper = curves(m)
         assert (lower.complexity <= upper.complexity).all()
 
-    def test_points_property(self, bounds24):
-        lower, _ = bounds24
-        pts = lower.points
-        assert pts.shape == (2000, 2)
-        assert np.array_equal(pts[:, 0], lower.entropy)
+    def test_arrays_align_at_the_resolution(self, bounds24):
+        for curve in bounds24:
+            assert curve.entropy.shape == curve.complexity.shape == (2000,)
 
 
 class TestFamilies:

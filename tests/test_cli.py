@@ -136,11 +136,17 @@ class TestAnalyze:
         (["--bounds-resolution", "1"], "bounds_resolution must be an integer >= 2, got 1"),
         (["--fbm-hurst", "0.5,1.5"], "hurst must lie strictly inside (0, 1), got 1.5"),
         (["--assets", "a,b", "--baseline", "zz"], "baseline asset 'zz' not among results"),
-    ], ids=["seed", "sims", "bounds-resolution", "fbm-hurst", "baseline"])
+        (["--plots", "bogus"],
+         f"unknown plot kind 'bogus'; expected one of {cecplane.PLOT_KINDS}"),
+        (["--plots", "all,cecp-scatter"],
+         f"unknown plot kind 'all'; expected one of {cecplane.PLOT_KINDS}"),
+    ], ids=["seed", "sims", "bounds-resolution", "fbm-hurst", "baseline", "plots",
+            "plots-all-and-a-kind"])
     def test_bad_run_setting_fails_before_the_input_is_read(self, capsys, tmp_path,
                                                             option, message):
         """``RunConfig`` checks every setting, even one only fBm clouds use,
-        and the baseline against the columns ``--assets`` names, so a
+        and the baseline against the columns ``--assets`` names, and
+        ``analyze`` each ``--plots`` kind (``all`` stands alone), so a
         missing input file is never opened."""
         rc, _, err = run_main(capsys, ["analyze", "--input", str(tmp_path / "absent.csv"),
                                        "--out", str(tmp_path / "run"), *option])
@@ -926,3 +932,42 @@ class TestLazyPackage:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(SRC)))
         assert proc.stdout.split() == ["False", "True", "True"], proc.stderr
+
+
+class TestPublicSurface:
+    """The public names, frozen as sets: each submodule's ``__all__``, and
+    the package's, which is theirs without the module-only names."""
+
+    MODULES = {
+        "patterns": {"TimeSeries", "OrdinalConfig", "PatternId", "PatternDistribution",
+                     "encode_window", "extract_pattern_distribution",
+                     "permutation_to_index", "index_to_permutation"},
+        "quantifiers": {"CecpPoint", "cecp_point", "shannon_entropy", "normalized_entropy",
+                        "q0_constant", "jensen_shannon_divergence",
+                        "jensen_shannon_disequilibrium", "disequilibrium",
+                        "statistical_complexity"},
+        "bounds": {"BoundCurve", "lower_bound_curve", "upper_bound_curve", "within_bounds"},
+        "fbm": {"FbmSpec", "BaselineCloud", "fgn_autocovariance", "generate_fgn",
+                "generate_fbm", "baseline_cloud"},
+        "rolling": {"WindowParams", "RollingResult", "window_count", "rolling_quantifiers"},
+        "stats": {"AssetSummary", "RankingEntry", "AnovaResult", "PairwiseComparison",
+                  "SpearmanResult", "summarize", "efficiency_distance", "rank_assets",
+                  "one_way_anova", "pairwise_anova_vs_baseline", "spearman_rho",
+                  "average_ranks"},
+        "dataio": {"Dataset", "RunConfig", "AnalysisBundle", "load_dataset", "write_dataset",
+                   "make_synthetic_dataset", "log_return_series", "run_pipeline",
+                   "write_bundle", "emit_plot_data", "PLOT_KINDS"},
+        "special": {"regularized_incomplete_beta", "f_sf", "student_t_sf_two_sided"},
+        "cli": {"main"},
+    }
+    MODULE_ONLY = {"permutation_to_index", "index_to_permutation", "average_ranks",
+                   "PLOT_KINDS", *MODULES["special"], *MODULES["cli"]}
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_submodule_names(self, module):
+        assert set(importlib.import_module(f"cecplane.{module}").__all__) == self.MODULES[module]
+
+    def test_package_names(self):
+        assert set(cecplane.__all__) == (
+            {"__version__", *(name for names in self.MODULES.values() for name in names)}
+            - self.MODULE_ONLY)

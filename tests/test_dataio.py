@@ -232,7 +232,7 @@ class TestLoadErrors:
                         ["timestamp,btc,eth",
                          "0,1.0,10.0", "300,,10.5", "600,3.0,"])
         ds = load_dataset(p, forward_fill=True)
-        assert ds.length == 3
+        assert len(ds.series["btc"]) == len(ds.series["eth"]) == 3
         assert ds.series["btc"].values.tolist() == [1.0, 1.0, 3.0]
         assert ds.series["eth"].values.tolist() == [10.0, 10.5, 10.5]
         assert ds.fill_counts == {"btc": 1, "eth": 1}
@@ -300,7 +300,7 @@ class TestLoadErrors:
     def test_trailing_blank_line_ignored(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("timestamp,btc\n0,1.0\n300,2.0\n\n")
-        assert load_dataset(p).length == 2
+        assert len(load_dataset(p).series["btc"]) == 2
 
 
     def test_duplicate_requested_columns(self, tmp_path):

@@ -87,9 +87,9 @@ class TestExtractDistribution:
     def test_monotone_series(self):
         dist = extract_pattern_distribution(TimeSeries([1.0, 2.0, 3.0, 4.0]), CFG3)
         assert dist.sample_count == 2
-        assert dist.counts == {PatternId.from_permutation((0, 1, 2)): 2}
+        assert dist.counts == {PatternId((0, 1, 2), 0): 2}
         probs = dist.probabilities
-        assert probs[PatternId.from_permutation((0, 1, 2)).index] == 1.0
+        assert probs[PatternId((0, 1, 2), 0).index] == 1.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_count_arithmetic(self, rng):
@@ -101,12 +101,12 @@ class TestExtractDistribution:
         # windows with delay 2 over (1,3,2,4): (1,2) and (3,4), both ascending
         dist = extract_pattern_distribution(TimeSeries([1.0, 3.0, 2.0, 4.0]),
                                             OrdinalConfig(2, 2))
-        assert dist.counts == {PatternId.from_permutation((0, 1)): 2}
+        assert dist.counts == {PatternId((0, 1), 0): 2}
 
     def test_constant_series(self):
         dist = extract_pattern_distribution(TimeSeries([7.0] * 5), CFG3)
         assert dist.sample_count == 3
-        assert dist.counts == {PatternId.from_permutation((2, 1, 0)): 3}
+        assert dist.counts == {PatternId((2, 1, 0), 5): 3}
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -129,8 +129,8 @@ class TestExtractDistribution:
         up = extract_pattern_distribution(TimeSeries(np.arange(10.0)), OrdinalConfig(4, 1))
         down = extract_pattern_distribution(TimeSeries(np.arange(10.0)[::-1]),
                                             OrdinalConfig(4, 1))
-        assert up.counts == {PatternId.from_permutation((0, 1, 2, 3)): 7}
-        assert down.counts == {PatternId.from_permutation((3, 2, 1, 0)): 7}
+        assert up.counts == {PatternId((0, 1, 2, 3), 0): 7}
+        assert down.counts == {PatternId((3, 2, 1, 0), 23): 7}
 
 
 class TestNaiveOracleAgreement:
@@ -378,7 +378,7 @@ class TestValidation:
 
     def test_distribution_rejects_bad_total(self):
         for histogram in ([0] * 6, [1] * 5, [1] * 7, [2, -1, 0, 0, 0, 0],
-                          [0.5] * 6, {PatternId.from_permutation((0, 1, 2)): 2}):
+                          [0.5] * 6, {PatternId((0, 1, 2), 0): 2}):
             with pytest.raises(ValueError):
                 PatternDistribution(CFG3, histogram)
 

@@ -5,9 +5,12 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cecplane import (BaselineCloud, CecpPoint, FbmSpec, OrdinalConfig, RollingResult,
                       WindowParams, baseline_cloud, lower_bound_curve, upper_bound_curve)
+from cecplane._readback import _by_column, _by_row
 from cecplane.dataio import RunConfig
 from cecplane.special import f_sf, regularized_incomplete_beta, student_t_sf_two_sided
 
@@ -169,3 +172,48 @@ class TestIntegerRule:
         # a numpy integer is named as the int it converts to
         with pytest.raises(ValueError, match=r"^dim must be an integer >= 2, got 1$"):
             OrdinalConfig(np.int64(1))
+
+
+@st.composite
+def window_starts(draw):
+    """1 to 40 nonnegative starts: one constant stride (positive, zero or
+    negative), the same with one start moved, or any integers."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["constant", "moved", "irregular"]))
+    if kind == "irregular":
+        return draw(st.lists(st.integers(0, 2_000), min_size=n, max_size=n))
+    stride = draw(st.integers(-50, 50))
+    first = draw(st.integers(2_000, 2_100))
+    starts = [first + stride * k for k in range(n)]
+    if kind == "moved":
+        starts[draw(st.integers(0, n - 1))] += draw(st.integers(-60, 60))
+    return starts
+
+
+class TestStrideRule:
+    """One stride rule, window starts advancing by one constant positive
+    stride, holds for a ``RollingResult`` and for both ways of reading
+    ``windows.csv``; the row loop names the first start that breaks it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(window_starts())
+    def test_every_reader_keeps_the_rule(self, starts):
+        n = len(starts)
+        breaks = [k for k in range(1, n) if starts[1] - starts[0] <= 0
+                  or starts[k] - starts[k - 1] != starts[1] - starts[0]]
+        try:
+            RollingResult("a", starts, [0.5] * n, [0.1] * n, 357)
+            rolled = True
+        except ValueError as exc:
+            assert str(exc) == "window_starts must advance by a constant positive stride"
+            rolled = False
+        rows = [(k + 2, ["a", str(k), str(start), "0.5", "0.1"])
+                for k, start in enumerate(starts)]
+        try:
+            by_row = _by_row("w.csv", rows, lambda row: row)
+        except ValueError as exc:
+            assert str(exc).startswith(f"w.csv: line {breaks[0] + 2}, column 'start_offset': ")
+            by_row = None
+        assert rolled is (by_row is not None) is (not breaks)
+        body = "".join(",".join(row) + "\n" for _, row in rows)
+        assert _by_column(body, 5, [0, 1, 2, 3, 4]) == by_row

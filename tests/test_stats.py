@@ -152,7 +152,7 @@ class TestOneWayAnova:
         assert r.ss_between == 1.5
         assert r.ss_within == 4.0
         assert r.ss_total == 5.5
-        assert (r.df_between, r.df_within, r.df_total) == (1, 4, 5)
+        assert (r.df_between, r.df_within) == (1, 4)
         assert r.ms_between == 1.5 and r.ms_within == 1.0
         assert r.f_stat == 1.5
         assert r.p_value == pytest.approx(0.2878641347266906, abs=1e-12)
