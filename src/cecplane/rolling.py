@@ -59,6 +59,8 @@ class RollingResult:
         object.__setattr__(self, "samples_per_window",
                            _integer(self.samples_per_window, "samples_per_window", 1))
         starts = np.array(self.window_starts, dtype=np.int64)
+        if starts.ndim != 1:
+            raise ValueError("window_starts must be one-dimensional")
         for name in ("entropies", "complexities"):
             values = np.array(getattr(self, name), dtype=np.float64)
             if values.shape != starts.shape:

@@ -89,7 +89,7 @@ class TestExtractDistribution:
         assert dist.sample_count == 2
         assert dist.counts == {PatternId((0, 1, 2), 0): 2}
         probs = dist.probabilities
-        assert probs[PatternId((0, 1, 2), 0).index] == 1.0
+        assert probs[0] == 1.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_count_arithmetic(self, rng):

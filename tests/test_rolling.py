@@ -150,6 +150,9 @@ class TestResultStructure:
         with pytest.raises(ValueError):
             RollingResult("x", np.array([0, 60]), hs, cs, 357,
                           end_timestamps=np.array([1.0]))
+        for starts in (0, [[0, 60], [120, 180]]):
+            with pytest.raises(ValueError, match="^window_starts must be one-dimensional$"):
+                RollingResult("x", starts, np.zeros_like(starts), np.zeros_like(starts), 357)
         given = np.array([0.25, 0.5])
         result = RollingResult("x", np.array([0, 60]), given, cs, 357)
         given[0] = 0.75
