@@ -22,6 +22,14 @@ fixes, and the side that runs first alternates from seed to seed.  The JSON file
 
 and the environment: Python, numpy, ``nproc``, ``PYTHONDONTWRITEBYTECODE``
 and both commits.  Quartiles are ``statistics.quantiles(values, n=4)``.
+
+Before the workloads, the ``imports`` key records what importing the package
+costs where no bytecode cache exists: in each freshly extracted tree, the
+seconds of ``import cecplane.dataio`` after ``import numpy``, in
+``IMPORT_RUNS`` fresh processes per commit with ``PYTHONDONTWRITEBYTECODE=1``
+(so no ``__pycache__`` is written), the side that runs first alternating.
+It holds each commit's median and quartiles, every value, and in how many
+pairs the head commit read lower.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ WORKLOADS = ("study", "fbm-sweep", "long-highdim")
 SEEDS = tuple(range(1201, 1211))
 METRICS = ("setup_s", "run_s", "downstream_s", "peak_rss_mb")
 RAW = ("setup_s", "run_s", "downstream_s")
+IMPORT_RUNS = 20
+IMPORT_SNIPPET = ("import time, numpy; t = time.perf_counter(); import cecplane.dataio; "
+                  "print(time.perf_counter() - t)")
 
 
 def git(*argv: str) -> str:
@@ -78,6 +89,24 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
             "raw_wall_median": raw}
+
+
+def import_seconds(tree: Path) -> float:
+    """Seconds of ``import cecplane.dataio`` from ``tree``, after numpy, in
+    a fresh process that writes no bytecode."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return float(subprocess.run([sys.executable, "-c", IMPORT_SNIPPET], cwd=tree, env=env,
+                                check=True, capture_output=True, text=True).stdout)
+
+
+def imports(trees: dict[str, Path]) -> dict:
+    """``IMPORT_RUNS`` alternating import timings per side, summarized."""
+    times: dict[str, list[float]] = {"base": [], "head": []}
+    for k in range(IMPORT_RUNS):
+        for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
+            times[side].append(import_seconds(trees[side]))
+    return {**{side: {**spread(values), "runs": values} for side, values in times.items()},
+            "head_lower_in": sum(h < b for b, h in zip(times["base"], times["head"]))}
 
 
 def spread(values: list[float]) -> dict:
@@ -121,6 +150,9 @@ def main(argv=None) -> int:
             trees[side] = Path(tmp) / side
             trees[side].mkdir()
             extract(commit, trees[side])
+        report["imports"] = imports(trees)
+        print(f"imports: {json.dumps({s: report['imports'][s]['median'] for s in trees})}",
+              file=sys.stderr)
         for workload in WORKLOADS:
             runs: dict[str, list[dict]] = {"base": [], "head": []}
             for k, seed in enumerate(SEEDS):

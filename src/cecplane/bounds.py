@@ -25,7 +25,6 @@ tests exploit as a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,20 +38,16 @@ __all__ = [*_EXPORTS["bounds"]]
 _BISECT_ITERS = 80
 
 
-@dataclass(frozen=True, eq=False)
 class BoundCurve:
     """One boundary curve of the reachable (H, C) region for M states."""
 
-    states: int
-    kind: str  # "lower" or "upper"
-    entropy: np.ndarray
-    complexity: np.ndarray
+    __slots__ = ("states", "kind", "entropy", "complexity")
 
-    def __post_init__(self):
-        if self.kind not in ("lower", "upper"):
-            raise ValueError(f"kind must be 'lower' or 'upper', got {self.kind!r}")
-        h = np.asarray(self.entropy, dtype=np.float64)
-        c = np.asarray(self.complexity, dtype=np.float64)
+    def __init__(self, states: int, kind: str, entropy, complexity):
+        if kind not in ("lower", "upper"):
+            raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
+        h = np.asarray(entropy, dtype=np.float64)
+        c = np.asarray(complexity, dtype=np.float64)
         if h.shape != c.shape or h.ndim != 1 or h.size < 2:
             raise ValueError("entropy and complexity must be equal-length 1-d arrays")
         if not ((h >= 0).all() and (h <= 1).all() and (np.diff(h) > 0).all()):
@@ -61,8 +56,7 @@ class BoundCurve:
             raise ValueError("complexity values must be nonnegative")
         h.flags.writeable = False
         c.flags.writeable = False
-        object.__setattr__(self, "entropy", h)
-        object.__setattr__(self, "complexity", c)
+        self.states, self.kind, self.entropy, self.complexity = states, kind, h, c
 
     def complexity_at(self, h: float | np.ndarray) -> float | np.ndarray:
         """Piecewise-linear interpolation of C at entropy ``h``."""

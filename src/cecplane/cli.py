@@ -27,8 +27,7 @@ Each handler imports the modules it runs, so ``--version`` loads neither
 numpy nor the pipeline, and ``rank``, ``anova`` and ``spearman`` load the
 read-back of their inputs (``_readback``, which no other command loads),
 the statistics, the CSV reader and the table writer, which run on the
-standard library alone: the read commands load no numpy, and, the
-statistics records being NamedTuples, no ``dataclasses`` either.
+standard library alone: the read commands load no numpy.
 """
 
 from __future__ import annotations

@@ -32,9 +32,8 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from ._tables import (_bounds_table, _clouds_table, _decoded, _located, _pairwis
 from .bounds import BoundCurve, lower_bound_curve, upper_bound_curve
 from .patterns import OrdinalConfig, TimeSeries, _grid_violation, _on_grid
 from .rolling import RollingResult, WindowParams, rolling_quantifiers
-from .special import _check_hurst, _integer
+from .special import _check_hurst, _checked, _integer
 from .stats import (
     AnovaResult,
     AssetSummary,
@@ -87,24 +86,23 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
 class Dataset:
     """A collection of aligned asset series sharing one timestamp grid.
-    ``path`` is the file it was loaded from, if any, where an error about
-    one of its values is located by line and column."""
+    ``fill_counts`` defaults to an empty dict.  ``path`` is the file it was
+    loaded from, if any, where an error about one of its values is located
+    by line and column."""
 
-    series: dict[str, TimeSeries]
-    fill_counts: dict[str, int] = field(default_factory=dict)
-    timestamp_label: str = "timestamp"
-    digest: str = ""
-    path: Path | None = field(default=None, compare=False)
+    __slots__ = ("series", "fill_counts", "timestamp_label", "digest", "path")
 
-    def __post_init__(self):
-        if not self.series:
+    def __init__(self, series: dict[str, TimeSeries], fill_counts: dict[str, int] | None = None,
+                 timestamp_label: str = "timestamp", digest: str = "", path: Path | None = None):
+        if not series:
             raise ValueError("dataset contains no series")
-        lengths = {label: len(s) for label, s in self.series.items()}
+        lengths = {label: len(s) for label, s in series.items()}
         if len(set(lengths.values())) != 1:
             raise ValueError(f"series lengths differ: {lengths}")
+        self.series, self.fill_counts = series, {} if fill_counts is None else fill_counts
+        self.timestamp_label, self.digest, self.path = timestamp_label, digest, path
 
     @property
     def assets(self) -> tuple[str, ...]:
@@ -405,13 +403,13 @@ def log_return_series(series: TimeSeries) -> TimeSeries:
     return _on_grid(values, ts)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@_checked
+class RunConfig(NamedTuple):
     """Everything a full analysis run depends on, manifest-recordable: the
     counts are checked and stored as ``int``, ``log_returns`` as ``bool``.
     Every setting that can be checked without the data is checked here,
-    before any input is read: each Hurst exponent, and the baseline when
-    ``assets`` names the columns."""
+    before any input is read: each Hurst exponent, the window against the
+    embedding, and the baseline when ``assets`` names the columns."""
 
     ordinal: OrdinalConfig = OrdinalConfig()
     window: WindowParams = WindowParams()
@@ -423,16 +421,18 @@ class RunConfig:
     fbm_sims: int = 500
     seed: int = 42
 
-    def __post_init__(self):
-        for name, minimum in (("bounds_resolution", 2), ("fbm_sims", 1), ("seed", 0)):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
+    def _check(self):
+        resolution, sims, seed = (_integer(getattr(self, name), name, minimum) for name, minimum
+                                  in (("bounds_resolution", 2), ("fbm_sims", 1), ("seed", 0)))
         if not isinstance(self.log_returns, (bool, np.bool_)):
             raise ValueError(f"log_returns must be a bool, got {self.log_returns!r}")
-        object.__setattr__(self, "log_returns", bool(self.log_returns))
         for hurst in self.fbm_hursts:
             _check_hurst(hurst)
+        self.ordinal._admitted_windows(self.window.size, "window")
         if self.baseline is not None and self.assets is not None:
             _check_baseline(self.baseline, self.assets)
+        return (*self[:3], bool(self.log_returns), self.baseline, resolution, self.fbm_hursts,
+                sims, seed)
 
     def as_dict(self) -> dict:
         return {
@@ -450,8 +450,7 @@ class RunConfig:
         }
 
 
-@dataclass(frozen=True)
-class AnalysisBundle:
+class AnalysisBundle(NamedTuple):
     """All results of one pipeline run, before any file is written."""
 
     config: RunConfig

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from . import _EXPORTS
 from ._fork import _count, _map
 from .patterns import OrdinalConfig, TimeSeries, _encode_starts
 from .quantifiers import CecpPoint, _window_points
-from .special import _check_hurst, _integer
+from .special import _check_hurst, _checked, _integer
 
 __all__ = [*_EXPORTS["fbm"]]
 
@@ -61,22 +61,21 @@ _PATHS_PER_BLOCK = 8
 _FORK_FLOOR = 1 << 16
 
 
-@dataclass(frozen=True)
-class FbmSpec:
+@_checked
+class FbmSpec(NamedTuple):
     """Hurst exponent, path length, and seed (any integer, stored as int)."""
 
     hurst: float
     length: int
     seed: int
 
-    def __post_init__(self):
+    def _check(self):
         _check_hurst(self.hurst)
-        object.__setattr__(self, "length", _integer(self.length, "length", 2))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
+        return self.hurst, _integer(self.length, "length", 2), _integer(self.seed, "seed", 0)
 
 
-@dataclass(frozen=True)
-class BaselineCloud:
+@_checked
+class BaselineCloud(NamedTuple):
     """Mean and spread of plane positions over independent fBm paths."""
 
     hurst: float
@@ -85,10 +84,11 @@ class BaselineCloud:
     std_complexity: float
     sims: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "sims", _integer(self.sims, "sims", 1))
+    def _check(self):
+        sims = _integer(self.sims, "sims", 1)
         if self.std_entropy < 0 or self.std_complexity < 0:
             raise ValueError("standard deviations must be nonnegative")
+        return (*self[:4], sims)
 
 
 def fgn_autocovariance(hurst: float, lags) -> np.ndarray:

@@ -42,14 +42,13 @@ numpy 2.4), near the load's own high-water mark.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _EXPORTS
-from .special import _integer
+from .special import _checked, _integer
 
 __all__ = [*_EXPORTS["patterns"], "permutation_to_index", "index_to_permutation"]
 
@@ -99,7 +98,6 @@ def _grid_violation(ts: np.ndarray) -> tuple[int, str] | None:
     return first + 1, rule
 
 
-@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """An evenly spaced sequence of finite real observations.
 
@@ -108,25 +106,23 @@ class TimeSeries:
     shared freely across threads.
     """
 
-    values: np.ndarray
-    timestamps: np.ndarray | None = None
+    __slots__ = ("values", "timestamps")
 
-    def __post_init__(self):
-        values = _as_float_array(self.values, "values")
+    def __init__(self, values, timestamps: np.ndarray | None = None):
+        values = _as_float_array(values, "values")
         if values.size < 1:
             raise ValueError("series must contain at least one observation")
         values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        if self.timestamps is not None:
-            ts = _as_float_array(self.timestamps, "timestamps")
-            if ts.size != values.size:
+        if timestamps is not None:
+            timestamps = _as_float_array(timestamps, "timestamps")
+            if timestamps.size != values.size:
                 raise ValueError("timestamps and values must have equal length")
-            violation = _grid_violation(ts)
+            violation = _grid_violation(timestamps)
             if violation is not None:
                 raise ValueError(f"timestamps must be {violation[1]} "
                                  f"(first break at position {violation[0]})")
-            ts.flags.writeable = False
-            object.__setattr__(self, "timestamps", ts)
+            timestamps.flags.writeable = False
+        self.values, self.timestamps = values, timestamps
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -137,22 +133,22 @@ def _on_grid(values, timestamps: np.ndarray | None) -> TimeSeries:
     float64 grid as long as ``values`` that already passed
     :func:`_grid_violation` (or ``None``); only the values are checked."""
     series = TimeSeries(values)
-    object.__setattr__(series, "timestamps", timestamps)
+    series.timestamps = timestamps
     return series
 
 
-@dataclass(frozen=True)
-class OrdinalConfig:
+@_checked
+class OrdinalConfig(NamedTuple):
     """Embedding dimension (pattern length) and delay for symbolization."""
 
     dim: int = 4
     delay: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", _integer(self.dim, "dim", 2))
-        if self.dim > MAX_DIM:
+    def _check(self):
+        dim = _integer(self.dim, "dim", 2)
+        if dim > MAX_DIM:
             raise ValueError(f"dim must be <= {MAX_DIM} so that dim! stays countable exactly")
-        object.__setattr__(self, "delay", _integer(self.delay, "delay", 1))
+        return dim, _integer(self.delay, "delay", 1)
 
     @property
     def num_patterns(self) -> int:
@@ -197,14 +193,14 @@ def index_to_permutation(index: int, dim: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PatternId:
+@_checked
+class PatternId(NamedTuple):
     """A single ordinal pattern: the permutation and its lexicographic rank."""
 
     permutation: tuple[int, ...]
     index: int
 
-    def __post_init__(self):
+    def _check(self):
         d = len(self.permutation)
         if sorted(self.permutation) != list(range(d)):
             raise ValueError(f"{self.permutation} is not a permutation of 0..{d - 1}")
@@ -212,6 +208,7 @@ class PatternId:
             raise ValueError(
                 f"index {self.index} does not match permutation {self.permutation}"
             )
+        return self
 
     @classmethod
     def from_index(cls, index: int, dim: int) -> "PatternId":
@@ -222,7 +219,6 @@ class PatternId:
         return len(self.permutation)
 
 
-@dataclass(frozen=True, eq=False)
 class PatternDistribution:
     """Exact ordinal pattern counts: ``histogram[i]`` is the number of
     windows with pattern code ``i``, a read-only int64 vector of length
@@ -230,23 +226,22 @@ class PatternDistribution:
     accumulates during counting.
     """
 
-    config: OrdinalConfig
-    histogram: np.ndarray
+    __slots__ = ("config", "histogram")
 
-    def __post_init__(self):
-        hist = np.asarray(self.histogram)
+    def __init__(self, config: OrdinalConfig, histogram):
+        hist = np.asarray(histogram)
         if hist.dtype.kind not in "iu":
             raise ValueError(f"histogram must hold integer counts, got dtype {hist.dtype}")
-        if hist.shape != (self.config.num_patterns,):
-            raise ValueError(f"histogram must have shape ({self.config.num_patterns},) "
-                             f"for dim={self.config.dim}, got {hist.shape}")
+        if hist.shape != (config.num_patterns,):
+            raise ValueError(f"histogram must have shape ({config.num_patterns},) "
+                             f"for dim={config.dim}, got {hist.shape}")
         if (hist < 0).any():
             raise ValueError("counts must be nonnegative")
         if hist.sum() < 1:
             raise ValueError("counts must sum to a positive sample count")
         hist = hist.astype(np.int64)
         hist.flags.writeable = False
-        object.__setattr__(self, "histogram", hist)
+        self.config, self.histogram = config, hist
 
     @property
     def sample_count(self) -> int:

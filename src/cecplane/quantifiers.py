@@ -22,15 +22,14 @@ coordinate within 1e-14 of ``math.fsum`` references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from . import _EXPORTS
 from .patterns import (OrdinalConfig, PatternDistribution, TimeSeries, _window_counts,
                        extract_pattern_distribution)
-from .special import _off_plane
+from .special import _checked, _off_plane
 
 __all__ = [*_EXPORTS["quantifiers"]]
 
@@ -182,17 +181,18 @@ def jensen_shannon_disequilibrium(p: ProbsLike, reference: ProbsLike) -> float:
     return q0_constant(p_arr.size) * _jsd(p_arr, _validate_probs(reference))
 
 
-@dataclass(frozen=True)
-class CecpPoint:
+@_checked
+class CecpPoint(NamedTuple):
     """A location on the complexity-entropy plane."""
 
     entropy: float
     complexity: float
 
-    def __post_init__(self):
+    def _check(self):
         for column, off, why in _off_plane(self.entropy, self.complexity):
             if off:
                 raise ValueError(why.format(getattr(self, column)))
+        return self
 
 
 def cecp_point(source: ProbsLike | TimeSeries, config: OrdinalConfig | None = None) -> CecpPoint:

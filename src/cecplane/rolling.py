@@ -17,13 +17,12 @@ a series is rolled, so reading results back from a file loads neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import _EXPORTS
-from .special import _integer, _stride_break
+from .special import _checked, _integer, _stride_break
 
 if TYPE_CHECKING:
     from .patterns import OrdinalConfig, TimeSeries
@@ -31,52 +30,47 @@ if TYPE_CHECKING:
 __all__ = [*_EXPORTS["rolling"]]
 
 
-@dataclass(frozen=True)
-class WindowParams:
+@_checked
+class WindowParams(NamedTuple):
     """Sliding-window geometry: samples per window and stride between starts."""
 
     size: int = 360
     step: int = 60
 
-    def __post_init__(self):
-        object.__setattr__(self, "size", _integer(self.size, "size", 2))
-        object.__setattr__(self, "step", _integer(self.step, "step", 1))
+    def _check(self):
+        return _integer(self.size, "size", 2), _integer(self.step, "step", 1)
 
 
-@dataclass(frozen=True, eq=False)
 class RollingResult:
     """Per-window plane coordinates: read-only float64 ``entropies`` and
     ``complexities`` aligned with the window start offsets."""
 
-    asset: str
-    window_starts: np.ndarray
-    entropies: np.ndarray
-    complexities: np.ndarray
-    samples_per_window: int
-    end_timestamps: np.ndarray | None = None
+    __slots__ = ("asset", "window_starts", "entropies", "complexities", "samples_per_window",
+                 "end_timestamps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples_per_window",
-                           _integer(self.samples_per_window, "samples_per_window", 1))
-        starts = np.array(self.window_starts, dtype=np.int64)
+    def __init__(self, asset: str, window_starts, entropies, complexities,
+                 samples_per_window: int, end_timestamps: np.ndarray | None = None):
+        self.asset = asset
+        self.samples_per_window = _integer(samples_per_window, "samples_per_window", 1)
+        starts = np.array(window_starts, dtype=np.int64)
         if starts.ndim != 1:
             raise ValueError("window_starts must be one-dimensional")
-        for name in ("entropies", "complexities"):
-            values = np.array(getattr(self, name), dtype=np.float64)
+        for name, values in (("entropies", entropies), ("complexities", complexities)):
+            values = np.array(values, dtype=np.float64)
             if values.shape != starts.shape:
                 raise ValueError(f"window_starts and {name} must have equal length")
             values.flags.writeable = False
-            object.__setattr__(self, name, values)
+            setattr(self, name, values)
         if _stride_break(starts.tolist()) is not None:
             raise ValueError("window_starts must advance by a constant positive stride")
         starts.flags.writeable = False
-        object.__setattr__(self, "window_starts", starts)
-        if self.end_timestamps is not None:
-            ends = np.array(self.end_timestamps, dtype=np.float64)
-            if ends.shape != starts.shape:
+        self.window_starts = starts
+        if end_timestamps is not None:
+            end_timestamps = np.array(end_timestamps, dtype=np.float64)
+            if end_timestamps.shape != starts.shape:
                 raise ValueError("end_timestamps must align with window_starts")
-            ends.flags.writeable = False
-            object.__setattr__(self, "end_timestamps", ends)
+            end_timestamps.flags.writeable = False
+        self.end_timestamps = end_timestamps
 
 
 def window_count(series_len: int, params: WindowParams) -> int:

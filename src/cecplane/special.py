@@ -10,10 +10,20 @@ and so do the stride rule of window starts, shared by ``RollingResult`` and
 both ways of reading ``windows.csv`` (``_stride_break``), the integer rule
 of every count-like argument and the Hurst exponent rule shared by
 ``RunConfig`` and ``fbm``.
+
+So does the one record rule, ``_checked``.  A record that holds no arrays
+is a ``NamedTuple``, and each one whose ``_check`` is wrapped by
+``_checked`` is checked when it is made, whether by a call, ``_make`` or
+``_replace``: ``_check`` raises or returns the record's values, converted
+where a field accepts several types, and those values are what the record
+holds.  Like any tuple, a record compares equal to a plain tuple of the
+same values.  A record that holds arrays is a plain ``__slots__`` class,
+which compares and hashes by identity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -90,6 +100,28 @@ def _integer(value, name: str, minimum: int) -> int:
         rule = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return number
+
+
+def _checked(cls):
+    """Make every new ``cls`` record hold the values ``cls._check`` returns.
+
+    A NamedTuple class body may not define ``__new__`` or ``_make``, and the
+    generated ``_make``, which ``_replace`` calls too, builds the tuple
+    without ``__new__``; so both are wrapped here, after the class is made.
+    """
+    new, make = cls.__new__, cls._make.__func__
+
+    @functools.wraps(new)
+    def __new__(klass, *args, **kwargs):
+        return tuple.__new__(klass, new(klass, *args, **kwargs)._check())
+
+    @functools.wraps(make)
+    def _make(klass, iterable):
+        return tuple.__new__(klass, make(klass, iterable)._check())
+
+    cls.__new__ = __new__
+    cls._make = classmethod(_make)
+    return cls
 
 
 def _check_hurst(hurst) -> None:

@@ -14,54 +14,23 @@ incomplete-beta routines (see ``special``).  The module loads no numpy: a
 run takes each asset's list, fsum mean and fsum sum of squares once per
 metric (``_Group``): its summary, the all-asset ANOVA and every pairwise
 test read them (``_tests``), with the results of the public functions.
-
-The result records are ``NamedTuple``s, so a read command loads neither
-``dataclasses`` nor what it imports.  Each record checks its values when it
-is made, whether by a call, ``_make`` or ``_replace``; like any tuple, a
-record compares equal to a plain tuple of the same values.
+The result records follow the package's one record rule (``special``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from . import _EXPORTS
-from .special import f_sf, student_t_sf_two_sided
+from .special import _checked, f_sf, student_t_sf_two_sided
 
 if TYPE_CHECKING:
     from .rolling import RollingResult
 
 __all__ = [*_EXPORTS["stats"], "average_ranks"]
-
-
-def _checked(cls):
-    """Make every new ``cls`` record pass ``cls._check``.
-
-    A NamedTuple class body may not define ``__new__`` or ``_make``, and the
-    generated ``_make``, which ``_replace`` calls too, builds the tuple
-    without ``__new__``; so both are wrapped here, after the class is made.
-    """
-    new, make = cls.__new__, cls._make.__func__
-
-    @functools.wraps(new)
-    def __new__(klass, *args, **kwargs):
-        record = new(klass, *args, **kwargs)
-        record._check()
-        return record
-
-    @functools.wraps(make)
-    def _make(klass, iterable):
-        record = make(klass, iterable)
-        record._check()
-        return record
-
-    cls.__new__ = __new__
-    cls._make = classmethod(_make)
-    return cls
 
 
 @_checked
@@ -84,6 +53,7 @@ class AssetSummary(NamedTuple):
             raise ValueError("standard deviations must be nonnegative")
         if self.window_count < 1:
             raise ValueError("window_count must be >= 1")
+        return self
 
 
 @_checked
@@ -105,6 +75,7 @@ class RankingEntry(NamedTuple):
             raise ValueError("distance must be nonnegative")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        return self
 
 
 @_checked
@@ -137,6 +108,7 @@ class AnovaResult(NamedTuple):
             raise ValueError("F statistic must be nonnegative")
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
+        return self
 
 
 @_checked
@@ -154,6 +126,7 @@ class SpearmanResult(NamedTuple):
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
         if self.n < 3:
             raise ValueError("n must be >= 3")
+        return self
 
 
 def _mean(values: Sequence[float]) -> float:

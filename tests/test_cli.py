@@ -140,12 +140,15 @@ class TestAnalyze:
          f"unknown plot kind 'bogus'; expected one of {cecplane.PLOT_KINDS}"),
         (["--plots", "all,cecp-scatter"],
          f"unknown plot kind 'all'; expected one of {cecplane.PLOT_KINDS}"),
+        (["--window", "3", "--dim", "4"], "window of 3 samples admits no ordinal pattern at "
+                                          "dim=4, delay=1 (needs at least 4)"),
     ], ids=["seed", "sims", "bounds-resolution", "fbm-hurst", "baseline", "plots",
-            "plots-all-and-a-kind"])
+            "plots-all-and-a-kind", "window-shorter-than-a-pattern"])
     def test_bad_run_setting_fails_before_the_input_is_read(self, capsys, tmp_path,
                                                             option, message):
         """``RunConfig`` checks every setting, even one only fBm clouds use,
-        and the baseline against the columns ``--assets`` names, and
+        the window against the embedding, the baseline against the columns
+        ``--assets`` names, and
         ``analyze`` each ``--plots`` kind (``all`` stands alone), so a
         missing input file is never opened."""
         rc, _, err = run_main(capsys, ["analyze", "--input", str(tmp_path / "absent.csv"),
@@ -889,6 +892,17 @@ class TestImportContract:
         for name in ("patterns", "quantifiers", "bounds", "rolling", "stats", "dataio"):
             assert f"cecplane.{name}" in modules
         assert "cecplane.fbm" not in modules and "cecplane._readback" not in modules
+
+    @pytest.mark.parametrize("command", ["analyze", "bounds", "fbm"])
+    def test_numpy_commands_load_no_dataclasses(self, workspace, tmp_path, command):
+        """Records are NamedTuples or plain classes, so no command loads
+        ``dataclasses`` (numpy itself imports ``inspect``)."""
+        _, data, _ = workspace
+        argv = {"analyze": ["analyze", "--input", data, "--out", tmp_path / "run",
+                            "--fbm-hurst", "0.5", "--sims", "4"],
+                "bounds": ["bounds", "--dim", "3", "--resolution", "20"],
+                "fbm": ["fbm", "--hurst", "0.5", "--sims", "4", "--length", "40"]}[command]
+        assert "dataclasses" not in loaded_modules(*argv)
 
     @pytest.mark.parametrize("argv,absent", [
         (["bounds", "--dim", "3", "--resolution", "20"],

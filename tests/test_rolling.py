@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cecplane import (
+    Dataset,
     OrdinalConfig,
+    PatternDistribution,
     RollingResult,
     TimeSeries,
     WindowParams,
@@ -177,6 +179,11 @@ def test_array_holding_results_compare_by_identity():
     rolled = rolling_quantifiers(series, WindowParams(20, 10), OrdinalConfig(3, 1))
     rolled_twin = rolling_quantifiers(twin, WindowParams(20, 10), OrdinalConfig(3, 1))
     lower = lower_bound_curve(6, 10)
-    for value, other in ((series, twin), (rolled, rolled_twin), (lower, lower_bound_curve(6, 10))):
+    counts = PatternDistribution(OrdinalConfig(3), np.arange(1, 7))
+    counts_twin = PatternDistribution(OrdinalConfig(3), np.arange(1, 7))
+    # the same series in both: only identity tells the datasets apart
+    data, data_twin = Dataset({"a": series}), Dataset({"a": series})
+    for value, other in ((series, twin), (rolled, rolled_twin), (lower, lower_bound_curve(6, 10)),
+                         (counts, counts_twin), (data, data_twin)):
         assert value == value and value != other
         assert len({value, other, value}) == 2

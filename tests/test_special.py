@@ -121,6 +121,21 @@ class TestIntegerRule:
              RunConfig(seed=7, bounds_resolution=300, fbm_sims=8),
              ("seed", "bounds_resolution", "fbm_sims")),
         ]
+        # _replace checks and converts as a call does
+        pairs += [
+            (OrdinalConfig()._replace(dim=np.int64(4), delay=np.int32(2)), OrdinalConfig(4, 2),
+             ("dim", "delay")),
+            (WindowParams()._replace(size=np.int64(360), step=np.uint16(60)),
+             WindowParams(360, 60), ("size", "step")),
+            (FbmSpec(0.5, 10, 1)._replace(length=np.int64(10), seed=np.uint64(3)),
+             FbmSpec(0.5, 10, 3), ("length", "seed")),
+            (BaselineCloud(0.5, CecpPoint(0.9, 0.1), 0.0, 0.0, 4)._replace(sims=np.uint8(4)),
+             BaselineCloud(0.5, CecpPoint(0.9, 0.1), 0.0, 0.0, 4), ("sims",)),
+            (RunConfig()._replace(seed=np.int64(7), bounds_resolution=np.uint16(300),
+                                  fbm_sims=np.int32(8)),
+             RunConfig(seed=7, bounds_resolution=300, fbm_sims=8),
+             ("seed", "bounds_resolution", "fbm_sims")),
+        ]
         for built, expected, fields in pairs:
             assert built == expected
             for field in fields:

@@ -22,7 +22,8 @@ from cecplane import (
     spearman_rho,
     summarize,
 )
-from cecplane import RunConfig, run_pipeline
+from cecplane import (BaselineCloud, CecpPoint, FbmSpec, OrdinalConfig, PatternId, RunConfig,
+                      WindowParams, run_pipeline)
 from cecplane.special import f_sf
 from cecplane.stats import average_ranks
 from oracles import spearman_permutation_p
@@ -505,8 +506,8 @@ class TestSpearmanPermutation:
 
 
 class TestRecords:
-    """The result records are NamedTuples that check their values whenever
-    one is made."""
+    """The records that hold no arrays are NamedTuples, and each checked one
+    checks its values whenever one is made."""
 
     # name: (a valid record, a change that breaks it, the error it raises)
     CASES = {
@@ -516,6 +517,16 @@ class TestRecords:
         "AnovaResult": (AnovaResult(1.0, 1.0, 2.0, 1, 4, 1.0, 1.0, 1.0, 0.5),
                         {"p_value": 1.5}, "p-value 1.5 outside"),
         "SpearmanResult": (SpearmanResult(0.5, 0.2, 5), {"n": 2}, "n must be >= 3"),
+        "OrdinalConfig": (OrdinalConfig(4, 1), {"dim": 13}, "dim must be <= 12"),
+        "WindowParams": (WindowParams(360, 60), {"step": 0}, "step must be an integer >= 1"),
+        "PatternId": (PatternId((0, 2, 1), 1), {"index": 2},
+                      r"index 2 does not match permutation \(0, 2, 1\)"),
+        "CecpPoint": (CecpPoint(0.9, 0.1), {"complexity": -0.5}, "complexity -0.5 negative"),
+        "FbmSpec": (FbmSpec(0.5, 10, 1), {"hurst": 1.5}, "hurst must lie strictly inside"),
+        "BaselineCloud": (BaselineCloud(0.5, CecpPoint(0.9, 0.1), 0.0, 0.0, 4),
+                          {"std_entropy": -0.1}, "standard deviations must be nonnegative"),
+        "RunConfig": (RunConfig(), {"window": WindowParams(3, 1)},
+                      "window of 3 samples admits no ordinal pattern at dim=4"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
