@@ -3,20 +3,19 @@
 The CSV range parser (``dataio``) and the fBm cloud scorer (``fbm``) split
 their work through this module alone: ``_count`` says how many processes
 share it, and ``_map`` runs every share, the first here and each other in a
-forked child that sends its float arrays back through a pipe.
+forked child that sends its arrays back through a pipe as pickles.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 import warnings
 from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
-# What a child writes after its last array, where a length would stand.
-_END = (-1).to_bytes(8, "little", signed=True)
 _PACKAGE = os.path.dirname(__file__)
 
 
@@ -39,16 +38,16 @@ def _count(work: int, floor: int) -> int:
 def _map(task: Callable[..., Iterable[np.ndarray]],
          shares: Sequence[tuple]) -> list[list[np.ndarray]]:
     """``[list(task(*share)) for share in shares]``, over a non-empty
-    ``shares``, with ``task`` yielding 1-D float64 arrays.
+    ``shares``, with ``task`` yielding arrays.
 
     The first share runs in this process, after a child is forked for each
     other share; then each child's arrays are read from its pipe.  A share
     that gets no child (``os.fork`` is missing, or ``pipe`` or ``fork``
     raises ``OSError``) runs here without a warning.  A child whose pipe
-    ends before its end mark has failed: a ``RuntimeWarning``, attributed to
-    the first caller outside this package, names its share, which then runs
-    here.  Every child is killed, if still running, and reaped before this
-    returns or raises."""
+    ends before the ``None`` that follows its arrays has failed: a
+    ``RuntimeWarning``, attributed to the first caller outside this package,
+    names its share, which then runs here.  Every child is killed, if still
+    running, and reaped before this returns or raises."""
     children = []  # (pid, pipe) of shares[1], shares[2], ... while forks last
     try:
         try:
@@ -71,10 +70,10 @@ def _map(task: Callable[..., Iterable[np.ndarray]],
 
 
 def _start(task: Callable[..., Iterable[np.ndarray]], share: tuple) -> tuple[int, BinaryIO]:
-    """Fork a child that writes each array ``task(*share)`` yields to a pipe,
-    its length (8 bytes, little-endian) before its float64 bytes, then
-    ``_END``, and ends in ``os._exit``; returns its pid and the buffered read
-    end of the pipe.  A child whose task raises ends with no ``_END``.
+    """Fork a child that pickles each array ``task(*share)`` yields to a
+    pipe, made contiguous so that protocol 5 sends its bytes as they stand,
+    then ``None``, and ends in ``os._exit``; returns its pid and the buffered
+    read end of the pipe.  A child whose task raises ends with no ``None``.
     ``OSError`` if no pipe or process is to be had."""
     read_fd, write_fd = os.pipe()
     try:
@@ -98,26 +97,24 @@ def _start(task: Callable[..., Iterable[np.ndarray]], share: tuple) -> tuple[int
         os.close(read_fd)
         with open(write_fd, "wb") as out:
             for array in task(*share):
-                array = np.ascontiguousarray(array, np.float64)
-                out.write(array.size.to_bytes(8, "little", signed=True))
-                out.write(array)
-            out.write(_END)
+                pickle.dump(np.ascontiguousarray(array), out, protocol=5)
+            pickle.dump(None, out)
     finally:
         os._exit(0)
 
 
 def _receive(pipe: BinaryIO) -> list[np.ndarray] | None:
-    """The arrays a child wrote to ``pipe``, or ``None`` if the pipe ends
-    before ``_END``."""
+    """The arrays a child pickled to ``pipe``, each loaded into one buffer,
+    or ``None`` if the pipe ends before the ``None`` that follows them.  The
+    pipe's one writer is a child ``_start`` forked, so nothing unpickled
+    here comes from outside the program."""
     arrays = []
-    while len(head := pipe.read(8)) == 8:
-        size = int.from_bytes(head, "little", signed=True)
-        if size < 0:
-            return arrays
-        arrays.append(np.empty(size))
-        if pipe.readinto(arrays[-1]) < arrays[-1].nbytes:
-            return None
-    return None
+    try:
+        while (array := pickle.load(pipe)) is not None:
+            arrays.append(array)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+    return arrays
 
 
 def _caller_level() -> int:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .quantifiers import CecpPoint, q0_constant
-from .special import _integer
+from .special import _Holder, _integer
 
 __all__ = [*_EXPORTS["bounds"]]
 
@@ -38,7 +38,7 @@ __all__ = [*_EXPORTS["bounds"]]
 _BISECT_ITERS = 80
 
 
-class BoundCurve:
+class BoundCurve(_Holder):
     """One boundary curve of the reachable (H, C) region for M states."""
 
     __slots__ = ("states", "kind", "entropy", "complexity")

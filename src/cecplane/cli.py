@@ -65,11 +65,11 @@ def _cmd_analyze(args) -> int:
     config = RunConfig(
         ordinal=OrdinalConfig(args.dim, args.tau),
         window=WindowParams(args.window, args.step),
-        assets=None if args.assets is None else tuple(args.assets),
+        assets=args.assets,
         log_returns=args.log_returns,
         baseline=args.baseline,
         bounds_resolution=args.bounds_resolution,
-        fbm_hursts=tuple(args.fbm_hurst or ()),
+        fbm_hursts=args.fbm_hurst or (),
         fbm_sims=args.sims,
         seed=args.seed,
     )

@@ -6,17 +6,18 @@ series per asset, read under the package's one set of CSV reading rules
 (``_tables._read_csv``).  A file of plain numbers is parsed by
 ``np.loadtxt`` in byte ranges cut at line ends, none under 1 MiB, which
 ``_fork`` splits among processes: this process parses the first range from
-the reader's open stream, and a forked child each other range (or this
-process, if the child cannot be started or fails).  One block search,
-``_find``, finds the line ends to cut at and any ``"``: a file that holds
-one, has no ``\\n`` past a cut point, or is read where ``os.fork`` is
-missing is one range.  If loadtxt refuses any range, the row reader reads
-the file; it handles everything else: ISO-8601 timestamps, gaps for
-``forward_fill``, cells only ``float`` accepts (``1_0``, non-ASCII digits),
-and every defect, which it reports with its line.  The input alone picks
-the path, and every path gives the same dataset bit for bit.  Loading holds
-at most this process's range as a table and the requested columns at once,
-and the file's sha256 is streamed in fixed blocks, never read whole.
+the reader's open stream, and a forked child each other range, whose
+columns come back through a pipe as pickles (or this process, if the child
+cannot be started or fails).  One block search, ``_find``, finds the line
+ends to cut at and any ``"``: a file that holds one, has no ``\\n`` past a
+cut point, or is read where ``os.fork`` is missing is one range.  If
+loadtxt refuses any range, the row reader reads the file; it handles
+everything else: ISO-8601 timestamps, gaps for ``forward_fill``, cells only
+``float`` accepts (``1_0``, non-ASCII digits), and every defect, which it
+reports with its line.  The input alone picks the path, and every path
+gives the same dataset bit for bit.  Loading holds at most this process's
+range as a table and the requested columns at once, and the file's sha256 is
+streamed in fixed blocks, never read whole.
 
 Every CSV written back out is one ``_Table`` of ``_tables``, written by its
 ``_write``.  One function, ``_write_tree``, decides what an output tree
@@ -44,7 +45,7 @@ from ._tables import (_bounds_table, _clouds_table, _decoded, _located, _pairwis
 from .bounds import BoundCurve, lower_bound_curve, upper_bound_curve
 from .patterns import OrdinalConfig, TimeSeries, _grid_violation, _on_grid
 from .rolling import RollingResult, WindowParams, rolling_quantifiers
-from .special import _check_hurst, _checked, _integer
+from .special import _check_hurst, _checked, _Holder, _integer
 from .stats import (
     AnovaResult,
     AssetSummary,
@@ -86,7 +87,7 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-class Dataset:
+class Dataset(_Holder):
     """A collection of aligned asset series sharing one timestamp grid.
     ``fill_counts`` defaults to an empty dict.  ``path`` is the file it was
     loaded from, if any, where an error about one of its values is located
@@ -316,6 +317,8 @@ def load_dataset(path, assets: Sequence[str] | None = None,
             raise _located(path, 1, None, "header must name a timestamp and at least one asset")
         ts_label, *columns = header
         selected = list(columns) if assets is None else list(assets)
+        if not selected:
+            raise ValueError(f"{path}: no columns requested")
         if len(set(selected)) != len(selected):
             raise ValueError(f"{path}: duplicate requested columns: {selected}")
         missing = [a for a in selected if a not in columns]
@@ -406,10 +409,12 @@ def log_return_series(series: TimeSeries) -> TimeSeries:
 @_checked
 class RunConfig(NamedTuple):
     """Everything a full analysis run depends on, manifest-recordable: the
-    counts are checked and stored as ``int``, ``log_returns`` as ``bool``.
-    Every setting that can be checked without the data is checked here,
-    before any input is read: each Hurst exponent, the window against the
-    embedding, and the baseline when ``assets`` names the columns."""
+    counts are checked and stored as ``int``, ``log_returns`` as ``bool``,
+    ``assets`` (if given: not empty, no label twice) as a tuple and
+    ``fbm_hursts`` as a tuple of ``float``.  Every setting that can be
+    checked without the data is checked here, before any input is read:
+    each Hurst exponent, the window against the embedding, the selection,
+    and the baseline when ``assets`` names the columns."""
 
     ordinal: OrdinalConfig = OrdinalConfig()
     window: WindowParams = WindowParams()
@@ -429,10 +434,13 @@ class RunConfig(NamedTuple):
         for hurst in self.fbm_hursts:
             _check_hurst(hurst)
         self.ordinal._admitted_windows(self.window.size, "window")
-        if self.baseline is not None and self.assets is not None:
-            _check_baseline(self.baseline, self.assets)
-        return (*self[:3], bool(self.log_returns), self.baseline, resolution, self.fbm_hursts,
-                sims, seed)
+        assets = None if self.assets is None else tuple(self.assets)
+        if assets is not None and (not assets or len(set(assets)) < len(assets)):
+            raise ValueError(f"assets must be one or more distinct labels, got {assets!r}")
+        if self.baseline is not None and assets is not None:
+            _check_baseline(self.baseline, assets)
+        return (*self[:2], assets, bool(self.log_returns), self.baseline, resolution,
+                tuple(map(float, self.fbm_hursts)), sims, seed)
 
     def as_dict(self) -> dict:
         return {
@@ -483,8 +491,6 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
     missing = [a for a in selected if a not in dataset.series]
     if missing:
         raise ValueError(f"assets not in dataset: {missing}")
-    if len(selected) == 0:
-        raise ValueError("no assets selected")
     if config.baseline is not None:
         _check_baseline(config.baseline, selected)
 
@@ -558,18 +564,15 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
 
 
 def _windows_table(rolling: dict[str, RollingResult]) -> _Table:
-    """One row per window of every asset.  End timestamps stay numbers, to
-    be formatted only where written, unless an asset has none: then the
-    column is text, with empty cells for that asset."""
+    """One row per window of every asset.  End timestamps are text, each
+    asset's formatted apart, with empty cells for an asset that has none."""
     results = rolling.values()
-    ends = [r.end_timestamps for r in results]
     return _table(
         asset=[a for a, r in rolling.items() for _ in range(r.window_starts.size)],
         window_index=np.concatenate([np.arange(r.window_starts.size) for r in results]),
         start_offset=np.concatenate([r.window_starts for r in results]),
         end_timestamp=[t for r in results for t in ([""] * r.window_starts.size
-                       if r.end_timestamps is None else _text(r.end_timestamps))]
-        if any(e is None for e in ends) else np.concatenate(ends),
+                       if r.end_timestamps is None else _text(r.end_timestamps))],
         entropy=np.concatenate([r.entropies for r in results]),
         complexity=np.concatenate([r.complexities for r in results]),
     )

@@ -21,8 +21,8 @@ into contiguous runs, one per process that ``_fork._count`` allows at
 ``_FORK_FLOOR`` samples each, and ``_fork`` owns the split: it scores the
 first run here and each other in a forked child (or here, if the child
 cannot be started or fails), which sends the run's (H, C) rows back through
-a pipe.  Every block and seed is the same in any split, so the clouds are
-the same bit for bit.
+a pipe as pickles.  Every block and seed is the same in any split, so the
+clouds are the same bit for bit.
 """
 
 from __future__ import annotations

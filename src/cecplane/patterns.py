@@ -48,7 +48,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .special import _checked, _integer
+from .special import _checked, _Holder, _integer
 
 __all__ = [*_EXPORTS["patterns"], "permutation_to_index", "index_to_permutation"]
 
@@ -98,7 +98,7 @@ def _grid_violation(ts: np.ndarray) -> tuple[int, str] | None:
     return first + 1, rule
 
 
-class TimeSeries:
+class TimeSeries(_Holder):
     """An evenly spaced sequence of finite real observations.
 
     ``timestamps``, when present, must be strictly increasing with constant
@@ -214,12 +214,8 @@ class PatternId(NamedTuple):
     def from_index(cls, index: int, dim: int) -> "PatternId":
         return cls(index_to_permutation(index, dim), index)
 
-    @property
-    def dim(self) -> int:
-        return len(self.permutation)
 
-
-class PatternDistribution:
+class PatternDistribution(_Holder):
     """Exact ordinal pattern counts: ``histogram[i]`` is the number of
     windows with pattern code ``i``, a read-only int64 vector of length
     ``dim!``.  Everything else is derived from it on demand, so no rounding

@@ -11,21 +11,19 @@ on samples ``t .. t + (dim-1)*delay``, which lie inside window ``k`` exactly
 when ``t`` is one of the window's ``size - (dim-1)*delay`` admissible
 starts.  So each window is a span of the code stream, scored by
 :func:`~cecplane.quantifiers._window_points` as fBm paths are, bit for bit
-as standalone per-window extraction.  The encoder and the kernel load when
-a series is rolled, so reading results back from a file loads neither.
+as standalone per-window extraction.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _EXPORTS
-from .special import _checked, _integer, _stride_break
-
-if TYPE_CHECKING:
-    from .patterns import OrdinalConfig, TimeSeries
+from .patterns import OrdinalConfig, TimeSeries, _encode_starts
+from .quantifiers import _window_points
+from .special import _checked, _Holder, _integer, _stride_break
 
 __all__ = [*_EXPORTS["rolling"]]
 
@@ -41,7 +39,7 @@ class WindowParams(NamedTuple):
         return _integer(self.size, "size", 2), _integer(self.step, "step", 1)
 
 
-class RollingResult:
+class RollingResult(_Holder):
     """Per-window plane coordinates: read-only float64 ``entropies`` and
     ``complexities`` aligned with the window start offsets."""
 
@@ -89,9 +87,6 @@ def rolling_quantifiers(series: TimeSeries, params: WindowParams,
     A constant window is not an error: the tie rule maps it to a single
     pattern, hence to the plane origin (0, 0).
     """
-    from .patterns import _encode_starts
-    from .quantifiers import _window_points
-
     per_window = config._admitted_windows(params.size, "window")
     starts = np.arange(window_count(len(series), params), dtype=np.int64) * params.step
     entropies, complexities = _window_points(_encode_starts(series.values, config),

@@ -17,8 +17,9 @@ is a ``NamedTuple``, and each one whose ``_check`` is wrapped by
 ``_replace``: ``_check`` raises or returns the record's values, converted
 where a field accepts several types, and those values are what the record
 holds.  Like any tuple, a record compares equal to a plain tuple of the
-same values.  A record that holds arrays is a plain ``__slots__`` class,
-which compares and hashes by identity.
+same values.  A record that holds arrays is a ``__slots__`` class, which
+compares and hashes by identity; as a ``_Holder``, its copies and pickles
+are rebuilt by its constructor, so they too hold checked read-only arrays.
 """
 
 from __future__ import annotations
@@ -122,6 +123,17 @@ def _checked(cls):
     cls.__new__ = __new__
     cls._make = classmethod(_make)
     return cls
+
+
+class _Holder:
+    """A record that holds arrays, whose ``__slots__`` list its
+    ``__init__`` parameters in order: ``copy.copy``, ``copy.deepcopy`` and
+    ``pickle`` rebuild it through ``__init__`` and its checks."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, s) for s in self.__slots__)
 
 
 def _check_hurst(hurst) -> None:

@@ -204,6 +204,9 @@ class TestValidation:
             BoundCurve(24, "lower", np.array([0.0, 1.0]), np.array([0.0, -0.1]))
         with pytest.raises(ValueError):
             BoundCurve(24, "middle", np.array([0.0, 1.0]), np.zeros(2))
+        with pytest.raises(ValueError, match="^entropy and complexity must be equal-length "
+                                             "1-d arrays$"):
+            BoundCurve(24, "lower", np.array([0.0, 1.0]), np.zeros(3))
 
     def test_small_m_curves_exist(self):
         lower = lower_bound_curve(2, 64)

@@ -136,14 +136,15 @@ class TestAnalyze:
         (["--bounds-resolution", "1"], "bounds_resolution must be an integer >= 2, got 1"),
         (["--fbm-hurst", "0.5,1.5"], "hurst must lie strictly inside (0, 1), got 1.5"),
         (["--assets", "a,b", "--baseline", "zz"], "baseline asset 'zz' not among results"),
+        (["--assets", "a,a"], "assets must be one or more distinct labels, got ('a', 'a')"),
         (["--plots", "bogus"],
          f"unknown plot kind 'bogus'; expected one of {cecplane.PLOT_KINDS}"),
         (["--plots", "all,cecp-scatter"],
          f"unknown plot kind 'all'; expected one of {cecplane.PLOT_KINDS}"),
         (["--window", "3", "--dim", "4"], "window of 3 samples admits no ordinal pattern at "
                                           "dim=4, delay=1 (needs at least 4)"),
-    ], ids=["seed", "sims", "bounds-resolution", "fbm-hurst", "baseline", "plots",
-            "plots-all-and-a-kind", "window-shorter-than-a-pattern"])
+    ], ids=["seed", "sims", "bounds-resolution", "fbm-hurst", "baseline", "repeated-assets",
+            "plots", "plots-all-and-a-kind", "window-shorter-than-a-pattern"])
     def test_bad_run_setting_fails_before_the_input_is_read(self, capsys, tmp_path,
                                                             option, message):
         """``RunConfig`` checks every setting, even one only fBm clouds use,
@@ -155,6 +156,17 @@ class TestAnalyze:
                                        "--out", str(tmp_path / "run"), *option])
         assert rc == 1
         assert json.loads(err) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("option,message", [
+        (["--assets", ","], "argument --assets: expected a comma-separated list"),
+        (["--fbm-hurst", "0.5,x"], "argument --fbm-hurst: could not convert string to float: 'x'"),
+    ], ids=["empty-list", "not-a-float"])
+    def test_bad_list_is_a_usage_error(self, capsys, tmp_path, option, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", str(tmp_path / "absent.csv"),
+                  "--out", str(tmp_path / "run"), *option])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"cecplane analyze: error: {message}\n")
 
     def test_outputs_and_listing(self, workspace, capsys):
         root, data, out = workspace

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import tempfile
 import warnings
@@ -307,6 +308,21 @@ class TestLoadErrors:
         p = write_lines(tmp_path / "d.csv", ["timestamp,btc", "0,1.0", "300,2.0"])
         with pytest.raises(ValueError, match="duplicate requested"):
             load_dataset(p, assets=["btc", "btc"])
+
+    def test_no_requested_columns(self, tmp_path):
+        """An empty selection is refused with the header's checks, before
+        any row is parsed."""
+        p = write_lines(tmp_path / "d.csv", ["timestamp,btc", "0,1.0", "300,2.0"])
+        with mock.patch.object(dataio, "_read_numeric",
+                               side_effect=AssertionError("the rows were parsed")):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: no columns requested$"):
+                load_dataset(p, assets=[])
+
+    def test_header_without_an_asset(self, tmp_path):
+        p = write_lines(tmp_path / "d.csv", ["timestamp", "0", "300"])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 1: header must name "
+                                             "a timestamp and at least one asset$"):
+            load_dataset(p)
 
     def test_cli_reports_one_json_line(self, tmp_path, capsys):
         p = write_lines(tmp_path / "d.csv",
@@ -927,6 +943,16 @@ class TestSyntheticDataset:
             make_synthetic_dataset(["x"], 1, seed=0)
 
 
+@pytest.mark.parametrize("series,message", [
+    ({}, "dataset contains no series"),
+    ({"a": TimeSeries([1.0, 2.0]), "b": TimeSeries([1.0])},
+     "series lengths differ: {'a': 2, 'b': 1}"),
+], ids=["empty", "unequal-lengths"])
+def test_dataset_checks_its_series(series, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(series)
+
+
 class TestLogReturns:
     def test_values_and_timestamps(self):
         prices = np.array([100.0, 110.0, 99.0])
@@ -1029,10 +1055,20 @@ class TestPipeline:
         ({"assets": ("AAA", "BBB"), "baseline": "CCC"}, "baseline asset 'CCC' not among results"),
         ({"fbm_hursts": (0.5, 1.0)}, r"hurst must lie strictly inside \(0, 1\), got 1\.0"),
         ({"fbm_hursts": (0.0,)}, r"hurst must lie strictly inside \(0, 1\), got 0\.0"),
-    ], ids=["baseline", "hurst-one", "hurst-zero"])
+        ({"assets": ("a", "a", "b")},
+         r"assets must be one or more distinct labels, got \('a', 'a', 'b'\)"),
+        ({"assets": ()}, r"assets must be one or more distinct labels, got \(\)"),
+    ], ids=["baseline", "hurst-one", "hurst-zero", "assets-repeated", "assets-empty"])
     def test_run_config_checks_what_needs_no_data(self, settings, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             RunConfig(**settings)
+
+    def test_run_config_stores_tuples_of_plain_values(self):
+        config = RunConfig(assets=["b", "a"], fbm_hursts=[np.float32(0.5), np.float64(0.7)])
+        assert config.assets == ("b", "a") and type(config.assets) is tuple
+        assert config.fbm_hursts == (0.5, 0.7) and type(config.fbm_hursts) is tuple
+        assert [type(h) for h in config.fbm_hursts] == [float, float]
+        assert config._replace(assets=["a"]).assets == ("a",)
 
     def test_explicit_baseline(self, small_dataset):
         bundle = run_pipeline(
@@ -1058,17 +1094,19 @@ class TestWriteBundle:
                          "fbm_clouds.csv", "manifest.json"}
 
     def test_numpy_scalar_config_writes_the_whole_tree(self, small_dataset, tmp_path):
-        """Numpy scalars in a config are stored as plain ints and a bool, so
-        the manifest serializes and the tree is the one plain values write."""
+        """Numpy scalars in a config are stored as plain ints, floats and a
+        bool, so the manifest serializes and the tree is the one plain values
+        write."""
         def tree(out, **settings):
-            config = RunConfig(window=WindowParams(360, 120), fbm_hursts=(0.6,), **settings)
+            config = RunConfig(window=WindowParams(360, 120), **settings)
             write_bundle(run_pipeline(config, small_dataset), out)
             return {p.name: p.read_bytes() for p in out.iterdir()}
 
         typed = tree(tmp_path / "typed", log_returns=np.bool_(True), seed=np.int64(7),
-                     bounds_resolution=np.int64(300), fbm_sims=np.int32(8))
+                     bounds_resolution=np.int64(300), fbm_sims=np.int32(8),
+                     fbm_hursts=(np.float32(0.5),))
         plain = tree(tmp_path / "plain", log_returns=True, seed=7,
-                     bounds_resolution=300, fbm_sims=8)
+                     bounds_resolution=300, fbm_sims=8, fbm_hursts=(0.5,))
         assert len(typed) == 8 and "manifest.json" in typed
         assert typed == plain
 

@@ -69,6 +69,11 @@ class TestPatternIndex:
         assert permutation_to_index((0, 1, 2, 3)) == 0
         assert permutation_to_index((3, 2, 1, 0)) == math.factorial(4) - 1
 
+    @pytest.mark.parametrize("index", [-1, 6])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match=f"^index {index} out of range for dim=3$"):
+            index_to_permutation(index, 3)
+
     @given(st.permutations(list(range(7))))
     def test_round_trip_random(self, perm):
         idx = permutation_to_index(perm)

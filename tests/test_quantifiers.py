@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -69,6 +70,15 @@ class TestShannonEntropy:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             shannon_entropy(np.full(4, 0.3))
+
+    @pytest.mark.parametrize("probs,message", [
+        ([[0.5, 0.5]], "probability vector must be one-dimensional, got shape (1, 2)"),
+        ([1.0], "probability vector needs at least two entries"),
+        ([0.5, math.nan], "probability vector contains non-finite entries"),
+    ], ids=["two-dimensional", "one-entry", "non-finite"])
+    def test_rejects_malformed_vector(self, probs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            shannon_entropy(probs)
 
 
 class TestNormalizedEntropy:

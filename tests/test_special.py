@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import pickle
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,8 +11,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cecplane import (BaselineCloud, CecpPoint, FbmSpec, OrdinalConfig, RollingResult,
-                      WindowParams, baseline_cloud, lower_bound_curve, upper_bound_curve)
+from cecplane import (BaselineCloud, CecpPoint, Dataset, FbmSpec, OrdinalConfig,
+                      PatternDistribution, RollingResult, TimeSeries, WindowParams,
+                      baseline_cloud, lower_bound_curve, upper_bound_curve)
 from cecplane._readback import _by_column, _by_row
 from cecplane.dataio import RunConfig
 from cecplane.special import f_sf, regularized_incomplete_beta, student_t_sf_two_sided
@@ -232,3 +236,47 @@ class TestStrideRule:
         assert rolled is (by_row is not None) is (not breaks)
         body = "".join(",".join(row) + "\n" for _, row in rows)
         assert _by_column(body, 5, [0, 1, 2, 3, 4]) == by_row
+
+
+def _holders():
+    """One of each array holder, built by its constructor."""
+    series = TimeSeries([3.0, 1.0, 2.0], [0.0, 300.0, 600.0])
+    return {
+        "TimeSeries": series,
+        "PatternDistribution": PatternDistribution(OrdinalConfig(3), [1, 0, 2, 0, 0, 1]),
+        "RollingResult": RollingResult("x", [0, 60], [0.5, 0.6], [0.1, 0.2], 357,
+                                       [359.0, 419.0]),
+        "BoundCurve": lower_bound_curve(6, 10),
+        "Dataset": Dataset({"a": series, "b": TimeSeries([1.0, 2.0, 4.0])}, {"a": 0, "b": 1},
+                           "time", "abc", Path("prices.csv")),
+    }
+
+
+def _opened(value, flags: list):
+    """``value`` with each array holder opened into its slots and each array
+    into its values; appends each array's ``writeable`` flag to ``flags``."""
+    if isinstance(value, np.ndarray):
+        flags.append(value.flags.writeable)
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _opened(v, flags) for k, v in value.items()}
+    if getattr(value, "__slots__", ()):
+        return type(value), {s: _opened(getattr(value, s), flags) for s in value.__slots__}
+    return value
+
+
+class TestHolderCopies:
+    """A copy or pickle of an array holder is rebuilt by its constructor, so
+    its arrays are read-only like the original's."""
+
+    WAYS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+            "pickle": lambda holder: pickle.loads(pickle.dumps(holder))}
+
+    @pytest.mark.parametrize("way", WAYS)
+    @pytest.mark.parametrize("name", sorted(_holders()))
+    def test_copy_keeps_type_values_and_read_only_arrays(self, name, way):
+        holder = _holders()[name]
+        flags, copied_flags = [], []
+        original = _opened(holder, flags)
+        assert _opened(self.WAYS[way](holder), copied_flags) == original
+        assert len(copied_flags) == len(flags) > 0 and not any(flags + copied_flags)

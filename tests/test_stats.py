@@ -509,39 +509,44 @@ class TestRecords:
     """The records that hold no arrays are NamedTuples, and each checked one
     checks its values whenever one is made."""
 
-    # name: (a valid record, a change that breaks it, the error it raises)
+    # name: (a valid record, (a change that breaks it, the error it raises), ...)
     CASES = {
         "AssetSummary": (AssetSummary("a", 0.5, 0.1, 0.0, 0.0, 5),
-                         {"mean_entropy": 1.2}, "mean_entropy must lie in"),
-        "RankingEntry": (RankingEntry("a", 0.1, 1.0), {"rank": 0.5}, "rank must be >= 1"),
+                         ({"mean_entropy": 1.2}, "mean_entropy must lie in")),
+        "RankingEntry": (RankingEntry("a", 0.1, 1.0), ({"rank": 0.5}, "rank must be >= 1"),
+                         ({"distance": -0.1}, "distance must be nonnegative")),
         "AnovaResult": (AnovaResult(1.0, 1.0, 2.0, 1, 4, 1.0, 1.0, 1.0, 0.5),
-                        {"p_value": 1.5}, "p-value 1.5 outside"),
-        "SpearmanResult": (SpearmanResult(0.5, 0.2, 5), {"n": 2}, "n must be >= 3"),
-        "OrdinalConfig": (OrdinalConfig(4, 1), {"dim": 13}, "dim must be <= 12"),
-        "WindowParams": (WindowParams(360, 60), {"step": 0}, "step must be an integer >= 1"),
-        "PatternId": (PatternId((0, 2, 1), 1), {"index": 2},
-                      r"index 2 does not match permutation \(0, 2, 1\)"),
-        "CecpPoint": (CecpPoint(0.9, 0.1), {"complexity": -0.5}, "complexity -0.5 negative"),
-        "FbmSpec": (FbmSpec(0.5, 10, 1), {"hurst": 1.5}, "hurst must lie strictly inside"),
+                        ({"p_value": 1.5}, "p-value 1.5 outside"),
+                        ({"f_stat": -1.0}, "F statistic must be nonnegative")),
+        "SpearmanResult": (SpearmanResult(0.5, 0.2, 5), ({"n": 2}, "n must be >= 3"),
+                           ({"rho": 1.5}, r"rho 1.5 outside \[-1, 1\]"),
+                           ({"p_value": -0.1}, r"p-value -0.1 outside \[0, 1\]")),
+        "OrdinalConfig": (OrdinalConfig(4, 1), ({"dim": 13}, "dim must be <= 12")),
+        "WindowParams": (WindowParams(360, 60), ({"step": 0}, "step must be an integer >= 1")),
+        "PatternId": (PatternId((0, 2, 1), 1), ({"index": 2},
+                      r"index 2 does not match permutation \(0, 2, 1\)")),
+        "CecpPoint": (CecpPoint(0.9, 0.1), ({"complexity": -0.5}, "complexity -0.5 negative")),
+        "FbmSpec": (FbmSpec(0.5, 10, 1), ({"hurst": 1.5}, "hurst must lie strictly inside")),
         "BaselineCloud": (BaselineCloud(0.5, CecpPoint(0.9, 0.1), 0.0, 0.0, 4),
-                          {"std_entropy": -0.1}, "standard deviations must be nonnegative"),
-        "RunConfig": (RunConfig(), {"window": WindowParams(3, 1)},
-                      "window of 3 samples admits no ordinal pattern at dim=4"),
+                          ({"std_entropy": -0.1}, "standard deviations must be nonnegative")),
+        "RunConfig": (RunConfig(), ({"window": WindowParams(3, 1)},
+                      "window of 3 samples admits no ordinal pattern at dim=4")),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_every_way_of_making_one_runs_the_checks(self, name):
-        record, change, message = self.CASES[name]
+        record, *breaks = self.CASES[name]
         kind = type(record)
-        values = {**record._asdict(), **change}
-        with pytest.raises(ValueError, match=message):
-            kind(**values)
-        with pytest.raises(ValueError, match=message):
-            kind(*values.values())
-        with pytest.raises(ValueError, match=message):
-            kind._make(values.values())
-        with pytest.raises(ValueError, match=message):
-            record._replace(**change)
+        for change, message in breaks:
+            values = {**record._asdict(), **change}
+            with pytest.raises(ValueError, match=message):
+                kind(**values)
+            with pytest.raises(ValueError, match=message):
+                kind(*values.values())
+            with pytest.raises(ValueError, match=message):
+                kind._make(values.values())
+            with pytest.raises(ValueError, match=message):
+                record._replace(**change)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_tuple_protocol(self, name):
