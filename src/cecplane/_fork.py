@@ -98,6 +98,7 @@ def _start(task: Callable[..., Iterable[np.ndarray]], share: tuple) -> tuple[int
         with open(write_fd, "wb") as out:
             for array in task(*share):
                 pickle.dump(np.ascontiguousarray(array), out, protocol=5)
+                del array  # sent: not held while the task makes the next
             pickle.dump(None, out)
     finally:
         os._exit(0)

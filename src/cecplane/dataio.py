@@ -15,9 +15,11 @@ loadtxt refuses any range, the row reader reads the file; it handles
 everything else: ISO-8601 timestamps, gaps for ``forward_fill``, cells only
 ``float`` accepts (``1_0``, non-ASCII digits), and every defect, which it
 reports with its line.  The input alone picks the path, and every path
-gives the same dataset bit for bit.  Loading holds at most this process's
-range as a table and the requested columns at once, and the file's sha256 is
-streamed in fixed blocks, never read whole.
+gives the same dataset bit for bit.  Each range's columns are copied out of
+its table, so loading holds one copy of the requested columns beside either
+this process's range as a table or one joined column, and the file's sha256
+is streamed in fixed blocks, never read whole.  Log returns are taken in one
+buffer per asset, the logs overwritten by their differences.
 
 Every CSV written back out is one ``_Table`` of ``_tables``, written by its
 ``_write``.  One function, ``_write_tree``, decides what an output tree
@@ -34,7 +36,7 @@ import json
 import math
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -227,14 +229,19 @@ def _read_numeric(path: Path, text, cuts: list[int], n_cols: int,
     The split is ``_fork``'s: ``_fork._map`` parses the first range (the
     file past its header up to the first cut, read from ``text``) in this
     process and each range from one cut to the next in a forked child, or
-    here if the child cannot be started or fails.  Each column is joined
-    from its ranges' parts in turn, and each part is dropped once joined, so
-    the peak is this process's range as a table beside the columns."""
+    here if the child cannot be started or fails.  A range's columns are
+    copied out of its table one at a time, so this process frees its table
+    before any child's columns arrive, and a child holds its table beside
+    one column.  Each column is then joined from its ranges' parts in turn,
+    and each part is dropped once joined, so the peak is the larger of this
+    process's table beside its own columns and every column's parts beside
+    one joined column: no table is ever held beside another range's
+    columns."""
     def columns(start: int, stop: int | None):
         """The used columns of bytes ``[start, stop)``, none if refused."""
         with (contextlib.nullcontext(text) if start == 0 else _decoded(path, start, stop)) as rows:
             table = _parse(rows, n_cols, used)
-        return () if table is None else (table[:, j] for j in used)
+        return () if table is None else (table[:, j].copy() for j in used)
 
     parts = _map(columns, list(zip([0, *cuts], [*cuts, None])))
     if not all(parts):
@@ -276,9 +283,19 @@ def _read_rows(path: Path, col_idx: dict[str, int], forward_fill: bool):
             {a: np.asarray(v) for a, v in values.items()}, fill_counts)
 
 
+def _values(value, name: str) -> tuple:
+    """The values of the collection ``value`` as a tuple; a string or a
+    scalar is refused, so that ``"ab"`` is not read as ``("a", "b")``."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise ValueError(f"{name} must be a collection of values, got {value!r}")
+    return tuple(value)
+
+
 def load_dataset(path, assets: Sequence[str] | None = None,
                  forward_fill: bool = False) -> Dataset:
-    """Read a headed CSV into per-asset TimeSeries on a shared time grid.
+    """Read a headed CSV into per-asset TimeSeries on a shared time grid:
+    the columns ``assets`` names (a collection of labels, not one string),
+    or every column.
 
     Timestamps must be strictly increasing and evenly spaced; the first row
     that breaks the grid is an error naming its line.  A missing or
@@ -308,6 +325,7 @@ def load_dataset(path, assets: Sequence[str] | None = None,
     the rules of every CSV input.  ``Dataset.digest`` is the sha256 of the
     file, streamed a block at a time.
     """
+    selected = None if assets is None else list(_values(assets, "assets"))
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such dataset file: {path}")
@@ -316,7 +334,7 @@ def load_dataset(path, assets: Sequence[str] | None = None,
         if len(header) < 2:
             raise _located(path, 1, None, "header must name a timestamp and at least one asset")
         ts_label, *columns = header
-        selected = list(columns) if assets is None else list(assets)
+        selected = list(columns) if selected is None else selected
         if not selected:
             raise ValueError(f"{path}: no columns requested")
         if len(set(selected)) != len(selected):
@@ -401,7 +419,10 @@ def log_return_series(series: TimeSeries) -> TimeSeries:
     bad = _nonpositive(series)
     if bad is not None:
         raise ValueError(f"log returns need positive values; offender at position {bad}")
-    values = np.diff(np.log(series.values))
+    # One buffer: each difference overwrites a log that no later one reads,
+    # the same bits as ``np.diff(np.log(...))`` without a second array.
+    logs = np.log(series.values)
+    values = np.subtract(logs[1:], logs[:-1], out=logs[:-1])
     ts = None if series.timestamps is None else series.timestamps[1:]
     return _on_grid(values, ts)
 
@@ -411,7 +432,8 @@ class RunConfig(NamedTuple):
     """Everything a full analysis run depends on, manifest-recordable: the
     counts are checked and stored as ``int``, ``log_returns`` as ``bool``,
     ``assets`` (if given: not empty, no label twice) as a tuple and
-    ``fbm_hursts`` as a tuple of ``float``.  Every setting that can be
+    ``fbm_hursts`` as a tuple of ``float``; either given as a string or a
+    scalar is refused.  Every setting that can be
     checked without the data is checked here, before any input is read:
     each Hurst exponent, the window against the embedding, the selection,
     and the baseline when ``assets`` names the columns."""
@@ -431,16 +453,17 @@ class RunConfig(NamedTuple):
                                   in (("bounds_resolution", 2), ("fbm_sims", 1), ("seed", 0)))
         if not isinstance(self.log_returns, (bool, np.bool_)):
             raise ValueError(f"log_returns must be a bool, got {self.log_returns!r}")
-        for hurst in self.fbm_hursts:
-            _check_hurst(hurst)
+        hursts = _values(self.fbm_hursts, "fbm_hursts")
+        for hurst in hursts:
+            _check_hurst(hurst, "each of fbm_hursts")
         self.ordinal._admitted_windows(self.window.size, "window")
-        assets = None if self.assets is None else tuple(self.assets)
+        assets = None if self.assets is None else _values(self.assets, "assets")
         if assets is not None and (not assets or len(set(assets)) < len(assets)):
             raise ValueError(f"assets must be one or more distinct labels, got {assets!r}")
         if self.baseline is not None and assets is not None:
             _check_baseline(self.baseline, assets)
         return (*self[:2], assets, bool(self.log_returns), self.baseline, resolution,
-                tuple(map(float, self.fbm_hursts)), sims, seed)
+                tuple(map(float, hursts)), sims, seed)
 
     def as_dict(self) -> dict:
         return {

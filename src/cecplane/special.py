@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 
 __all__ = [
@@ -136,9 +137,11 @@ class _Holder:
         return type(self), tuple(getattr(self, s) for s in self.__slots__)
 
 
-def _check_hurst(hurst) -> None:
-    """Raise unless ``hurst`` lies strictly inside (0, 1), where fGn and fBm
-    are defined."""
+def _check_hurst(hurst, name: str = "hurst") -> None:
+    """Raise unless ``hurst`` is a real number strictly inside (0, 1), where
+    fGn and fBm are defined; an error for any other type names ``name``."""
+    if not isinstance(hurst, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {hurst!r}")
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie strictly inside (0, 1), got {hurst!r}")
 

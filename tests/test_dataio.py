@@ -318,6 +318,15 @@ class TestLoadErrors:
             with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: no columns requested$"):
                 load_dataset(p, assets=[])
 
+    def test_string_selection_is_refused(self, tmp_path):
+        """A single label passed as a string is refused, not read as its
+        characters, before the file is opened."""
+        p = write_lines(tmp_path / "d.csv", ["timestamp,a,b,ab", "0,1,2,3", "300,2,3,4"])
+        message = "^assets must be a collection of values, got 'ab'$"
+        with mock.patch.object(dataio, "_cuts", side_effect=AssertionError("the file was read")):
+            with pytest.raises(ValueError, match=message):
+                load_dataset(p, assets="ab")
+
     def test_header_without_an_asset(self, tmp_path):
         p = write_lines(tmp_path / "d.csv", ["timestamp", "0", "300"])
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 1: header must name "
@@ -1058,7 +1067,13 @@ class TestPipeline:
         ({"assets": ("a", "a", "b")},
          r"assets must be one or more distinct labels, got \('a', 'a', 'b'\)"),
         ({"assets": ()}, r"assets must be one or more distinct labels, got \(\)"),
-    ], ids=["baseline", "hurst-one", "hurst-zero", "assets-repeated", "assets-empty"])
+        ({"assets": "ab"}, r"assets must be a collection of values, got 'ab'"),
+        ({"fbm_hursts": ("0.5",)}, r"each of fbm_hursts must be a real number, got '0\.5'"),
+        ({"fbm_hursts": (0.5, None)}, r"each of fbm_hursts must be a real number, got None"),
+        ({"fbm_hursts": 0.5}, r"fbm_hursts must be a collection of values, got 0\.5"),
+        ({"fbm_hursts": "0.5"}, r"fbm_hursts must be a collection of values, got '0\.5'"),
+    ], ids=["baseline", "hurst-one", "hurst-zero", "assets-repeated", "assets-empty",
+            "assets-string", "hurst-string", "hurst-none", "hursts-scalar", "hursts-string"])
     def test_run_config_checks_what_needs_no_data(self, settings, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             RunConfig(**settings)
@@ -1069,6 +1084,7 @@ class TestPipeline:
         assert config.fbm_hursts == (0.5, 0.7) and type(config.fbm_hursts) is tuple
         assert [type(h) for h in config.fbm_hursts] == [float, float]
         assert config._replace(assets=["a"]).assets == ("a",)
+        assert RunConfig(fbm_hursts=(h for h in (0.5, 0.7))).fbm_hursts == (0.5, 0.7)
 
     def test_explicit_baseline(self, small_dataset):
         bundle = run_pipeline(

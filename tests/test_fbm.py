@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import warnings
 from unittest import mock
 
@@ -56,6 +57,14 @@ class TestAutocovariance:
         for h in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 fgn_autocovariance(h, [0, 1])
+
+    @pytest.mark.parametrize("hurst", ["0.5", None, 0.5j], ids=["string", "none", "complex"])
+    def test_hurst_that_is_no_real_number(self, hurst):
+        message = f"^hurst must be a real number, got {re.escape(repr(hurst))}$"
+        with pytest.raises(ValueError, match=message):
+            FbmSpec(hurst, 10, 1)
+        with pytest.raises(ValueError, match="^hurst must be a real number"):
+            fgn_autocovariance(hurst, [0, 1])
 
 
 class TestGeneration:

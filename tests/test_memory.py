@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from cecplane import (OrdinalConfig, RunConfig, TimeSeries, WindowParams, baseline_cloud,
-                      load_dataset, make_synthetic_dataset, rolling_quantifiers, run_pipeline)
+                      load_dataset, log_return_series, make_synthetic_dataset,
+                      rolling_quantifiers, run_pipeline)
 from cecplane import _fork, _tables, dataio, fbm
 from cecplane._tables import _BLOCK
 from cecplane.dataio import (_HASH_BLOCK, _plot_kinds, _sha256_file, _windows_table,
@@ -190,18 +191,23 @@ def numeric_csv(tmp_path_factory):
 class TestLoadMemory:
     @pytest.mark.parametrize("cpus", [1, 2], ids=["one-range", "two-ranges"])
     def test_peak_is_table_plus_columns(self, numeric_csv, cpus):
-        """The loadtxt table (2.0 MB) and the five used columns (2.0 MB) are
-        the peak; the file (4.3 MB) is hashed a block at a time after the
-        table is gone.  Measured with one range: the two arrays plus 32 KB.
+        """The file (4.3 MB) is hashed a block at a time after every table
+        is gone.  With one range, the loadtxt table (2.0 MB) and the five
+        used columns (2.0 MB) are the peak: measured at the two arrays plus
+        32 KB, and the bound allows 64 KB over them.  Checking
+        ``np.isfinite(table[:, used])`` in one call measured 274 KB over
+        them (a copy of the used columns beside the table, and its bool
+        mask); reading the whole file to hash it measured 2.35 MB over, the
+        file beside the columns.
+
         With two, this process parses half the file while a child parses
-        the other and sends its columns, each joined to this process's part
-        in turn: half the table plus the columns plus 232 KB (the child's
-        last column, 200 KB, beside its join), 768 KB under the two arrays.
-        The bound allows 64 KB over the two arrays.  Checking
-        ``np.isfinite(table[:, used])`` in one call measured 274 KB over them
-        (a copy of the used columns beside the table, and its bool mask);
-        reading the whole file to hash it measured 2.35 MB over, the file
-        beside the columns."""
+        the other, and each range's columns are copied out of its table, so
+        this process's half table is freed before the child's columns
+        arrive.  Each column is then joined from its two parts in turn: the
+        peak, 1.26 columns, is every part beside one joined column (0.4 MB)
+        and the child's last pickle.  The bound, 1.4 columns, leaves 10%.
+        Keeping the parts as views of the half table, which holds it until
+        the last column is joined, measured 1.62 columns."""
         path, rows = numeric_csv
         with mock.patch.object(_fork, "_cpus", return_value=cpus):
             assert len(dataio._cuts(path)) == cpus - 1
@@ -211,6 +217,23 @@ class TestLoadMemory:
         columns = rows * 5 * 8
         assert peak < table + columns + 64 * 1024
         assert peak < path.stat().st_size + table
+        if cpus == 2:
+            assert peak < 1.4 * columns
+
+
+class TestLogReturnMemory:
+    def test_peak_is_one_series_of_logs(self):
+        """250,000 positive values: the logs are taken into one buffer and
+        each difference overwrites a log that no later one reads, so the
+        peak is that buffer plus the positivity and finiteness masks, 1.13
+        series copies.  The bound, 1.5 copies, leaves 25%.
+        ``np.diff(np.log(values))``, the logs beside their differences,
+        measured 2.00."""
+        series = TimeSeries(np.random.default_rng(9).lognormal(size=250_000))
+        returns = log_return_series(series)  # numpy's one-time set-up
+        peak = traced_peak(log_return_series, series)
+        assert peak < 1.5 * series.values.nbytes
+        assert returns.values.tobytes() == np.diff(np.log(series.values)).tobytes()
 
 
 class TestWriteMemory:
