@@ -205,7 +205,7 @@ class TestLoadMemory:
         this process's half table is freed before the child's columns
         arrive.  Each column is then joined from its two parts in turn: the
         peak, 1.26 columns, is every part beside one joined column (0.4 MB)
-        and the child's last pickle.  The bound, 1.4 columns, leaves 10%.
+        plus 120 KB.  The bound, 1.4 columns, leaves 10%.
         Keeping the parts as views of the half table, which holds it until
         the last column is joined, measured 1.62 columns."""
         path, rows = numeric_csv
