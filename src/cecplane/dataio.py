@@ -232,8 +232,9 @@ def _read_numeric(path: Path, text, cuts: list[int], n_cols: int,
     here if the child cannot be started or fails.  A range's columns are
     copied out of its table one at a time, so this process frees its table
     before any child's columns arrive, and a child holds its table beside
-    one column.  Each column is then joined from its ranges' parts in turn,
-    and each part is dropped once joined, so the peak is the larger of this
+    one column.  One range's columns are returned as they are; from two
+    ranges on, each column is joined from its ranges' parts in turn, and
+    each part is dropped once joined, so the peak is the larger of this
     process's table beside its own columns and every column's parts beside
     one joined column: no table is ever held beside another range's
     columns."""
@@ -246,6 +247,8 @@ def _read_numeric(path: Path, text, cuts: list[int], n_cols: int,
     parts = _map(columns, list(zip([0, *cuts], [*cuts, None])))
     if not all(parts):
         return None
+    if len(parts) == 1:
+        return parts[0]
     return [np.concatenate([part.pop(0) for part in parts]) for _ in used]
 
 
@@ -285,17 +288,36 @@ def _read_rows(path: Path, col_idx: dict[str, int], forward_fill: bool):
 
 def _values(value, name: str) -> tuple:
     """The values of the collection ``value`` as a tuple; a string or a
-    scalar is refused, so that ``"ab"`` is not read as ``("a", "b")``."""
+    scalar is refused, so that ``"ab"`` is not read as ``("a", "b")``.
+    The rule of ``fbm_hursts``, and the first half of ``_labels``."""
     if isinstance(value, str) or not isinstance(value, Iterable):
         raise ValueError(f"{name} must be a collection of values, got {value!r}")
     return tuple(value)
 
 
+def _labels(value, name: str) -> tuple:
+    """``_values(value, name)``, refused unless it holds one or more
+    distinct labels: the rule of every asset selection."""
+    labels = _values(value, name)
+    if not labels or len(set(labels)) < len(labels):
+        raise ValueError(f"{name} must be one or more distinct labels, got {labels!r}")
+    return labels
+
+
+def _flag(value, name: str) -> bool:
+    """``value``, a ``bool`` or a numpy bool, as a ``bool``: the rule of
+    every on/off argument."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def load_dataset(path, assets: Sequence[str] | None = None,
                  forward_fill: bool = False) -> Dataset:
     """Read a headed CSV into per-asset TimeSeries on a shared time grid:
-    the columns ``assets`` names (a collection of labels, not one string),
-    or every column.
+    the columns ``assets`` names (a collection of one or more distinct
+    labels, not one string), or every column.  The selection and
+    ``forward_fill`` (a ``bool``) are checked before the file is opened.
 
     Timestamps must be strictly increasing and evenly spaced; the first row
     that breaks the grid is an error naming its line.  A missing or
@@ -325,7 +347,8 @@ def load_dataset(path, assets: Sequence[str] | None = None,
     the rules of every CSV input.  ``Dataset.digest`` is the sha256 of the
     file, streamed a block at a time.
     """
-    selected = None if assets is None else list(_values(assets, "assets"))
+    selected = None if assets is None else _labels(assets, "assets")
+    forward_fill = _flag(forward_fill, "forward_fill")
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such dataset file: {path}")
@@ -334,11 +357,7 @@ def load_dataset(path, assets: Sequence[str] | None = None,
         if len(header) < 2:
             raise _located(path, 1, None, "header must name a timestamp and at least one asset")
         ts_label, *columns = header
-        selected = list(columns) if selected is None else selected
-        if not selected:
-            raise ValueError(f"{path}: no columns requested")
-        if len(set(selected)) != len(selected):
-            raise ValueError(f"{path}: duplicate requested columns: {selected}")
+        selected = columns if selected is None else selected
         missing = [a for a in selected if a not in columns]
         if missing:
             raise ValueError(f"{path}: requested columns not in header: {missing}")
@@ -384,20 +403,18 @@ def make_synthetic_dataset(assets: Sequence[str], length: int, seed: int,
     persistence varies by asset index, so assets genuinely differ in pattern
     structure (and hence in efficiency rank).  Per-asset streams derive from
     ``(seed, asset index)``, making the fixture independent of generation
-    order.
+    order.  ``assets`` follows the selection rule of ``load_dataset``.
     """
-    if length < 2:
-        raise ValueError("length must be >= 2")
-    labels = list(assets)
-    if len(set(labels)) != len(labels):
-        raise ValueError("asset labels must be distinct")
+    labels = _labels(assets, "assets")
+    length, seed = _integer(length, "length", 2), _integer(seed, "seed", 0)
+    spacing = _integer(spacing, "spacing", 1)
     ts = np.arange(length, dtype=np.float64) * spacing
     series: dict[str, TimeSeries] = {}
     for i, label in enumerate(labels):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         eps = rng.standard_normal(length)
         # persistence spread over [-0.3, 0.6): distinct plane positions per asset
-        phi = -0.3 + 0.9 * (i / max(len(labels), 1))
+        phi = -0.3 + 0.9 * (i / len(labels))
         returns = np.empty(length)
         returns[0] = eps[0]
         for t in range(1, length):
@@ -451,18 +468,15 @@ class RunConfig(NamedTuple):
     def _check(self):
         resolution, sims, seed = (_integer(getattr(self, name), name, minimum) for name, minimum
                                   in (("bounds_resolution", 2), ("fbm_sims", 1), ("seed", 0)))
-        if not isinstance(self.log_returns, (bool, np.bool_)):
-            raise ValueError(f"log_returns must be a bool, got {self.log_returns!r}")
+        log_returns = _flag(self.log_returns, "log_returns")
         hursts = _values(self.fbm_hursts, "fbm_hursts")
         for hurst in hursts:
             _check_hurst(hurst, "each of fbm_hursts")
         self.ordinal._admitted_windows(self.window.size, "window")
-        assets = None if self.assets is None else _values(self.assets, "assets")
-        if assets is not None and (not assets or len(set(assets)) < len(assets)):
-            raise ValueError(f"assets must be one or more distinct labels, got {assets!r}")
+        assets = None if self.assets is None else _labels(self.assets, "assets")
         if self.baseline is not None and assets is not None:
             _check_baseline(self.baseline, assets)
-        return (*self[:2], assets, bool(self.log_returns), self.baseline, resolution,
+        return (*self[:2], assets, log_returns, self.baseline, resolution,
                 tuple(map(float, hursts)), sims, seed)
 
     def as_dict(self) -> dict:

@@ -27,9 +27,9 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from . import _EXPORTS
-from .patterns import (OrdinalConfig, PatternDistribution, TimeSeries, _window_counts,
-                       extract_pattern_distribution)
-from .special import _checked, _off_plane
+from .patterns import (OrdinalConfig, PatternDistribution, TimeSeries, _as_float_array,
+                       _window_counts, extract_pattern_distribution)
+from .special import _checked, _integer, _off_plane
 
 __all__ = [*_EXPORTS["quantifiers"]]
 
@@ -42,13 +42,9 @@ _SUM_ATOL = 1e-8
 def _validate_probs(probs: ProbsLike) -> np.ndarray:
     if isinstance(probs, PatternDistribution):
         return probs.probabilities
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"probability vector must be one-dimensional, got shape {arr.shape}")
+    arr = _as_float_array(probs, "probability vector")
     if arr.size < 2:
         raise ValueError("probability vector needs at least two entries")
-    if not np.isfinite(arr).all():
-        raise ValueError("probability vector contains non-finite entries")
     if (arr < 0).any():
         raise ValueError("probability vector contains negative entries")
     total = math.fsum(arr.tolist())
@@ -68,8 +64,7 @@ def q0_constant(m: int) -> float:
 
     ``q0_constant`` returns the reciprocal of that value.
     """
-    if m < 2:
-        raise ValueError(f"need at least two symbols, got m={m}")
+    m = _integer(m, "m", 2)
     peak = (m + 1) / m * math.log(m + 1) - 2.0 * math.log(2 * m) + math.log(m)
     return -2.0 / peak
 

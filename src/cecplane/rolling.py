@@ -73,6 +73,7 @@ class RollingResult(_Holder):
 
 def window_count(series_len: int, params: WindowParams) -> int:
     """Number of full windows: ``(series_len - size) // step + 1``."""
+    series_len = _integer(series_len, "series_len", 0)
     if series_len < params.size:
         raise ValueError(
             f"series of length {series_len} shorter than one window of {params.size}"

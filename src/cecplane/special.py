@@ -4,14 +4,20 @@ Only the regularized incomplete beta function is needed — both the F and
 Student-t tail probabilities reduce to it — so it is implemented here
 directly (continued-fraction evaluation with a ``lgamma`` prefactor) instead
 of pulling in a scientific stack at runtime.  The test suite cross-checks
-these routines against independent high-precision oracles.  The plane
-rule shared by ``CecpPoint`` and the ``windows.csv`` reader lives here too,
-and so do the stride rule of window starts, shared by ``RollingResult`` and
-both ways of reading ``windows.csv`` (``_stride_break``), the integer rule
-of every count-like argument and the Hurst exponent rule shared by
-``RunConfig`` and ``fbm``.
+these routines against independent high-precision oracles.  The rules
+that several public entries share live here too: ``_off_plane``, the plane
+rule of ``CecpPoint`` and the ``windows.csv`` reader; ``_stride_break``,
+the stride rule of window starts, of ``RollingResult`` and both ways of
+reading ``windows.csv``; ``_integer``, the rule of every count-like
+argument; and ``_check_hurst``, the Hurst exponent rule of ``RunConfig`` and
+``fbm``.  This module loads no numpy, so the rules that accept numpy types
+or make arrays live beside their callers: in ``dataio``, ``_values`` (a
+collection, never a string or a scalar), ``_labels`` (an asset selection:
+one or more distinct labels) and ``_flag`` (a ``bool`` or a numpy bool); in
+``patterns``, ``_as_float_array``, the rule of every float vector, series
+and probability vectors alike.
 
-So does the one record rule, ``_checked``.  A record that holds no arrays
+The one record rule, ``_checked``, lives here too.  A record that holds no arrays
 is a ``NamedTuple``, and each one whose ``_check`` is wrapped by
 ``_checked`` is checked when it is made, whether by a call, ``_make`` or
 ``_replace``: ``_check`` raises or returns the record's values, converted

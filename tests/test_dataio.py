@@ -305,17 +305,20 @@ class TestLoadErrors:
 
 
     def test_duplicate_requested_columns(self, tmp_path):
+        """A repeated label is refused before the file is opened."""
         p = write_lines(tmp_path / "d.csv", ["timestamp,btc", "0,1.0", "300,2.0"])
-        with pytest.raises(ValueError, match="duplicate requested"):
-            load_dataset(p, assets=["btc", "btc"])
+        message = r"^assets must be one or more distinct labels, got \('btc', 'btc'\)$"
+        with mock.patch.object(dataio, "_cuts", side_effect=AssertionError("the file was read")):
+            with pytest.raises(ValueError, match=message):
+                load_dataset(p, assets=["btc", "btc"])
 
     def test_no_requested_columns(self, tmp_path):
-        """An empty selection is refused with the header's checks, before
-        any row is parsed."""
+        """An empty selection is refused before any row is parsed."""
         p = write_lines(tmp_path / "d.csv", ["timestamp,btc", "0,1.0", "300,2.0"])
         with mock.patch.object(dataio, "_read_numeric",
                                side_effect=AssertionError("the rows were parsed")):
-            with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: no columns requested$"):
+            with pytest.raises(ValueError,
+                               match=r"^assets must be one or more distinct labels, got \(\)$"):
                 load_dataset(p, assets=[])
 
     def test_string_selection_is_refused(self, tmp_path):
@@ -950,6 +953,17 @@ class TestSyntheticDataset:
             make_synthetic_dataset(["x", "x"], 100, seed=0)
         with pytest.raises(ValueError):
             make_synthetic_dataset(["x"], 1, seed=0)
+
+    @pytest.mark.parametrize("assets,message", [
+        ("ab", "assets must be a collection of values, got 'ab'"),
+        ([], "assets must be one or more distinct labels, got ()"),
+        (["x", "x"], "assets must be one or more distinct labels, got ('x', 'x')"),
+    ], ids=["string", "empty", "repeated"])
+    def test_selection_rule(self, assets, message):
+        """The selection rule of ``RunConfig`` and ``load_dataset``: a
+        string is not read as its characters."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_synthetic_dataset(assets, 10, seed=1)
 
 
 @pytest.mark.parametrize("series,message", [

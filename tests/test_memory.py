@@ -220,6 +220,17 @@ class TestLoadMemory:
         if cpus == 2:
             assert peak < 1.4 * columns
 
+    @pytest.mark.parametrize("cpus,joins", [(1, 0), (2, 5)], ids=["one-range", "two-ranges"])
+    def test_only_ranges_are_joined(self, numeric_csv, cpus, joins):
+        """Each used column is joined from its ranges' parts; one range's
+        columns are returned as parsed, since joining a single part would
+        copy every column a second time."""
+        path, _ = numeric_csv
+        with mock.patch.object(_fork, "_cpus", return_value=cpus), \
+                mock.patch.object(dataio.np, "concatenate", wraps=np.concatenate) as join:
+            load_dataset(path)
+        assert join.call_count == joins
+
 
 class TestLogReturnMemory:
     def test_peak_is_one_series_of_logs(self):

@@ -74,7 +74,7 @@ class TestShannonEntropy:
     @pytest.mark.parametrize("probs,message", [
         ([[0.5, 0.5]], "probability vector must be one-dimensional, got shape (1, 2)"),
         ([1.0], "probability vector needs at least two entries"),
-        ([0.5, math.nan], "probability vector contains non-finite entries"),
+        ([0.5, math.nan], "probability vector contains a non-finite value at position 1"),
     ], ids=["two-dimensional", "one-entry", "non-finite"])
     def test_rejects_malformed_vector(self, probs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from cecplane import (BaselineCloud, CecpPoint, Dataset, FbmSpec, OrdinalConfig,
                       PatternDistribution, RollingResult, TimeSeries, WindowParams,
-                      baseline_cloud, lower_bound_curve, upper_bound_curve)
+                      baseline_cloud, load_dataset, lower_bound_curve, make_synthetic_dataset,
+                      q0_constant, upper_bound_curve, window_count)
 from cecplane._readback import _by_column, _by_row
 from cecplane.dataio import RunConfig
 from cecplane.special import f_sf, regularized_incomplete_beta, student_t_sf_two_sided
@@ -172,18 +173,37 @@ class TestIntegerRule:
         (lambda: RunConfig(bounds_resolution=300.0), "bounds_resolution", 2),
         (lambda: RunConfig(fbm_sims=8.0), "fbm_sims", 1),
         (lambda: RunConfig(seed=7.0), "seed", 0),
+        pytest.param(lambda: make_synthetic_dataset(["a"], 2.5, seed=1), "length", 2,
+                     id="make_synthetic_dataset-length-2"),
+        pytest.param(lambda: make_synthetic_dataset(["a"], 10, seed=1.5), "seed", 0,
+                     id="make_synthetic_dataset-seed-0-fraction"),
+        pytest.param(lambda: make_synthetic_dataset(["a"], 10, seed=-1), "seed", 0,
+                     id="make_synthetic_dataset-seed-0-negative"),
+        pytest.param(lambda: make_synthetic_dataset(["a"], 10, seed=1, spacing=0), "spacing", 1,
+                     id="make_synthetic_dataset-spacing-1"),
+        pytest.param(lambda: q0_constant(2.5), "m", 2, id="q0_constant-m-2"),
+        pytest.param(lambda: window_count(16031.5, WindowParams()), "series_len", 0,
+                     id="window_count-series_len-0"),
     ])
     def test_non_integer_is_named(self, call, name, minimum):
         rule = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
         with pytest.raises(ValueError, match=rf"^{name} must be {rule}, got "):
             call()
 
-    def test_run_config_flag_is_a_bool(self):
-        for value in (1, "yes"):
-            with pytest.raises(ValueError, match=rf"^log_returns must be a bool, got {value!r}$"):
-                RunConfig(log_returns=value)
+    def test_run_config_flag_is_a_bool(self, tmp_path):
+        """Both flags, ``RunConfig.log_returns`` and ``load_dataset``'s
+        ``forward_fill``, take a ``bool`` or a numpy bool and nothing else:
+        ``"no"`` would fill the gap below as truthy."""
+        path = tmp_path / "d.csv"
+        path.write_text("timestamp,a\n0,1\n300,\n600,3\n")
+        for value in (1, "yes", "no"):
+            for name, call in (("log_returns", lambda: RunConfig(log_returns=value)),
+                               ("forward_fill", lambda: load_dataset(path, forward_fill=value))):
+                with pytest.raises(ValueError, match=rf"^{name} must be a bool, got {value!r}$"):
+                    call()
         flag = RunConfig(log_returns=np.bool_(True)).log_returns
         assert type(flag) is bool and flag
+        assert load_dataset(path, forward_fill=np.bool_(True)).fill_counts == {"a": 1}
 
     def test_below_minimum_keeps_the_message(self):
         with pytest.raises(ValueError, match=r"^delay must be an integer >= 1, got 0$"):
