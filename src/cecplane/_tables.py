@@ -111,7 +111,7 @@ def _write(table: _Table, path) -> None:
     rows = zip(*text.columns)
     block = [text.header, *islice(rows, _BLOCK - 1)]
     commas = len(text.header) - 1
-    with (open(path, "w", newline="") if path is not None
+    with (open(path, "w", encoding="utf-8", newline="") if path is not None
           else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         while block:

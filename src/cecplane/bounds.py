@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .quantifiers import CecpPoint, q0_constant
-from .special import _Holder, _integer
+from .special import _check_point, _Holder, _integer
 
 __all__ = [*_EXPORTS["bounds"]]
 
@@ -56,7 +56,8 @@ class BoundCurve(_Holder):
             raise ValueError("complexity values must be nonnegative")
         h.flags.writeable = False
         c.flags.writeable = False
-        self.states, self.kind, self.entropy, self.complexity = states, kind, h, c
+        self.states, self.kind = _integer(states, "states", 2), kind
+        self.entropy, self.complexity = h, c
 
     def complexity_at(self, h: float | np.ndarray) -> float | np.ndarray:
         """Piecewise-linear interpolation of C at entropy ``h``."""
@@ -187,8 +188,7 @@ def within_bounds(point: CecpPoint, lower: BoundCurve, upper: BoundCurve,
         )
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    if not 0.0 <= point.entropy <= 1.0:
-        raise ValueError(f"entropy {point.entropy} outside [0, 1]")
+    _check_point(point.entropy, point.complexity)
     c_lo = float(lower.complexity_at(point.entropy))
     c_hi = float(upper.complexity_at(point.entropy))
     return c_lo - tol <= point.complexity <= c_hi + tol

@@ -36,7 +36,7 @@ import json
 import math
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from ._tables import (_bounds_table, _clouds_table, _decoded, _located, _pairwis
 from .bounds import BoundCurve, lower_bound_curve, upper_bound_curve
 from .patterns import OrdinalConfig, TimeSeries, _grid_violation, _on_grid
 from .rolling import RollingResult, WindowParams, rolling_quantifiers
-from .special import _check_hurst, _checked, _Holder, _integer
+from .special import _check_hurst, _checked, _Holder, _integer, _labels, _values
 from .stats import (
     AnovaResult,
     AssetSummary,
@@ -284,24 +284,6 @@ def _read_rows(path: Path, col_idx: dict[str, int], forward_fill: bool):
         raise ValueError(f"{path}: no data rows")
     return (np.asarray(timestamps),
             {a: np.asarray(v) for a, v in values.items()}, fill_counts)
-
-
-def _values(value, name: str) -> tuple:
-    """The values of the collection ``value`` as a tuple; a string or a
-    scalar is refused, so that ``"ab"`` is not read as ``("a", "b")``.
-    The rule of ``fbm_hursts``, and the first half of ``_labels``."""
-    if isinstance(value, str) or not isinstance(value, Iterable):
-        raise ValueError(f"{name} must be a collection of values, got {value!r}")
-    return tuple(value)
-
-
-def _labels(value, name: str) -> tuple:
-    """``_values(value, name)``, refused unless it holds one or more
-    distinct labels: the rule of every asset selection."""
-    labels = _values(value, name)
-    if not labels or len(set(labels)) < len(labels):
-        raise ValueError(f"{name} must be one or more distinct labels, got {labels!r}")
-    return labels
 
 
 def _flag(value, name: str) -> bool:

@@ -205,11 +205,10 @@ class PatternId(NamedTuple):
         d = len(self.permutation)
         if sorted(self.permutation) != list(range(d)):
             raise ValueError(f"{self.permutation} is not a permutation of 0..{d - 1}")
-        if self.index != permutation_to_index(self.permutation):
-            raise ValueError(
-                f"index {self.index} does not match permutation {self.permutation}"
-            )
-        return self
+        index = _integer(self.index, "index", 0)
+        if index != permutation_to_index(self.permutation):
+            raise ValueError(f"index {index} does not match permutation {self.permutation}")
+        return self.permutation, index
 
     @classmethod
     def from_index(cls, index: int, dim: int) -> "PatternId":

@@ -29,7 +29,7 @@ import numpy as np
 from . import _EXPORTS
 from .patterns import (OrdinalConfig, PatternDistribution, TimeSeries, _as_float_array,
                        _window_counts, extract_pattern_distribution)
-from .special import _checked, _integer, _off_plane
+from .special import _check_point, _checked, _integer
 
 __all__ = [*_EXPORTS["quantifiers"]]
 
@@ -184,9 +184,7 @@ class CecpPoint(NamedTuple):
     complexity: float
 
     def _check(self):
-        for column, off, why in _off_plane(self.entropy, self.complexity):
-            if off:
-                raise ValueError(why.format(getattr(self, column)))
+        _check_point(self.entropy, self.complexity)
         return self
 
 

@@ -6,16 +6,19 @@ directly (continued-fraction evaluation with a ``lgamma`` prefactor) instead
 of pulling in a scientific stack at runtime.  The test suite cross-checks
 these routines against independent high-precision oracles.  The rules
 that several public entries share live here too: ``_off_plane``, the plane
-rule of ``CecpPoint`` and the ``windows.csv`` reader; ``_stride_break``,
+rule of the ``windows.csv`` reader, which ``_check_point`` raises for
+``CecpPoint``, ``AssetSummary`` and ``within_bounds``; ``_stride_break``,
 the stride rule of window starts, of ``RollingResult`` and both ways of
 reading ``windows.csv``; ``_integer``, the rule of every count-like
-argument; and ``_check_hurst``, the Hurst exponent rule of ``RunConfig`` and
-``fbm``.  This module loads no numpy, so the rules that accept numpy types
-or make arrays live beside their callers: in ``dataio``, ``_values`` (a
-collection, never a string or a scalar), ``_labels`` (an asset selection:
-one or more distinct labels) and ``_flag`` (a ``bool`` or a numpy bool); in
-``patterns``, ``_as_float_array``, the rule of every float vector, series
-and probability vectors alike.
+argument and of every count a record holds; ``_values`` (a collection,
+never a string or a scalar), the rule of ``fbm_hursts``; ``_labels`` (one or
+more distinct labels), the rule of every asset selection and of the assets
+``rank_assets`` ranks; and ``_check_hurst``, the Hurst exponent rule of
+``RunConfig`` and ``fbm``.  This module loads no numpy, so the rules that
+accept numpy types or make arrays live beside their callers: in ``dataio``,
+``_flag`` (a ``bool`` or a numpy bool); in ``patterns``,
+``_as_float_array``, the rule of every float vector, series and probability
+vectors alike.
 
 The one record rule, ``_checked``, lives here too.  A record that holds no arrays
 is a ``NamedTuple``, and each one whose ``_check`` is wrapped by
@@ -34,6 +37,7 @@ import functools
 import math
 import numbers
 import operator
+from collections.abc import Iterable
 
 __all__ = [
     "regularized_incomplete_beta",
@@ -86,6 +90,15 @@ def _off_plane(entropy, complexity):
             ("complexity", complexity < -1e-12, "complexity {} negative"))
 
 
+def _check_point(entropy: float, complexity: float, what: str = "") -> None:
+    """Raise unless the point ``(entropy, complexity)`` is on the plane by
+    ``_off_plane``; the error names the first coordinate off it, after
+    ``what``."""
+    for value, (_, off, why) in zip((entropy, complexity), _off_plane(entropy, complexity)):
+        if off:
+            raise ValueError(what + why.format(value))
+
+
 def _stride_break(starts) -> int | None:
     """The first position ``k`` at which the window starts ``starts`` (ints)
     break the stride rule, starts advancing by one constant positive
@@ -108,6 +121,23 @@ def _integer(value, name: str, minimum: int) -> int:
         rule = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return number
+
+
+def _values(value, name: str) -> tuple:
+    """The values of the collection ``value`` as a tuple; a string or a
+    scalar is refused, so that ``"ab"`` is not read as ``("a", "b")``."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise ValueError(f"{name} must be a collection of values, got {value!r}")
+    return tuple(value)
+
+
+def _labels(value, name: str) -> tuple:
+    """``_values(value, name)``, refused unless it holds one or more
+    distinct labels."""
+    labels = _values(value, name)
+    if not labels or len(set(labels)) < len(labels):
+        raise ValueError(f"{name} must be one or more distinct labels, got {labels!r}")
+    return labels
 
 
 def _checked(cls):

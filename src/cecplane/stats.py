@@ -25,7 +25,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from . import _EXPORTS
-from .special import _checked, f_sf, student_t_sf_two_sided
+from .special import _check_point, _checked, _integer, _labels, f_sf, student_t_sf_two_sided
 
 if TYPE_CHECKING:
     from .rolling import RollingResult
@@ -45,15 +45,10 @@ class AssetSummary(NamedTuple):
     window_count: int
 
     def _check(self):
-        for name in ("mean_entropy", "mean_complexity"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        _check_point(self.mean_entropy, self.mean_complexity, "mean ")
         if self.std_entropy < 0 or self.std_complexity < 0:
             raise ValueError("standard deviations must be nonnegative")
-        if self.window_count < 1:
-            raise ValueError("window_count must be >= 1")
-        return self
+        return (*self[:5], _integer(self.window_count, "window_count", 1))
 
 
 @_checked
@@ -102,13 +97,12 @@ class AnovaResult(NamedTuple):
     def _check(self):
         if min(self.ss_between, self.ss_within, self.ss_total) < 0:
             raise ValueError("sums of squares must be nonnegative")
-        if self.df_between < 1 or self.df_within < 1:
-            raise ValueError("degrees of freedom must be >= 1")
+        df = _integer(self.df_between, "df_between", 1), _integer(self.df_within, "df_within", 1)
         if self.f_stat < 0:
             raise ValueError("F statistic must be nonnegative")
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
-        return self
+        return (*self[:3], *df, *self[5:])
 
 
 @_checked
@@ -124,13 +118,7 @@ class SpearmanResult(NamedTuple):
             raise ValueError(f"rho {self.rho} outside [-1, 1]")
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
-        if self.n < 3:
-            raise ValueError("n must be >= 3")
-        return self
-
-
-def _mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
+        return self.rho, self.p_value, _integer(self.n, "n", 3)
 
 
 class _Group:
@@ -143,7 +131,7 @@ class _Group:
     __slots__ = ("label", "values", "mean", "ss")
 
     def __init__(self, label: str, values: list[float]):
-        self.label, self.values, self.mean = label, values, _mean(values)
+        self.label, self.values, self.mean = label, values, math.fsum(values) / len(values)
         self.ss = math.fsum([(v - self.mean) ** 2 for v in values])
 
     @property
@@ -199,11 +187,7 @@ def rank_assets(summaries: Sequence[AssetSummary]) -> list[RankingEntry]:
     input order; each such group shares the average of its rank positions
     and is flagged ``tied``.
     """
-    if not summaries:
-        raise ValueError("need at least one summary to rank")
-    labels = [s.asset for s in summaries]
-    if len(set(labels)) != len(labels):
-        raise ValueError("asset labels must be distinct")
+    labels = _labels([s.asset for s in summaries], "summary assets")
     distances = [efficiency_distance(s) for s in summaries]
     ranks = average_ranks(distances)
     group_size = Counter(distances)

@@ -1,5 +1,6 @@
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,8 +175,15 @@ class TestWithinBounds:
         assert not within_bounds(CecpPoint(h, 0.0), lower, upper, 1e-9)
 
     def test_entropy_out_of_range(self, bounds24):
-        with pytest.raises(ValueError):
-            within_bounds(CecpPoint(1.0 + 5e-13, 0.0), *bounds24, tol=0.0)
+        # within the plane rule's 1e-12 tolerance, which CecpPoint accepts
+        assert within_bounds(CecpPoint(1.0 + 5e-13, 0.0), *bounds24, tol=1e-9)
+        # beyond it no CecpPoint can hold the value, so a stand-in carries it
+        for point, message in [
+                (SimpleNamespace(entropy=1.0 + 5e-12, complexity=0.0),
+                 r"^normalized entropy 1.000000000005 outside \[0, 1\]$"),
+                (SimpleNamespace(entropy=0.5, complexity=-5e-12), r"^complexity -5e-12 negative$")]:
+            with pytest.raises(ValueError, match=message):
+                within_bounds(point, *bounds24, tol=0.0)
 
     def test_mismatched_curves(self, bounds24):
         lower, upper = bounds24

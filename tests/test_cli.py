@@ -572,6 +572,21 @@ class TestLoadWindows:
             by_row = run_main(capsys, argv)
         assert by_column == by_row == (0, by_row[1], "") and by_row[1]
 
+    def test_read_commands_take_points_within_the_plane_tolerance(self, tmp_path, capsys):
+        """Coordinates off the plane by less than the reader's 1e-12 pass
+        every read command, as they pass the reader."""
+        path = tmp_path / "windows.csv"
+        path.write_text(",".join(WINDOWS_HEADER) + "\n" + "".join(
+            f"{asset},{k},{60 * k},,{h!r},{c!r}\n" for asset, points in [
+                ("A", [(1 + 1e-13, 0.01), (1 + 1e-13, 0.02)]),
+                ("B", [(0.9, -1e-13), (0.8, -1e-13)]),
+                ("C", [(0.7, 0.3), (0.6, 0.35)])] for k, (h, c) in enumerate(points)))
+        metric = tmp_path / "metrics.csv"
+        metric.write_text("asset,mcap\nA,3\nB,2\nC,1\n")
+        for command, *options in (["rank"], ["anova"], ["spearman", "--metric", str(metric)]):
+            rc, stdout, stderr = run_main(capsys, [command, "--input", str(path), *options])
+            assert (rc, stderr) == (0, "") and stdout, command
+
     def test_cli_reports_one_json_line(self, tmp_path, capsys):
         path = tmp_path / "windows.csv"
         path.write_text(",".join(WINDOWS_HEADER)

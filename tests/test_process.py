@@ -163,6 +163,24 @@ class TestExits:
         assert b" function calls " in proc.stdout and b"Ordered by: " in proc.stdout
 
 
+class TestOutputEncoding:
+    def test_tables_are_utf8_under_an_ascii_locale(self, tmp_path):
+        """Every output CSV is UTF-8, the encoding every reader decodes,
+        whatever the locale's: here ASCII, with UTF-8 mode and locale
+        coercion off.  Stdout keeps the locale's encoding, so ``rank``
+        writes to a file."""
+        env = {**ENV, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        data, out = tmp_path / "prices.csv", tmp_path / "out"
+        write_dataset(make_synthetic_dataset(["\u00c9TH", "BTC"], 500, seed=3), data)
+        for argv in (["analyze", "--input", data, "--out", out, "--window", 200, "--step", 100],
+                     ["rank", "--input", out / "windows.csv", "--out", tmp_path / "rank.csv"]):
+            proc = subprocess.run([sys.executable, "-m", "cecplane.cli", *map(str, argv)],
+                                  capture_output=True, env=env)
+            assert (proc.returncode, proc.stderr) == (0, b""), argv
+        assert "\u00c9TH" in (out / "windows.csv").read_text(encoding="utf-8")
+        assert (tmp_path / "rank.csv").read_bytes() == (out / "ranking.csv").read_bytes()
+
+
 class TestRunBranches:
     """``_run`` ends in ``os._exit`` only when nothing is left to report."""
 

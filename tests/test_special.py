@@ -11,10 +11,11 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cecplane import (BaselineCloud, CecpPoint, Dataset, FbmSpec, OrdinalConfig,
-                      PatternDistribution, RollingResult, TimeSeries, WindowParams,
-                      baseline_cloud, load_dataset, lower_bound_curve, make_synthetic_dataset,
-                      q0_constant, upper_bound_curve, window_count)
+from cecplane import (AnovaResult, AssetSummary, BaselineCloud, BoundCurve, CecpPoint, Dataset,
+                      FbmSpec, OrdinalConfig, PatternDistribution, PatternId, RollingResult,
+                      SpearmanResult, TimeSeries, WindowParams, baseline_cloud, load_dataset,
+                      lower_bound_curve, make_synthetic_dataset, q0_constant,
+                      upper_bound_curve, window_count)
 from cecplane._readback import _by_column, _by_row
 from cecplane.dataio import RunConfig
 from cecplane.special import f_sf, regularized_incomplete_beta, student_t_sf_two_sided
@@ -125,6 +126,12 @@ class TestIntegerRule:
                        fbm_sims=np.int32(8)),
              RunConfig(seed=7, bounds_resolution=300, fbm_sims=8),
              ("seed", "bounds_resolution", "fbm_sims")),
+            (AssetSummary("a", 0.5, 0.1, 0.0, 0.0, np.int64(5)),
+             AssetSummary("a", 0.5, 0.1, 0.0, 0.0, 5), ("window_count",)),
+            (AnovaResult(1.0, 1.0, 2.0, np.int64(1), np.uint32(4), 1.0, 1.0, 1.0, 0.5),
+             AnovaResult(1.0, 1.0, 2.0, 1, 4, 1.0, 1.0, 1.0, 0.5), ("df_between", "df_within")),
+            (SpearmanResult(0.5, 0.2, np.int64(5)), SpearmanResult(0.5, 0.2, 5), ("n",)),
+            (PatternId((0, 2, 1), np.int64(1)), PatternId((0, 2, 1), 1), ("index",)),
         ]
         # _replace checks and converts as a call does
         pairs += [
@@ -140,6 +147,8 @@ class TestIntegerRule:
                                   fbm_sims=np.int32(8)),
              RunConfig(seed=7, bounds_resolution=300, fbm_sims=8),
              ("seed", "bounds_resolution", "fbm_sims")),
+            (AssetSummary("a", 0.5, 0.1, 0.0, 0.0, 5)._replace(window_count=np.int64(5)),
+             AssetSummary("a", 0.5, 0.1, 0.0, 0.0, 5), ("window_count",)),
         ]
         for built, expected, fields in pairs:
             assert built == expected
@@ -149,6 +158,8 @@ class TestIntegerRule:
         rolled = RollingResult("x", [0, 60], [0.5, 0.5], [0.1, 0.1], np.int64(357))
         assert type(rolled.samples_per_window) is int
         assert rolled.samples_per_window == 357
+        states = BoundCurve(np.int64(24), "lower", [0.0, 1.0], [0.0, 0.0]).states
+        assert type(states) is int and states == 24
         curve = lower_bound_curve(np.int64(24), np.int64(100))
         assert type(curve.states) is int
         assert np.array_equal(curve.complexity, lower_bound_curve(24, 100).complexity)
@@ -184,6 +195,16 @@ class TestIntegerRule:
         pytest.param(lambda: q0_constant(2.5), "m", 2, id="q0_constant-m-2"),
         pytest.param(lambda: window_count(16031.5, WindowParams()), "series_len", 0,
                      id="window_count-series_len-0"),
+        pytest.param(lambda: AssetSummary("a", 0.5, 0.1, 0.0, 0.0, 2.5), "window_count", 1,
+                     id="AssetSummary-window_count-1"),
+        pytest.param(lambda: AnovaResult(1.0, 1.0, 2.0, 1.5, 4, 1.0, 1.0, 1.0, 0.5),
+                     "df_between", 1, id="AnovaResult-df_between-1"),
+        pytest.param(lambda: AnovaResult(1.0, 1.0, 2.0, 1, 2.5, 1.0, 1.0, 1.0, 0.5),
+                     "df_within", 1, id="AnovaResult-df_within-1"),
+        pytest.param(lambda: SpearmanResult(0.5, 0.5, 3.5), "n", 3, id="SpearmanResult-n-3"),
+        pytest.param(lambda: BoundCurve(2.5, "lower", [0.0, 1.0], [0.0, 0.0]), "states", 2,
+                     id="BoundCurve-states-2"),
+        pytest.param(lambda: PatternId((0, 1), 0.0), "index", 0, id="PatternId-index-0"),
     ])
     def test_non_integer_is_named(self, call, name, minimum):
         rule = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"

@@ -122,11 +122,13 @@ class TestRankAssets:
         assert [e.asset for e in rank_assets(summaries)] == ["b", "a"]
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^summary assets must be one or more distinct "
+                                             r"labels, got \('dup', 'dup'\)$"):
             rank_assets([mk_summary("dup", 0.9, 0.0), mk_summary("dup", 0.8, 0.0)])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^summary assets must be one or more distinct "
+                                             r"labels, got \(\)$"):
             rank_assets([])
 
     @settings(max_examples=200, deadline=None)
@@ -512,13 +514,15 @@ class TestRecords:
     # name: (a valid record, (a change that breaks it, the error it raises), ...)
     CASES = {
         "AssetSummary": (AssetSummary("a", 0.5, 0.1, 0.0, 0.0, 5),
-                         ({"mean_entropy": 1.2}, "mean_entropy must lie in")),
+                         ({"mean_entropy": 1.2},
+                          r"^mean normalized entropy 1.2 outside \[0, 1\]$"),
+                         ({"mean_complexity": -0.1}, "^mean complexity -0.1 negative$")),
         "RankingEntry": (RankingEntry("a", 0.1, 1.0), ({"rank": 0.5}, "rank must be >= 1"),
                          ({"distance": -0.1}, "distance must be nonnegative")),
         "AnovaResult": (AnovaResult(1.0, 1.0, 2.0, 1, 4, 1.0, 1.0, 1.0, 0.5),
                         ({"p_value": 1.5}, "p-value 1.5 outside"),
                         ({"f_stat": -1.0}, "F statistic must be nonnegative")),
-        "SpearmanResult": (SpearmanResult(0.5, 0.2, 5), ({"n": 2}, "n must be >= 3"),
+        "SpearmanResult": (SpearmanResult(0.5, 0.2, 5), ({"n": 2}, "^n must be an integer >= 3, got 2$"),
                            ({"rho": 1.5}, r"rho 1.5 outside \[-1, 1\]"),
                            ({"p_value": -0.1}, r"p-value -0.1 outside \[0, 1\]")),
         "OrdinalConfig": (OrdinalConfig(4, 1), ({"dim": 13}, "dim must be <= 12")),
