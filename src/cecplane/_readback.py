@@ -15,10 +15,11 @@ from itertools import compress, repeat
 from operator import itemgetter, ne, sub
 from typing import NamedTuple
 
-from ._tables import _cell, _located, _read_csv
+from ._tables import _WINDOW_HEADER, _cell, _located, _read_csv
 from .special import _off_plane, _stride_break
 
-_WINDOW_COLUMNS = ("asset", "window_index", "start_offset", "entropy", "complexity")
+# the columns of ``windows.csv`` that the statistics read
+_WINDOW_COLUMNS = tuple(c for c in _WINDOW_HEADER if c != "end_timestamp")
 
 
 class _Windows(NamedTuple):

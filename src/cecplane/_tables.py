@@ -1,13 +1,19 @@
-"""The table model, the one CSV writer and the one CSV reader, shared by
-``dataio``, ``cli`` and ``_readback``.
+"""The table model, the one writer of every output file and the one CSV
+reader, shared by ``dataio``, ``cli`` and ``_readback``.
 
-Every CSV written out — window tables, summaries, rankings, test results,
-envelopes, plot data, the CLI's stdout tables — is one ``_Table`` (a header
-plus typed columns), formatted a column at a time by ``_text`` and written by
-``_write`` a block of ``_BLOCK`` rows at a time, each block one joined string
-where that string is ``csv.writer``'s text, and through ``csv.writer``
-otherwise; so every file has ``csv.writer``'s bytes, no file's text is held
-whole, and a rerun with the same inputs and seed is byte-identical.
+Every output goes to ``_sink``: a UTF-8 file whose line ends are written
+as they stand, or stdout.  Every CSV written out — window tables, summaries,
+rankings, test results, envelopes, plot data, the CLI's stdout tables — is
+one ``_Table`` (a header plus typed columns), formatted a column at a time
+by ``_text`` and written by ``_write`` a block of ``_BLOCK`` rows at a time,
+each block one joined string where that string is ``csv.writer``'s text,
+and through ``csv.writer`` otherwise; so every file has ``csv.writer``'s
+bytes, no file's text is held whole, and a rerun with the same inputs and
+seed is byte-identical.  The two JSON documents, ``manifest.json`` and the
+``anova`` report, are written by ``_write_json`` under one rule: two-space
+indent, sorted keys, a final newline, and ``null`` for a number that is not
+finite.  ``windows.csv``'s header, ``_WINDOW_HEADER``, is declared here for
+its writer and its reader.
 Every CSV read in — the dataset, ``windows.csv``, a ``--metric`` file — is
 opened once by ``_read_csv``, under one set of rules, and checked in the one
 pass that reads its rows; the processes that parse a large dataset's byte
@@ -84,6 +90,18 @@ def _table(**columns) -> _Table:
     return _Table(tuple(columns), tuple(columns.values()))
 
 
+# The header of ``windows.csv``: ``dataio`` writes it, ``_readback`` reads it back.
+_WINDOW_HEADER = ("asset", "window_index", "start_offset", "end_timestamp", "entropy",
+                  "complexity")
+
+
+def _sink(path):
+    """The output ``path`` opened for UTF-8 text with its line ends as
+    written, or stdout when it is None: where every document goes."""
+    return (open(path, "w", encoding="utf-8", newline="") if path is not None
+            else contextlib.nullcontext(sys.stdout))
+
+
 # Rows joined into one string for each write of ``_write``: about 16 KB of
 # window-table text.  Against 1,024 rows, 256 wrote the study tree within
 # noise (in-process medians 28.5 and 28.4 ms, 61 alternating calls; study
@@ -111,8 +129,7 @@ def _write(table: _Table, path) -> None:
     rows = zip(*text.columns)
     block = [text.header, *islice(rows, _BLOCK - 1)]
     commas = len(text.header) - 1
-    with (open(path, "w", encoding="utf-8", newline="") if path is not None
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    with _sink(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         while block:
             lines = list(map(",".join, block))
@@ -123,6 +140,20 @@ def _write(table: _Table, path) -> None:
             else:
                 writer.writerows(block)
             block = list(islice(rows, _BLOCK))
+
+
+def _write_json(payload, path) -> None:
+    """Write ``payload`` (dicts, lists, strings, numbers, bools and None) as
+    the package's one JSON layout to ``path``, or to stdout when it is None:
+    two-space indent, sorted keys, a final newline, and every number that is
+    not finite as ``null``, so the text is strict JSON.  Only a command that
+    writes JSON loads ``json``."""
+    import json
+
+    # Infinity and NaN, read back by parse_constant, become None
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    with _sink(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _records(records, *names: str) -> _Table:

@@ -12,7 +12,10 @@ Subcommands::
 Exit code 0 on success.  Any failure prints a one-line JSON object
 (``{"error": ..., "message": ...}``) to stderr and returns a nonzero code.
 Advisory warnings (e.g. undersampled histograms) also go to stderr; files
-and stdout stay deterministic.
+and stdout stay deterministic.  Every output is written by ``_tables``: a
+CSV table, or ``anova``'s JSON report (an infinite F as ``null``), to
+``--out`` or to stdout with the same bytes.  Only ``analyze`` (its
+manifest), ``anova`` and a failure's error line load ``json``.
 
 A command run as a process (``cecplane`` or ``python -m cecplane.cli``)
 enters through ``_run`` and ends in ``os._exit`` once its output is flushed,
@@ -122,11 +125,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_anova(args) -> int:
-    import json
-    from pathlib import Path
-
     from ._readback import _load_windows
-    from ._tables import _pairwise_table
+    from ._tables import _pairwise_table, _write_json
     from .stats import _groups, _tests
 
     results = _load_windows(args.input)
@@ -136,16 +136,11 @@ def _cmd_anova(args) -> int:
     baseline = args.baseline if args.baseline is not None else labels[0]
     entropy, complexity, comparisons = _tests({a: _groups(results[a]) for a in labels},
                                               baseline)
-    payload = {"entropy": entropy._asdict(), "complexity": complexity._asdict()}
     pairwise = _pairwise_table(comparisons)
-    payload["pairwise"] = [dict(zip(pairwise.header, row)) for row in zip(*pairwise.columns)]
-    payload["caveat"] = ("window overlap unknown when reading from file; "
-                         "p-values are descriptive")
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _write_json({"entropy": entropy._asdict(), "complexity": complexity._asdict(),
+                 "pairwise": [dict(zip(pairwise.header, row)) for row in zip(*pairwise.columns)],
+                 "caveat": ("window overlap unknown when reading from file; "
+                            "p-values are descriptive")}, args.out)
     return 0
 
 

@@ -21,8 +21,9 @@ this process's range as a table or one joined column, and the file's sha256
 is streamed in fixed blocks, never read whole.  Log returns are taken in one
 buffer per asset, the logs overwritten by their differences.
 
-Every CSV written back out is one ``_Table`` of ``_tables``, written by its
-``_write``.  One function, ``_write_tree``, decides what an output tree
+Every file written back out goes through ``_tables``: each CSV is one
+``_Table`` written by ``_write``, and ``manifest.json`` is written by
+``_write_json``.  One function, ``_write_tree``, decides what an output tree
 holds, for ``analyze`` and ``write_bundle`` alike: it refuses a directory
 holding a file it would not write, so its manifest hashes the whole tree.
 """
@@ -32,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
-import json
 import math
 import warnings
 from pathlib import Path
@@ -42,8 +42,9 @@ import numpy as np
 
 from . import _EXPORTS, PLOT_KINDS, __version__
 from ._fork import _count, _map
-from ._tables import (_bounds_table, _clouds_table, _decoded, _located, _pairwise_table,
-                      _ranking_table, _read_csv, _records, _table, _Table, _text, _write)
+from ._tables import (_WINDOW_HEADER, _bounds_table, _clouds_table, _decoded, _located,
+                      _pairwise_table, _ranking_table, _read_csv, _records, _Table, _text,
+                      _write, _write_json)
 from .bounds import BoundCurve, lower_bound_curve, upper_bound_curve
 from .patterns import OrdinalConfig, TimeSeries, _grid_violation, _on_grid
 from .rolling import RollingResult, WindowParams, rolling_quantifiers
@@ -70,18 +71,20 @@ __all__ = [*_EXPORTS["dataio"], "PLOT_KINDS"]
 UNDERSAMPLE_FACTOR = 5
 
 
-# Files are hashed a block at a time, so a digest never holds a whole file.
-# (hashlib.file_digest does this, but only from Python 3.11.)  A 1 MiB block,
-# zero-filled for each file, set the peak resident set of study `analyze`
-# while it hashed its output tree: 1.8 MB above this size's peak, which is
-# reached earlier, at the write.  Hashing 21 MB took 11.9 ms at this size,
-# 11.7 ms at 1 MiB.
-_HASH_BLOCK = 1 << 16
+# Files are read this many bytes at a time, both to hash them (so a digest
+# never holds a whole file; hashlib.file_digest does this, but only from
+# Python 3.11) and to search them for quotes and line ends (``_find``).
+# Against 1 MiB: hashing an output tree with a 1 MiB block, zero-filled for
+# each file, set the peak resident set of study `analyze` 1.8 MB above this
+# size's peak, which is reached earlier, at the write (hashing 21 MB took
+# 11.9 ms at this size, 11.7 ms at 1 MiB); searching with a 1 MiB block
+# raised the peak resident set of loading the study dataset by 0.7 MB.
+_FILE_BLOCK = 1 << 16
 
 
 def _sha256_file(path: Path) -> str:
     digest = hashlib.sha256()
-    block = bytearray(_HASH_BLOCK)
+    block = bytearray(_FILE_BLOCK)
     view = memoryview(block)
     with open(path, "rb") as fh:
         while size := fh.readinto(block):
@@ -90,10 +93,10 @@ def _sha256_file(path: Path) -> str:
 
 
 class Dataset(_Holder):
-    """A collection of aligned asset series sharing one timestamp grid.
-    ``fill_counts`` defaults to an empty dict.  ``path`` is the file it was
-    loaded from, if any, where an error about one of its values is located
-    by line and column."""
+    """A collection of aligned asset series sharing one timestamp grid,
+    each under a label that is not blank.  ``fill_counts`` defaults to an
+    empty dict.  ``path`` is the file it was loaded from, if any, where an
+    error about one of its values is located by line and column."""
 
     __slots__ = ("series", "fill_counts", "timestamp_label", "digest", "path")
 
@@ -101,6 +104,8 @@ class Dataset(_Holder):
                  timestamp_label: str = "timestamp", digest: str = "", path: Path | None = None):
         if not series:
             raise ValueError("dataset contains no series")
+        if not all(str(label).strip() for label in series):
+            raise ValueError(f"asset labels must not be blank, got {tuple(series)!r}")
         lengths = {label: len(s) for label, s in series.items()}
         if len(set(lengths.values())) != 1:
             raise ValueError(f"series lengths differ: {lengths}")
@@ -153,17 +158,13 @@ def _grid_error(path: Path, ts: np.ndarray, index: int, rule: str) -> ValueError
 # and reaping, takes about 2.4 ms on a 2-vCPU host; a range of this size
 # takes loadtxt about ten times that.
 _RANGE_FLOOR = 1 << 20
-# The file is searched for quotes and line ends in blocks this small: a
-# 1 MiB block raised the peak resident set of loading the study dataset by
-# 0.7 MB.
-_SCAN_BLOCK = 1 << 16
 
 
 def _find(fh, pos: int, byte: bytes) -> int | None:
     """The offset just past the first ``byte`` at or after ``pos`` in the
-    binary file ``fh``, searched a ``_SCAN_BLOCK`` at a time, if any."""
+    binary file ``fh``, searched a ``_FILE_BLOCK`` at a time, if any."""
     fh.seek(pos)
-    while chunk := fh.read(_SCAN_BLOCK):
+    while chunk := fh.read(_FILE_BLOCK):
         k = chunk.find(byte)
         if k >= 0:
             return pos + k + 1
@@ -299,7 +300,9 @@ def load_dataset(path, assets: Sequence[str] | None = None,
     """Read a headed CSV into per-asset TimeSeries on a shared time grid:
     the columns ``assets`` names (a collection of one or more distinct
     labels, not one string), or every column.  The selection and
-    ``forward_fill`` (a ``bool``) are checked before the file is opened.
+    ``forward_fill`` (a ``bool``) are checked before the file is opened, and
+    a selected column whose header name is blank is an error at line 1,
+    before any row is parsed; an unselected one is ignored.
 
     Timestamps must be strictly increasing and evenly spaced; the first row
     that breaks the grid is an error naming its line.  A missing or
@@ -343,6 +346,8 @@ def load_dataset(path, assets: Sequence[str] | None = None,
         missing = [a for a in selected if a not in columns]
         if missing:
             raise ValueError(f"{path}: requested columns not in header: {missing}")
+        if "" in selected:
+            raise _located(path, 1, header.index("") + 1, "empty asset label")
         col_idx = {a: columns.index(a) + 1 for a in selected}
         numeric = _read_numeric(path, stream, cuts, len(header), [0, *col_idx.values()])
 
@@ -368,10 +373,7 @@ def write_dataset(dataset: Dataset, path) -> str:
     """
     path = Path(path)
     first = next(iter(dataset.series.values()))
-    if first.timestamps is None:
-        ts = np.arange(len(first), dtype=np.float64)
-    else:
-        ts = first.timestamps
+    ts = np.arange(len(first), dtype=np.float64) if first.timestamps is None else first.timestamps
     _write(_Table((dataset.timestamp_label, *dataset.assets),
                   (ts, *(dataset.series[a].values for a in dataset.assets))), path)
     return _sha256_file(path)
@@ -499,8 +501,10 @@ class AnalysisBundle(NamedTuple):
 def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
     """Rolling quantifiers, summaries, ranking, tests, bounds, fBm clouds.
 
-    With a single asset the ranking has one entry and the ANOVA slots stay
-    empty (the tests need at least two groups).  Randomness enters only
+    The tests run only with at least two assets and at least two windows
+    per asset; otherwise the ANOVA slots stay empty, and no tree holds
+    ``anova.csv``, ``pairwise_anova.csv`` or ``anova-intervals`` plot data.
+    With a single asset the ranking has one entry.  Randomness enters only
     through the fBm baselines, driven by ``config.seed``.  The selection and
     the baseline are checked before any asset is rolled.  Under
     ``log_returns``, a value that is not positive in a dataset loaded from
@@ -550,7 +554,7 @@ def run_pipeline(config: RunConfig, dataset: Dataset) -> AnalysisBundle:
 
     anova_entropy = anova_complexity = None
     pairwise: list[PairwiseComparison] = []
-    if len(selected) >= 2:
+    if len(selected) >= 2 and min(r.window_starts.size for r in rolling.values()) >= 2:
         baseline = config.baseline if config.baseline is not None else selected[0]
         anova_entropy, anova_complexity, pairwise = _tests(groups, baseline)
 
@@ -586,15 +590,15 @@ def _windows_table(rolling: dict[str, RollingResult]) -> _Table:
     """One row per window of every asset.  End timestamps are text, each
     asset's formatted apart, with empty cells for an asset that has none."""
     results = rolling.values()
-    return _table(
-        asset=[a for a, r in rolling.items() for _ in range(r.window_starts.size)],
-        window_index=np.concatenate([np.arange(r.window_starts.size) for r in results]),
-        start_offset=np.concatenate([r.window_starts for r in results]),
-        end_timestamp=[t for r in results for t in ([""] * r.window_starts.size
-                       if r.end_timestamps is None else _text(r.end_timestamps))],
-        entropy=np.concatenate([r.entropies for r in results]),
-        complexity=np.concatenate([r.complexities for r in results]),
-    )
+    return _Table(_WINDOW_HEADER, (
+        [a for a, r in rolling.items() for _ in range(r.window_starts.size)],
+        np.concatenate([np.arange(r.window_starts.size) for r in results]),
+        np.concatenate([r.window_starts for r in results]),
+        [t for r in results for t in ([""] * r.window_starts.size
+                                      if r.end_timestamps is None else _text(r.end_timestamps))],
+        np.concatenate([r.entropies for r in results]),
+        np.concatenate([r.complexities for r in results]),
+    ))
 
 
 def _summaries_table(bundle: AnalysisBundle) -> _Table:
@@ -668,7 +672,7 @@ def _write_tree(bundle: AnalysisBundle, out_dir, kinds: Sequence[str]) -> list[P
     files = {out / name: table for name, table in {**tables, **plots}.items()}
     for path, table in files.items():
         _write(table, path)
-    manifest = {
+    _write_json({
         "tool": "cecplane",
         "tool_version": __version__,
         "config": bundle.config.as_dict(),
@@ -677,10 +681,8 @@ def _write_tree(bundle: AnalysisBundle, out_dir, kinds: Sequence[str]) -> list[P
         "caveats": list(bundle.caveats),
         "warnings": list(bundle.warnings),
         "files": {p.name: _sha256_file(p) for p in files},
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return [out / name for name in tables] + [manifest_path] + [out / name for name in plots]
+    }, out / "manifest.json")
+    return [out / name for name in [*tables, "manifest.json", *plots]]
 
 
 def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:

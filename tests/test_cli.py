@@ -259,6 +259,40 @@ class TestAnalyze:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == {
             name: content for name, (content, _) in tree.items()}
 
+    def test_blank_asset_label_is_refused_at_the_header(self, capsys, tmp_path):
+        """A blank column name never reaches ``windows.csv``, whose readers
+        refuse an empty label; the other columns stay usable."""
+        data = tmp_path / "prices.csv"
+        write_dataset(make_synthetic_dataset(["x", "b"], 800, seed=1), data)
+        data.write_text(data.read_text().replace("timestamp,x,b", "timestamp,,b", 1))
+        argv = ["analyze", "--input", str(data), "--window", "200", "--step", "100", "--dim", "3"]
+        rc, _, err = run_main(capsys, argv + ["--out", str(tmp_path / "all")])
+        assert rc == 1 and not (tmp_path / "all").exists()
+        assert json.loads(err)["message"] == f"{data}: line 1, column 2: empty asset label"
+        out = tmp_path / "b"
+        assert run_main(capsys, argv + ["--assets", "b", "--out", str(out)])[0] == 0
+        rc, stdout, _ = run_main(capsys, ["rank", "--input", str(out / "windows.csv")])
+        assert rc == 0 and stdout == (out / "ranking.csv").read_text()
+
+    def test_one_window_per_asset_skips_the_tests(self, capsys, tmp_path):
+        """The tests need two windows per asset: with one, the run succeeds
+        without them, as with one asset, and ``anova`` keeps its error."""
+        data = tmp_path / "prices.csv"
+        write_dataset(make_synthetic_dataset(["a", "b"], 250, seed=1), data)
+        out = tmp_path / "run"
+        rc, stdout, _ = run_main(capsys, ["analyze", "--input", str(data), "--out", str(out),
+                                          "--window", "200", "--step", "100", "--plots", "all"])
+        assert rc == 0
+        names = {p.name for p in out.iterdir()}
+        assert names == {"windows.csv", "summaries.csv", "ranking.csv", "bounds.csv",
+                         "manifest.json", "plot_entropy_evolution.csv",
+                         "plot_cecp_scatter.csv", "plot_cecp_means.csv"}
+        assert {line.rsplit("/", 1)[-1] for line in stdout.splitlines()} == names
+        rc, _, err = run_main(capsys, ["anova", "--input", str(out / "windows.csv")])
+        assert rc == 1
+        assert json.loads(err)["message"] == ("group 'a' needs at least 2 one-dimensional "
+                                              "observations")
+
     def test_one_asset_anova_intervals_rejected(self, workspace, capsys, tmp_path):
         _, data, _ = workspace
         out = tmp_path / "solo"
@@ -313,6 +347,50 @@ class TestAnova:
             "anova", "--input", str(out / "windows.csv"), "--baseline", "BBB"])
         payload = json.loads(stdout)
         assert {r["asset"] for r in payload["pairwise"]} == {"AAA", "CCC"}
+
+    # each asset's windows all hold one point, a different one per asset
+    CONSTANT_GROUPS = ("asset,window_index,start_offset,entropy,complexity\n"
+                       "a,0,0,0.5,0.0\na,1,10,0.5,0.0\nb,0,0,0.5,0.1\nb,1,10,0.5,0.1\n")
+
+    def test_infinite_f_is_null(self, capsys, tmp_path):
+        """Groups each constant but unequal give an infinite F, which the
+        report writes as null, beside a p-value of 0, in strict JSON, the
+        same bytes on stdout and in ``--out``."""
+        windows, report = tmp_path / "windows.csv", tmp_path / "anova.json"
+        windows.write_text(self.CONSTANT_GROUPS)
+        rc, stdout, _ = run_main(capsys, ["anova", "--input", str(windows)])
+        assert rc == 0
+        assert main(["anova", "--input", str(windows), "--out", str(report)]) == 0
+        assert report.read_bytes() == stdout.encode()
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads(stdout, parse_constant=refuse)
+        (pair,) = [row for row in payload["pairwise"] if row["metric"] == "complexity"]
+        for result in (payload["complexity"], pair):
+            assert (result["f_stat"], result["p_value"]) == (None, 0.0)
+        assert payload["entropy"]["f_stat"] == 0.0 and payload["entropy"]["degenerate"]
+
+    def test_analyze_table_writes_infinite_f_as_inf(self, capsys, tmp_path):
+        """The same kind of groups from a dataset: asset ``a`` rises, so every
+        window holds one pattern, and ``b`` repeats with a period that divides
+        the step.  ``anova.csv`` writes the infinite F as ``inf``; the
+        ``anova`` report on the run's ``windows.csv`` as null."""
+        data, out = tmp_path / "prices.csv", tmp_path / "run"
+        data.write_text("timestamp,a,b\n" + "".join(
+            f"{t},{t + 1},{(1, 3, 2, 4)[t % 4]}\n" for t in range(800)))
+        rc, _, _ = run_main(capsys, ["analyze", "--input", str(data), "--out", str(out),
+                                     "--window", "200", "--step", "100", "--dim", "3"])
+        assert rc == 0
+        with open(out / "anova.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["metric"], r["f_stat"], r["p_value"]) for r in rows] == [
+            ("entropy", "inf", "0"), ("complexity", "inf", "0")]
+        rc, stdout, _ = run_main(capsys, ["anova", "--input", str(out / "windows.csv")])
+        assert rc == 0
+        payload = json.loads(stdout)
+        assert [payload[m]["f_stat"] for m in ("entropy", "complexity")] == [None, None]
 
     def test_single_asset_rejected(self, workspace, capsys, tmp_path):
         _, _, out = workspace
@@ -911,6 +989,14 @@ class TestImportContract:
         assert blocked.returncode == 0, blocked.stderr
         assert blocked.stderr == b""
         assert blocked.stdout == normal.stdout != b""
+
+    @pytest.mark.parametrize("command", ["rank", "bounds", "fbm"])
+    def test_csv_commands_load_no_json(self, workspace, tmp_path, command):
+        """Only a command that writes a JSON document loads ``json``."""
+        argv = {"rank": read_command_argv(workspace, tmp_path, "rank"),
+                "bounds": ["bounds", "--dim", "3", "--resolution", "20"],
+                "fbm": ["fbm", "--hurst", "0.5", "--sims", "4", "--length", "40"]}[command]
+        assert "json" not in loaded_modules(*argv)
 
     def test_analyze_loads_fbm_only_for_clouds(self, workspace, tmp_path):
         _, data, _ = workspace

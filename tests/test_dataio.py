@@ -330,6 +330,19 @@ class TestLoadErrors:
             with pytest.raises(ValueError, match=message):
                 load_dataset(p, assets="ab")
 
+    def test_blank_asset_label(self, tmp_path):
+        """A selected column whose header name is blank is an error at line
+        1, before any row is parsed; unselected, it is ignored."""
+        p = write_lines(tmp_path / "d.csv", ["timestamp,,b", "0,1.0,2.0", "300,1.5,2.5"])
+        with mock.patch.object(dataio, "_read_numeric",
+                               side_effect=AssertionError("the rows were parsed")):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 1, column 2: "
+                                                 "empty asset label$"):
+                load_dataset(p)
+            with pytest.raises(ValueError, match="column 2: empty asset label$"):
+                load_dataset(p, assets=["b", ""])
+        assert load_dataset(p, assets=["b"]).assets == ("b",)
+
     def test_header_without_an_asset(self, tmp_path):
         p = write_lines(tmp_path / "d.csv", ["timestamp", "0", "300"])
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 1: header must name "
@@ -654,7 +667,7 @@ class TestRanges:
                 mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as rows:
             assert dataio._cuts(path) == [edge]
             # the header's line end and any quote lie past the first 2-byte block
-            with mock.patch.object(dataio, "_SCAN_BLOCK", 2):
+            with mock.patch.object(dataio, "_FILE_BLOCK", 2):
                 assert dataio._cuts(path) == [edge]
             loaded = _outcome(path)
         rows.assert_not_called()
@@ -674,7 +687,7 @@ class TestRanges:
         with _in_ranges(2), mock.patch.object(os, "fork", wraps=os.fork) as fork:
             assert dataio._cuts(path) == []
             # the header's line end and any quote lie past the first 2-byte block
-            with mock.patch.object(dataio, "_SCAN_BLOCK", 2):
+            with mock.patch.object(dataio, "_FILE_BLOCK", 2):
                 assert dataio._cuts(path) == []
             loaded = _outcome(path)
         fork.assert_not_called()
@@ -712,7 +725,7 @@ class TestRanges:
         data = b'timestamp,a\r\n0,"1.5"\n\n300,2.5'
         path = tmp_path / "d.csv"
         path.write_bytes(data)
-        with open(path, "rb") as fh, mock.patch.object(dataio, "_SCAN_BLOCK", block):
+        with open(path, "rb") as fh, mock.patch.object(dataio, "_FILE_BLOCK", block):
             for byte in (b"\n", b'"'):
                 for pos in range(len(data) + 1):
                     k = data.find(byte, pos)
@@ -958,7 +971,8 @@ class TestSyntheticDataset:
         ("ab", "assets must be a collection of values, got 'ab'"),
         ([], "assets must be one or more distinct labels, got ()"),
         (["x", "x"], "assets must be one or more distinct labels, got ('x', 'x')"),
-    ], ids=["string", "empty", "repeated"])
+        (["x", " "], "asset labels must not be blank, got ('x', ' ')"),
+    ], ids=["string", "empty", "repeated", "blank"])
     def test_selection_rule(self, assets, message):
         """The selection rule of ``RunConfig`` and ``load_dataset``: a
         string is not read as its characters."""
@@ -970,7 +984,9 @@ class TestSyntheticDataset:
     ({}, "dataset contains no series"),
     ({"a": TimeSeries([1.0, 2.0]), "b": TimeSeries([1.0])},
      "series lengths differ: {'a': 2, 'b': 1}"),
-], ids=["empty", "unequal-lengths"])
+    ({"a": TimeSeries([1.0, 2.0]), "": TimeSeries([1.0, 2.0])},
+     "asset labels must not be blank, got ('a', '')"),
+], ids=["empty", "unequal-lengths", "blank-label"])
 def test_dataset_checks_its_series(series, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Dataset(series)

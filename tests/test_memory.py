@@ -24,7 +24,7 @@ from cecplane import (OrdinalConfig, RunConfig, TimeSeries, WindowParams, baseli
                       rolling_quantifiers, run_pipeline)
 from cecplane import _fork, _tables, dataio, fbm
 from cecplane._tables import _BLOCK
-from cecplane.dataio import (_HASH_BLOCK, _plot_kinds, _sha256_file, _windows_table,
+from cecplane.dataio import (_FILE_BLOCK, _plot_kinds, _sha256_file, _windows_table,
                              _write_tree)
 from cecplane.fbm import _baseline_clouds
 from cecplane.patterns import _ENCODE_BLOCK, _encode_starts
@@ -272,7 +272,7 @@ class TestWriteMemory:
 
 
 class TestSha256File:
-    @pytest.mark.parametrize("size", [0, 1, _HASH_BLOCK - 1, _HASH_BLOCK, _HASH_BLOCK + 1])
+    @pytest.mark.parametrize("size", [0, 1, _FILE_BLOCK - 1, _FILE_BLOCK, _FILE_BLOCK + 1])
     def test_digest_matches_whole_file_hash(self, tmp_path, size):
         path = tmp_path / "blob"
         path.write_bytes(np.random.default_rng(size).bytes(size))
@@ -286,4 +286,4 @@ class TestSha256File:
         with open(path, "wb") as fh:
             for _ in range(20):
                 fh.write(rng.bytes(1_000_000))
-        assert traced_peak(_sha256_file, path) < 2 * _HASH_BLOCK
+        assert traced_peak(_sha256_file, path) < 2 * _FILE_BLOCK

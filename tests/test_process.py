@@ -17,7 +17,7 @@ from unittest import mock
 
 import pytest
 
-from cecplane import __version__, _fork, cli, dataio, make_synthetic_dataset, write_dataset
+from cecplane import __version__, _fork, cli, dataio, fbm, make_synthetic_dataset, write_dataset
 from cecplane.cli import main
 from test_golden import CASES, GENERATORS, READ_SIDE, _read_side_inputs
 
@@ -161,6 +161,54 @@ class TestExits:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout.startswith(b"H,C_lower,C_upper\n")
         assert b" function calls " in proc.stdout and b"Ordered by: " in proc.stdout
+
+
+# Pins itself to the CPU its first argument names, then runs the process
+# entry on the other arguments.  The process sets its own affinity before it
+# imports numpy, whose threads make a ``preexec_fn`` unsafe.
+PINNED = ("import os, sys\n"
+          "os.sched_setaffinity(0, {int(sys.argv.pop(1))})\n"
+          "from cecplane.cli import _run\n"
+          "_run()\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and two usable CPUs")
+class TestRealCpuSplit:
+    """``_fork`` reads the CPU count from the real affinity: a command
+    pinned to one CPU does its work in one process, and unpinned splits it
+    among this host's CPUs, with the same output bytes."""
+
+    @staticmethod
+    def pinned(*argv) -> subprocess.CompletedProcess:
+        cpu = min(os.sched_getaffinity(0))
+        return subprocess.run([sys.executable, "-c", PINNED, str(cpu), *map(str, argv)],
+                              capture_output=True, env=ENV)
+
+    @pytest.fixture(scope="class")
+    def prices(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("cpu-split") / "prices.csv"
+        write_dataset(make_synthetic_dataset(["AAA", "BBB", "CCC"], 40_000, seed=3), data)
+        assert data.stat().st_size >= 2 * dataio._RANGE_FLOOR  # two ranges or more, unpinned
+        return data
+
+    def test_fbm_clouds(self):
+        argv = ["fbm", "--hurst", "0.5,0.7,0.9", "--sims", "200"]
+        assert len(fbm._runs(200, 3 * 360)) >= 2  # split, unpinned
+        one, every = self.pinned(*argv), cli_process(*argv)
+        assert (one.returncode, one.stderr) == (every.returncode, every.stderr) == (0, b"")
+        assert one.stdout == every.stdout != b""
+
+    @pytest.mark.parametrize("options", [[], ["--log-returns"]], ids=["levels", "log-returns"])
+    def test_analyze_tree(self, prices, tmp_path, options):
+        trees = []
+        for run in (self.pinned, cli_process):
+            out = tmp_path / f"run{len(trees)}"
+            proc = run("analyze", "--input", prices, "--out", out, "--plots", "all", *options)
+            assert (proc.returncode, proc.stderr) == (0, b""), run
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert trees[0] == trees[1]
+        assert "anova.csv" in trees[0]
 
 
 class TestOutputEncoding:
